@@ -1,7 +1,7 @@
 //! Raw-dispatch microbenchmark for the pre-decoded execution form: how
 //! fast the VLIW Engine issues long instructions through
 //! `exec_li_decoded`, independent of the Primary Processor, the
-//! lockstep oracle and the workloads. This is the fast path's own trend
+//! lockstep oracle and the workloads. This is the VLIW loop's own trend
 //! line — a dispatch regression shows up here even when workload-level
 //! throughput hides it behind the oracle's floor.
 //!

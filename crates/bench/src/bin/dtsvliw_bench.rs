@@ -21,20 +21,16 @@
 //! the CI negative test proving the gate actually fails.
 //!
 //! After the (profiled, bit-reproducible) report pass, a second
-//! *timing pass* runs the suite hook-free — where the batched decoded
-//! fast path engages — and appends host-side
+//! *timing pass* runs the suite hook-free and appends host-side
 //! simulated-instructions-per-wall-second to the `BENCH_wallclock.json`
 //! trend file. Wall-clock numbers live only there and on stdout, never
-//! in the report body. `--no-fast-path` disables the fast path for the
-//! timing pass (A/B trend lines); `--require-fast-path` exits non-zero
-//! if no workload ever took a burst (the CI liveness check for the fast
-//! path itself).
+//! in the report body.
 //!
 //! Telemetry (DESIGN.md §12) arms on the timing pass only, so the
 //! report stays byte-identical with or without it: `--heartbeat[=K]`
 //! streams per-workload JSONL progress files into `--heartbeat-out`
 //! (default `heartbeats/`), and `--profile-sampled[=N]` runs the
-//! burst-compatible sampling profiler alongside the fast path.
+//! sampling profiler.
 //!
 //! Exit codes: 0 success, 1 regression or machine error, 2 bad
 //! arguments.
@@ -42,7 +38,7 @@
 use dtsvliw_bench::{geom_mean, WORKLOADS};
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_json::Json;
-use dtsvliw_trace::{BlockProfiler, Heartbeat, SamplingProfiler, DEFAULT_SAMPLE_PERIOD};
+use dtsvliw_trace::{Heartbeat, SamplingProfiler, DEFAULT_SAMPLE_PERIOD};
 use dtsvliw_workloads::{by_name, Scale};
 use std::sync::Mutex;
 
@@ -61,7 +57,6 @@ fn usage() -> ! {
         "usage: dtsvliw_bench [--quick] [--scale test|small|large] [--instructions N]\n\
          \u{20}                    [--out PATH] [--compare BASELINE.json] [--tolerance PCT]\n\
          \u{20}                    [--inject-regression PCT] [--wallclock PATH] [--no-wallclock]\n\
-         \u{20}                    [--no-fast-path] [--require-fast-path]\n\
          \u{20}                    [--heartbeat[=CYCLES]] [--heartbeat-out DIR] [--profile-sampled[=N]]"
     );
     std::process::exit(2);
@@ -122,8 +117,6 @@ fn main() {
     let mut tolerance = 2.0f64;
     let mut inject = 0.0f64;
     let mut wallclock: Option<String> = Some("BENCH_wallclock.json".to_string());
-    let mut fast_path = true;
-    let mut require_fast_path = false;
     let mut heartbeat: Option<u64> = None;
     let mut heartbeat_out = "heartbeats".to_string();
     let mut profile_sampled: Option<u64> = None;
@@ -190,8 +183,6 @@ fn main() {
                 wallclock = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--no-wallclock" => wallclock = None,
-            "--no-fast-path" => fast_path = false,
-            "--require-fast-path" => require_fast_path = true,
             "--heartbeat" => heartbeat = Some(DEFAULT_HEARTBEAT_EVERY),
             "--heartbeat-out" => {
                 i += 1;
@@ -226,12 +217,12 @@ fn main() {
             s.spawn(move || {
                 let workload = by_name(w, scale).unwrap_or_else(|| die(format!("no workload {w}")));
                 let mut m = Machine::new(MachineConfig::feasible_paper(), &workload.image());
-                m.attach_profiler(Box::new(BlockProfiler::new()));
+                m.attach_sampler(Box::new(SamplingProfiler::new(1)));
                 let outcome = m
                     .run(instructions)
                     .unwrap_or_else(|e| die(format!("{w}: {e}")));
                 let stats = m.stats();
-                let p = m.profiler().expect("profiler attached above");
+                let p = m.sampler().expect("profiler attached above").profiler();
                 results.lock().unwrap().push(Row {
                     workload: w,
                     instructions: outcome.instructions,
@@ -269,12 +260,10 @@ fn main() {
         );
     }
 
-    // Timing pass: the same suite hook-free (no exact profiler), where
-    // the batched decoded fast path engages. This is the number the
-    // wall-clock trend tracks; the profiled pass above keeps the report
-    // bit-reproducible and pins the simulated results. Telemetry
-    // (heartbeat, sampling profiler) arms here and only here — both are
-    // burst-compatible, so `--require-fast-path` still holds with them.
+    // Timing pass: the same suite hook-free (no profiler). This is the
+    // number the wall-clock trend tracks; the profiled pass above keeps
+    // the report bit-reproducible and pins the simulated results.
+    // Telemetry (heartbeat, sampling profiler) arms here and only here.
     if heartbeat.is_some() {
         std::fs::create_dir_all(&heartbeat_out)
             .unwrap_or_else(|e| die(format!("creating {heartbeat_out}: {e}")));
@@ -288,7 +277,6 @@ fn main() {
             s.spawn(move || {
                 let workload = by_name(w, scale).unwrap_or_else(|| die(format!("no workload {w}")));
                 let mut m = Machine::new(MachineConfig::feasible_paper(), &workload.image());
-                m.set_fast_path(fast_path);
                 if let Some(every) = heartbeat {
                     let path = format!("{heartbeat_out}/{w}.jsonl");
                     let f = std::fs::File::create(&path)
@@ -330,9 +318,8 @@ fn main() {
     let chained: u64 = trows.iter().map(|r| r.3).sum();
     let rate = t_instr as f64 / t_wall.as_secs_f64();
     println!(
-        "timing pass (fast path {}): {} instructions in {:.2?} \
+        "timing pass: {} instructions in {:.2?} \
          ({:.1}M instructions/s hook-free; {} bursts, {} chained blocks)",
-        if fast_path { "on" } else { "off" },
         t_instr,
         t_wall,
         rate / 1e6,
@@ -347,9 +334,6 @@ fn main() {
         let sampled: u64 = trows.iter().map(|r| r.5).sum();
         println!("  telemetry: {sampled} block entries sampled across the suite");
     }
-    if require_fast_path && bursts == 0 {
-        die("--require-fast-path: the fast path was never taken".to_string());
-    }
 
     // Append to the wall-clock trend file. Timestamps and wall time are
     // welcome here — this file is the designated home for everything
@@ -363,7 +347,6 @@ fn main() {
             ("unix_time", Json::U64(ts)),
             ("scale", Json::Str(scale_label(scale).to_string())),
             ("instruction_budget", Json::U64(instructions)),
-            ("fast_path", Json::Bool(fast_path)),
             ("instructions", Json::U64(t_instr)),
             ("wall_seconds", Json::F64(t_wall.as_secs_f64())),
             ("instructions_per_second", Json::F64(rate)),

@@ -25,8 +25,10 @@
 //! Always-on telemetry (DESIGN.md §12): `--heartbeat[=K]` streams one
 //! JSONL progress record every K simulated cycles (default 100000) to
 //! `--heartbeat-out` (default `heartbeat.jsonl`); `--profile-sampled[=N]`
-//! arms the sampling profiler (one block entry in N, default 16).
-//! Neither disarms the batched fast path.
+//! arms the hot-block profiler on one block entry in N (default 16),
+//! and `--profile` is shorthand for `--profile-sampled=1` (every entry);
+//! `--profile-top N` sets the report depth and arms `--profile` when no
+//! profiler was asked for.
 //!
 //! Durability (DESIGN.md §10): `--snapshot-every N` writes an atomic
 //! snapshot of the complete machine state to `--snapshot-dir`
@@ -43,8 +45,7 @@
 use dtsvliw_core::{Machine, MachineConfig, MachineError};
 use dtsvliw_json::{Json, ToJson};
 use dtsvliw_trace::{
-    sink_to_writer, BlockProfiler, Heartbeat, SamplingProfiler, TraceFormat, Tracer,
-    DEFAULT_SAMPLE_PERIOD,
+    sink_to_writer, Heartbeat, SamplingProfiler, TraceFormat, Tracer, DEFAULT_SAMPLE_PERIOD,
 };
 use dtsvliw_workloads::Scale;
 use std::path::Path;
@@ -96,9 +97,9 @@ struct Options {
     trace_format: TraceFormat,
     trace_last: usize,
     metrics_json: Option<String>,
-    profile: bool,
+    /// Profiler sampling period (1 records every block entry).
+    profile: Option<u64>,
     profile_top: usize,
-    profile_sampled: Option<u64>,
     heartbeat: Option<u64>,
     heartbeat_out: String,
     inject_divergence: bool,
@@ -126,9 +127,8 @@ impl Default for Options {
             trace_format: TraceFormat::Jsonl,
             trace_last: 256,
             metrics_json: None,
-            profile: false,
+            profile: None,
             profile_top: 10,
-            profile_sampled: None,
             heartbeat: None,
             heartbeat_out: "heartbeat.jsonl".to_string(),
             inject_divergence: false,
@@ -160,6 +160,9 @@ fn positive(flag: &str, v: &str) -> Result<u64, String> {
 /// a process.
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
+    let mut exact = false;
+    let mut sampled = None;
+    let mut top_given = false;
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i)
@@ -224,14 +227,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 1;
                 o.metrics_json = Some(value(args, i, "--metrics-json")?);
             }
-            "--profile" => o.profile = true,
+            "--profile" => exact = true,
             "--profile-top" => {
                 i += 1;
-                o.profile = true;
+                top_given = true;
                 o.profile_top =
                     positive("--profile-top", &value(args, i, "--profile-top")?)? as usize;
             }
-            "--profile-sampled" => o.profile_sampled = Some(DEFAULT_SAMPLE_PERIOD),
+            "--profile-sampled" => sampled = Some(DEFAULT_SAMPLE_PERIOD),
             "--heartbeat" => o.heartbeat = Some(DEFAULT_HEARTBEAT_EVERY),
             "--heartbeat-out" => {
                 i += 1;
@@ -273,7 +276,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             a if a.starts_with("--profile-sampled=") => {
                 let v = &a["--profile-sampled=".len()..];
-                o.profile_sampled = Some(positive("--profile-sampled", v)?);
+                sampled = Some(positive("--profile-sampled", v)?);
             }
             a if a.starts_with("--heartbeat=") => {
                 let v = &a["--heartbeat=".len()..];
@@ -284,6 +287,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         i += 1;
     }
+    o.profile = match (exact, sampled) {
+        (true, Some(_)) => {
+            return Err("--profile is --profile-sampled=1; give --profile or \
+                 --profile-sampled[=N], not both"
+                .to_string())
+        }
+        (true, None) => Some(1),
+        (false, Some(n)) => Some(n),
+        (false, None) => top_given.then_some(1),
+    };
     Ok(o)
 }
 
@@ -376,10 +389,7 @@ fn main() {
         };
         machine.attach_tracer(Box::new(tracer));
     }
-    if o.profile {
-        machine.attach_profiler(Box::new(BlockProfiler::new()));
-    }
-    if let Some(every) = o.profile_sampled {
+    if let Some(every) = o.profile {
         machine.attach_sampler(Box::new(SamplingProfiler::new(every)));
     }
     if let Some(every) = o.heartbeat {
@@ -519,7 +529,7 @@ fn main() {
     let t = machine.telemetry();
     if t.bursts > 0 {
         println!(
-            "fast path      : {} bursts, {} chained continuations, {:.1}% burst slot occupancy",
+            "vliw bursts    : {} bursts, {} chained continuations, {:.1}% burst slot occupancy",
             t.bursts,
             t.burst_chained,
             100.0 * t.burst_slot_occupancy(),
@@ -530,11 +540,8 @@ fn main() {
         s.instructions as f64 / 1e6 / wall.as_secs_f64(),
         wall
     );
-    if let Some(p) = machine.profiler() {
+    if let Some(p) = machine.sampler() {
         print!("{}", p.report_table(o.profile_top));
-    }
-    if let Some(sp) = machine.sampler() {
-        print!("{}", sp.report_table(o.profile_top));
     }
 }
 
@@ -553,7 +560,7 @@ mod tests {
         assert_eq!(o.file.as_deref(), Some("prog.mc"));
         assert_eq!(o.trace_last, 256);
         assert_eq!(o.heartbeat, None);
-        assert_eq!(o.profile_sampled, None);
+        assert_eq!(o.profile, None);
         assert_eq!(o.heartbeat_out, "heartbeat.jsonl");
     }
 
@@ -569,7 +576,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.heartbeat, Some(DEFAULT_HEARTBEAT_EVERY));
-        assert_eq!(o.profile_sampled, Some(DEFAULT_SAMPLE_PERIOD));
+        assert_eq!(o.profile, Some(DEFAULT_SAMPLE_PERIOD));
         assert_eq!(o.heartbeat_out, "hb/gcc.jsonl");
 
         let o = parse(&[
@@ -580,7 +587,31 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.heartbeat, Some(5000));
-        assert_eq!(o.profile_sampled, Some(4));
+        assert_eq!(o.profile, Some(4));
+    }
+
+    #[test]
+    fn profile_is_sampling_at_one() {
+        assert_eq!(parse(&["--profile"]).unwrap().profile, Some(1));
+        let o = parse(&["--profile-top", "5"]).unwrap();
+        assert_eq!((o.profile, o.profile_top), (Some(1), 5));
+        let o = parse(&["--profile-sampled=8", "--profile-top", "5"]).unwrap();
+        assert_eq!((o.profile, o.profile_top), (Some(8), 5));
+    }
+
+    #[test]
+    fn profile_and_profile_sampled_are_rejected_together() {
+        for args in [
+            vec!["--profile", "--profile-sampled=4"],
+            vec!["--profile-sampled=4", "--profile"],
+            vec!["--profile", "--profile-sampled"],
+        ] {
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.contains("--profile ") && err.contains("--profile-sampled"),
+                "`{err}` does not name both flags"
+            );
+        }
     }
 
     #[test]

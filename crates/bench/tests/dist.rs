@@ -117,11 +117,14 @@ fn read(dir: &Path, name: &str) -> String {
 fn remote_leases_reproduce_the_local_report() {
     let local_dir = scratch("smoke-local");
     let remote_dir = scratch("smoke-remote");
+    // Each job sleeps so the local slot cannot drain both before the
+    // worker's handshake completes on a loaded host: one job must run
+    // remotely for the `/worker` track check below.
     let spec = r#"{ "seed": 9, "backoff_ms": 2, "jobs": [
         { "name": "ok-a", "timeout_ms": 30000, "retries": 1,
-          "argv": ["sh", "-c", "echo '{\"v\": 1}' > a.json"], "result": "a.json" },
+          "argv": ["sh", "-c", "sleep 1; echo '{\"v\": 1}' > a.json"], "result": "a.json" },
         { "name": "ok-b", "timeout_ms": 30000, "retries": 1,
-          "argv": ["sh", "-c", "echo '{\"v\": 2}' > b.json"], "result": "b.json" } ] }"#;
+          "argv": ["sh", "-c", "sleep 1; echo '{\"v\": 2}' > b.json"], "result": "b.json" } ] }"#;
     let local = supervise(
         &local_dir,
         spec,

@@ -10,10 +10,13 @@ use dtsvliw_primary::interp::{step as primary_step, Halt, StepError};
 use dtsvliw_primary::{PipelineModel, RefMachine};
 use dtsvliw_sched::{Block, InsertOutcome, Resolution, Scheduler, SlotOp};
 use dtsvliw_trace::{
-    BlockProfiler, BurstDelta, CacheKind, EngineKind, EvictReason, ExitKind, Heartbeat,
-    HeartbeatRecord, Metrics, SamplingProfiler, Telemetry, TraceEvent, Tracer,
+    BurstDelta, CacheKind, EngineKind, EvictReason, ExitKind, Heartbeat, HeartbeatRecord, Metrics,
+    SamplingProfiler, Telemetry, TraceEvent, Tracer,
 };
-use dtsvliw_vliw::{DecodedLine, EngineError, EngineFaults, LiResult, VliwCache, VliwEngine};
+use dtsvliw_vliw::{
+    DecodedLine, EngineError, EngineFaults, EvictedBlock, LiExec, LiResult, VliwCache, VliwEngine,
+};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Simulation errors. All of them indicate a broken program or a
@@ -195,10 +198,6 @@ pub struct Machine {
     /// Optional flight recorder + sink. When `None`, every emission
     /// site costs a single branch.
     pub(crate) tracer: Option<Box<Tracer>>,
-    /// Optional hot-trace profiler (per-block execution accounting).
-    /// Same one-branch `Option` pattern as the tracer; never serialised
-    /// into snapshots (reset-on-resume, see DESIGN.md §8).
-    pub(crate) profiler: Option<Box<BlockProfiler>>,
     /// Debug hook: force a test-mode divergence at the next
     /// verification point (exercises the postmortem dump).
     pub(crate) inject_divergence: bool,
@@ -233,30 +232,23 @@ pub struct Machine {
     pub(crate) degraded_entries: u64,
     /// Cycles executed while the breaker was open.
     pub(crate) degraded_cycles: u64,
-    /// Host-side batched fast path over decoded lines (on by default).
-    /// Purely an execution strategy: simulated results are bit-identical
-    /// with it on or off, so it lives outside `MachineConfig` (whose
-    /// digest seals snapshot compatibility) and outside `RunStats`.
-    pub(crate) fast_path: bool,
     /// Host-side telemetry registry (DESIGN.md §12): burst counters and
-    /// heartbeat accounting. Owned unconditionally — the fast path
+    /// heartbeat accounting. Owned unconditionally — the burst loop
     /// folds per-burst deltas in at burst exit, so there is no hot-loop
     /// branch — but never serialised into snapshots (reset-on-resume)
     /// and never part of `RunStats`.
     pub(crate) telemetry: Telemetry,
-    /// Optional sampling profiler (every-Nth-block-entry thinning of
-    /// the exact [`BlockProfiler`]). Unlike the exact profiler it does
-    /// NOT disarm the fast path: the armed/idle decision per execution
-    /// is cached in `sampling_now`, one predictable branch per LI.
-    pub(crate) sampler: Option<Box<SamplingProfiler>>,
-    /// Is the current block execution being recorded by the sampler?
+    /// Optional hot-trace profiler: every-Nth-block-entry sampling into
+    /// a per-block `BlockProfiler` (N = 1 records every execution). The
+    /// per-entry pick is cached in `sampling_now`, one predictable
+    /// branch per LI. Never serialised into snapshots (reset-on-resume).
+    pub(crate) profiler: Option<Box<SamplingProfiler>>,
+    /// Is the current block execution being recorded by the profiler?
     pub(crate) sampling_now: bool,
     /// Optional heartbeat progress stream (cycle-budgeted JSONL).
     pub(crate) heartbeat: Option<Box<Heartbeat>>,
     /// Next cycle at which a heartbeat is due (`u64::MAX` when off):
-    /// the stepped loop and the burst loop compare one `u64` per long
-    /// instruction, so arming the heartbeat never disarms the fast
-    /// path and emission stamps are identical on both paths.
+    /// the burst loop compares one `u64` per long instruction.
     pub(crate) hb_next: u64,
     /// Reused per-cycle scratch: data-cache addresses touched by the
     /// long instruction just executed.
@@ -304,7 +296,6 @@ impl Machine {
             metrics: Metrics::new(),
             last_swap_cycle: 0,
             tracer: None,
-            profiler: None,
             inject_divergence: false,
             injector: cfg.fault_plan.as_ref().map(FaultInjector::new),
             faults: FaultStats::default(),
@@ -317,9 +308,8 @@ impl Machine {
             degraded_entered: 0,
             degraded_entries: 0,
             degraded_cycles: 0,
-            fast_path: true,
             telemetry: Telemetry::new(),
-            sampler: None,
+            profiler: None,
             sampling_now: false,
             heartbeat: None,
             hb_next: u64::MAX,
@@ -328,70 +318,25 @@ impl Machine {
         }
     }
 
-    /// Enable or disable the batched decoded fast path (on by default).
-    /// A host-side switch only: cycles, statistics and digests are
-    /// bit-identical either way (proven by the differential test).
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast_path = on;
-    }
-
-    /// `(bursts entered, chained block transitions)` taken by the fast
-    /// path — host diagnostics, never part of `RunStats` or snapshots.
+    /// `(bursts entered, chained block transitions)` taken by the
+    /// batched VLIW loop — host diagnostics, never part of `RunStats`
+    /// or snapshots.
     pub fn fast_path_stats(&self) -> (u64, u64) {
         (self.telemetry.bursts, self.telemetry.burst_chained)
     }
 
     /// The host-side telemetry registry: burst counters and heartbeat
     /// accounting. Never part of `RunStats` or snapshots; two runs of
-    /// the same program may legitimately disagree here (e.g. stepped
-    /// vs batched execution, or a resumed vs uninterrupted run).
+    /// the same program may legitimately disagree here (e.g. a resumed
+    /// vs an uninterrupted run).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// May the batched fast path run right now? Any armed observation or
-    /// fault hook forces the stepped path, which evaluates every hook at
-    /// the exact cycle it would fire.
-    #[inline]
-    fn fast_path_armed(&self) -> bool {
-        self.fast_path
-            && self.tracer.is_none()
-            && self.profiler.is_none()
-            && self.injector.is_none()
-            && self.cfg.breaker_threshold == 0
-            && !self.inject_divergence
-            && !self.exception_mode
     }
 
     /// Run until the program exits or `max_instructions` sequential
     /// instructions have retired.
     pub fn run(&mut self, max_instructions: u64) -> Result<RunOutcome, MachineError> {
-        while self.halted.is_none() && self.test.retired < max_instructions {
-            if let Some(limit) = self.cfg.max_cycles {
-                if self.cycles > limit {
-                    return Err(MachineError::Watchdog {
-                        cycles: self.cycles,
-                        limit,
-                        instructions: self.test.retired,
-                    });
-                }
-            }
-            match &self.mode {
-                Mode::Primary => self.step_primary()?,
-                Mode::Vliw { .. } if self.fast_path_armed() => {
-                    self.run_vliw_burst(max_instructions)?
-                }
-                Mode::Vliw { .. } => self.step_vliw()?,
-            }
-            if self.cycles >= self.hb_next {
-                self.heartbeat_tick();
-            }
-            self.debug_check_cycle_attribution();
-        }
-        Ok(RunOutcome {
-            exit_code: self.halted,
-            instructions: self.test.retired,
-        })
+        self.run_loop(max_instructions, None)
     }
 
     /// Like [`Machine::run`], additionally writing a durable snapshot of
@@ -405,10 +350,21 @@ impl Machine {
         &mut self,
         max_instructions: u64,
         every: u64,
-        dir: &std::path::Path,
+        dir: &Path,
     ) -> Result<RunOutcome, MachineError> {
-        let every = every.max(1);
-        let mut next = self.cycles + every;
+        self.run_loop(max_instructions, Some((every.max(1), dir)))
+    }
+
+    /// The machine loop behind [`Machine::run`] and
+    /// [`Machine::run_with_snapshots`]. A snapshot falls due at the
+    /// first step boundary with `cycles >= snap_next`; the burst loop
+    /// exits there so the write lands before the next long instruction.
+    fn run_loop(
+        &mut self,
+        max_instructions: u64,
+        snapshots: Option<(u64, &Path)>,
+    ) -> Result<RunOutcome, MachineError> {
+        let mut snap_next = snapshots.map_or(u64::MAX, |(every, _)| self.cycles + every);
         while self.halted.is_none() && self.test.retired < max_instructions {
             if let Some(limit) = self.cfg.max_cycles {
                 if self.cycles > limit {
@@ -419,14 +375,16 @@ impl Machine {
                     });
                 }
             }
-            if self.cycles >= next {
-                self.write_snapshot(dir)
-                    .map_err(|e| MachineError::Snapshot(e.to_string()))?;
-                next = self.cycles + every;
+            if let Some((every, dir)) = snapshots {
+                if self.cycles >= snap_next {
+                    self.write_snapshot(dir)
+                        .map_err(|e| MachineError::Snapshot(e.to_string()))?;
+                    snap_next = self.cycles + every;
+                }
             }
             match &self.mode {
                 Mode::Primary => self.step_primary()?,
-                Mode::Vliw { .. } => self.step_vliw()?,
+                Mode::Vliw { .. } => self.run_vliw_burst(max_instructions, snap_next)?,
             }
             if self.cycles >= self.hb_next {
                 self.heartbeat_tick();
@@ -553,49 +511,32 @@ impl Machine {
         self.tracer.as_deref()
     }
 
-    /// Attach a hot-trace profiler (per-block execution accounting).
-    /// Like the tracer, every hook site costs a single branch when no
-    /// profiler is attached. Profiler state never travels in snapshots:
-    /// a resumed machine starts with no profiler (reset-on-resume), so
-    /// block executions are never double-counted across a resume.
-    pub fn attach_profiler(&mut self, profiler: Box<BlockProfiler>) {
-        self.profiler = Some(profiler);
+    /// Attach a hot-trace profiler: [`SamplingProfiler::new`]`(1)`
+    /// records every block execution, larger N every Nth block entry.
+    /// The profiler decides armed/idle once per block entry and the
+    /// burst loop consults a plain `bool` per long instruction. Never
+    /// serialised into snapshots: a resumed machine starts with no
+    /// profiler (reset-on-resume), so block executions are never
+    /// double-counted across a resume.
+    pub fn attach_sampler(&mut self, sampler: Box<SamplingProfiler>) {
+        self.profiler = Some(sampler);
+        self.sampling_now = false;
     }
 
     /// Detach and return the profiler.
-    pub fn take_profiler(&mut self) -> Option<Box<BlockProfiler>> {
+    pub fn take_sampler(&mut self) -> Option<Box<SamplingProfiler>> {
+        self.sampling_now = false;
         self.profiler.take()
     }
 
     /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&BlockProfiler> {
+    pub fn sampler(&self) -> Option<&SamplingProfiler> {
         self.profiler.as_deref()
     }
 
-    /// Attach a sampling profiler. Unlike [`Machine::attach_profiler`]
-    /// this does NOT disarm the batched fast path: the sampler decides
-    /// armed/idle once per block entry (a cold-path site) and the hot
-    /// loop consults a plain `bool`. Never serialised into snapshots
-    /// (reset-on-resume, like the exact profiler).
-    pub fn attach_sampler(&mut self, sampler: Box<SamplingProfiler>) {
-        self.sampler = Some(sampler);
-        self.sampling_now = false;
-    }
-
-    /// Detach and return the sampling profiler.
-    pub fn take_sampler(&mut self) -> Option<Box<SamplingProfiler>> {
-        self.sampling_now = false;
-        self.sampler.take()
-    }
-
-    /// The attached sampling profiler, if any.
-    pub fn sampler(&self) -> Option<&SamplingProfiler> {
-        self.sampler.as_deref()
-    }
-
     /// Attach a heartbeat emitter: one JSONL progress record roughly
-    /// every [`Heartbeat::every`] cycles. Burst-compatible (the hot
-    /// loops compare one `u64` per long instruction) and invisible to
+    /// every [`Heartbeat::every`] cycles. The burst loop compares one
+    /// `u64` per long instruction, and the stream is invisible to
     /// the simulation: `RunStats`, snapshots and digests are
     /// byte-identical with or without it. Records carry only simulated
     /// state (no wall time), so a run's stream is deterministic.
@@ -612,7 +553,7 @@ impl Machine {
     }
 
     /// Emit one heartbeat record and schedule the next one. Cold: the
-    /// hot loops only reach this when `cycles >= hb_next`.
+    /// loops only reach this when `cycles >= hb_next`.
     #[cold]
     fn heartbeat_tick(&mut self) {
         let vstats = self.vcache.stats();
@@ -664,15 +605,8 @@ impl Machine {
     /// attached.
     pub fn stats_json(&self, profile_top: usize) -> dtsvliw_json::Json {
         let mut j = dtsvliw_json::ToJson::to_json(&self.stats());
-        if let Some(p) = &self.profiler {
-            if let dtsvliw_json::Json::Obj(pairs) = &mut j {
-                pairs.push(("profile".to_string(), p.report_json(profile_top)));
-            }
-        }
-        if let Some(s) = &self.sampler {
-            if let dtsvliw_json::Json::Obj(pairs) = &mut j {
-                pairs.push(("profile_sampled".to_string(), s.report_json(profile_top)));
-            }
+        if let (Some(p), dtsvliw_json::Json::Obj(pairs)) = (&self.profiler, &mut j) {
+            pairs.push(("profile".to_string(), p.report_json(profile_top)));
         }
         j
     }
@@ -706,15 +640,29 @@ impl Machine {
         }
     }
 
-    /// Close the sampler's window at a block exit (no-op when the
-    /// current execution was not sampled). Mirrors every profiler
-    /// `note_exit` site.
+    /// Close the profiler's window at a block exit (no-op when the
+    /// current execution was not sampled).
     #[inline]
-    fn sampler_exit(&mut self, kind: ExitKind) {
-        if let Some(s) = &mut self.sampler {
-            s.note_exit(kind);
+    fn profiler_exit(&mut self, kind: ExitKind) {
+        if let Some(p) = &mut self.profiler {
+            p.note_exit(kind);
             self.sampling_now = false;
         }
+    }
+
+    /// Account a line leaving the VLIW Cache: lifetime histogram,
+    /// profiler eviction and trace event.
+    fn note_evicted(&mut self, gone: EvictedBlock, reason: EvictReason) {
+        let lifetime = self.cycles - gone.installed_cycle;
+        self.metrics.evicted_block_lifetime.record(lifetime);
+        if let Some(p) = &mut self.profiler {
+            p.note_evict(gone.tag_addr, gone.entry_cwp, self.cycles);
+        }
+        self.emit(TraceEvent::BlockEvict {
+            tag: gone.tag_addr,
+            reason,
+            lifetime,
+        });
     }
 
     /// Count an engine swap: histogram the gap, reset the pipeline and
@@ -770,16 +718,7 @@ impl Machine {
         let evicted = self.vcache.insert_at(b, self.cycles)?;
         self.emit(TraceEvent::BlockInstall { tag, lis, filled });
         if let Some(gone) = evicted {
-            let lifetime = self.cycles - gone.installed_cycle;
-            self.metrics.evicted_block_lifetime.record(lifetime);
-            if let Some(p) = &mut self.profiler {
-                p.note_evict(gone.tag_addr, gone.entry_cwp, self.cycles);
-            }
-            self.emit(TraceEvent::BlockEvict {
-                tag: gone.tag_addr,
-                reason: EvictReason::Replaced,
-                lifetime,
-            });
+            self.note_evicted(gone, EvictReason::Replaced);
         }
         Ok(())
     }
@@ -818,6 +757,10 @@ impl Machine {
     // Primary Processor mode
     // -------------------------------------------------------------
 
+    // Out of line, like `finish_block_exit`: each has one call site, and
+    // inlining both into `run_loop` cost ~5% of simulated instructions
+    // per second on a VLIW-Cache-thrashing suite.
+    #[inline(never)]
     fn step_primary(&mut self) -> Result<(), MachineError> {
         let pc = self.state.pc;
         let resident_before = self.state.resident;
@@ -964,13 +907,8 @@ impl Machine {
             self.charge_overhead(self.cfg.swap_to_vliw, Overhead::Swap);
             self.note_swap(EngineKind::Vliw);
             if let Some(p) = &mut self.profiler {
-                p.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
-                    Machine::head_disasm(&block)
-                });
-            }
-            if let Some(s) = &mut self.sampler {
                 self.sampling_now =
-                    s.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
+                    p.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
                         Machine::head_disasm(&block)
                     });
             }
@@ -989,103 +927,10 @@ impl Machine {
     // VLIW Engine mode
     // -------------------------------------------------------------
 
-    fn step_vliw(&mut self) -> Result<(), MachineError> {
-        let (block, decoded, li, base) = match &self.mode {
-            Mode::Vliw {
-                block,
-                decoded,
-                li,
-                base,
-            } => (Arc::clone(block), Arc::clone(decoded), *li, *base),
-            Mode::Primary => unreachable!(),
-        };
-        // `engine`, `state`, `mem` and `dcache_scratch` are disjoint
-        // fields, so the scratch buffer needs no take/put dance.
-        let out = match self.engine.exec_li_decoded(
-            &decoded,
-            li,
-            &mut self.state,
-            &mut self.mem,
-            &mut self.dcache_scratch,
-        ) {
-            Ok(out) => out,
-            Err(e) => {
-                self.note_engine_fires(block.tag_addr);
-                return self.recover_from_engine_error(e, &block);
-            }
-        };
-        self.note_engine_fires(block.tag_addr);
-
-        // One cycle per long instruction; a data-cache miss stalls the
-        // whole engine for the worst port's penalty.
-        let mut c = 1u64;
-        let mut stall = 0u32;
-        for i in 0..self.dcache_scratch.len() {
-            let addr = self.dcache_scratch[i];
-            let cost = self.dcache.access_cost(addr);
-            if cost > 0 {
-                self.emit(TraceEvent::CacheMiss {
-                    cache: CacheKind::Data,
-                    addr,
-                    penalty: cost,
-                });
-            }
-            stall = stall.max(cost);
-        }
-        c += stall as u64;
-        self.cycles += c;
-        self.vliw_cycles += c;
-
-        let row = decoded.rows[li];
-        if let Some(p) = &mut self.profiler {
-            p.note_li(
-                block.tag_addr,
-                block.entry_cwp,
-                row.occupancy as u32,
-                row.width as u32,
-                c,
-            );
-        }
-        if self.sampling_now {
-            if let Some(s) = &mut self.sampler {
-                s.note_li(row.occupancy as u32, row.width as u32, c);
-            }
-        }
-        self.metrics.li_slot_occupancy.record(row.occupancy as u64);
-        if self.tracer.is_some() {
-            let (tag, li) = (block.tag_addr, li as u32);
-            self.emit(TraceEvent::LiCommit {
-                tag,
-                li,
-                committed: out.committed,
-            });
-            if out.annulled > 0 {
-                self.emit(TraceEvent::LiAnnul {
-                    tag,
-                    li,
-                    annulled: out.annulled,
-                });
-            }
-        }
-
-        match out.result {
-            LiResult::Next => {
-                self.mode = Mode::Vliw {
-                    block,
-                    decoded,
-                    li: li + 1,
-                    base,
-                };
-                Ok(())
-            }
-            exit => self.finish_block_exit(exit, block, base),
-        }
-    }
-
     /// Everything that happens after a long instruction whose result was
     /// not [`LiResult::Next`]: block-boundary sync, commit, transition
-    /// (or exception unwind). Shared verbatim between the stepped path
-    /// and the batched fast path, so the two cannot drift.
+    /// (or exception unwind).
+    #[inline(never)]
     fn finish_block_exit(
         &mut self,
         result: LiResult,
@@ -1095,10 +940,7 @@ impl Machine {
         match result {
             LiResult::Next => unreachable!("Next is handled by the callers"),
             LiResult::BlockEnd => {
-                if let Some(p) = &mut self.profiler {
-                    p.note_exit(block.tag_addr, block.entry_cwp, ExitKind::Nba);
-                }
-                self.sampler_exit(ExitKind::Nba);
+                self.profiler_exit(ExitKind::Nba);
                 let next = block.nba_addr;
                 self.state.pc = next;
                 self.state.npc = next.wrapping_add(4);
@@ -1112,10 +954,7 @@ impl Machine {
                 self.enter_block_or_primary(next, Some(block.tag_addr))?;
             }
             LiResult::Redirect { target, branch_seq } => {
-                if let Some(p) = &mut self.profiler {
-                    p.note_exit(block.tag_addr, block.entry_cwp, ExitKind::Redirect);
-                }
-                self.sampler_exit(ExitKind::Redirect);
+                self.profiler_exit(ExitKind::Redirect);
                 self.charge_overhead(self.cfg.mispredict_bubble, Overhead::Mispredict);
                 self.emit(TraceEvent::Mispredict {
                     pc: self.state.pc,
@@ -1136,10 +975,7 @@ impl Machine {
             LiResult::Exception { aliasing } => {
                 // The engine rolled registers and memory back to the
                 // block entry; the shadow PC points at the block tag.
-                if let Some(p) = &mut self.profiler {
-                    p.note_exit(block.tag_addr, block.entry_cwp, ExitKind::Exception);
-                }
-                self.sampler_exit(ExitKind::Exception);
+                self.profiler_exit(ExitKind::Exception);
                 self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
                 self.emit(TraceEvent::CheckpointRecovery {
                     tag: block.tag_addr,
@@ -1150,16 +986,7 @@ impl Machine {
                         tag: block.tag_addr,
                     });
                     if let Some(gone) = self.vcache.invalidate_at(block.tag_addr, block.entry_cwp) {
-                        let lifetime = self.cycles - gone.installed_cycle;
-                        self.metrics.evicted_block_lifetime.record(lifetime);
-                        if let Some(p) = &mut self.profiler {
-                            p.note_evict(gone.tag_addr, gone.entry_cwp, self.cycles);
-                        }
-                        self.emit(TraceEvent::BlockEvict {
-                            tag: gone.tag_addr,
-                            reason: EvictReason::Invalidated,
-                            lifetime,
-                        });
+                        self.note_evicted(gone, EvictReason::Invalidated);
                     }
                 } else {
                     self.exception_mode = true;
@@ -1181,31 +1008,29 @@ impl Machine {
         Ok(())
     }
 
-    /// The batched fast path: execute a whole chain of decoded blocks —
-    /// long instruction after long instruction, block after block along
-    /// the nba/redirect chain — in one dispatch, without rebuilding
-    /// `Mode::Vliw` or re-cloning `Arc`s per cycle.
-    ///
-    /// Only entered when [`Machine::fast_path_armed`] holds (no tracer,
-    /// profiler, injector or breaker armed), in which case every skipped
-    /// hook is a proven no-op: `emit` does nothing without a tracer,
-    /// `note_engine_fires` cannot observe a delta without armed fault
-    /// knobs, and the breaker never opens at threshold 0. Cycle
-    /// accounting, cache stats, metrics histograms and the lockstep
-    /// oracle all run exactly as on the stepped path, so simulated
-    /// results are bit-identical.
-    fn run_vliw_burst(&mut self, max_instructions: u64) -> Result<(), MachineError> {
+    /// The VLIW Engine loop (§3.6): execute a whole chain of decoded
+    /// blocks — long instruction after long instruction, block after
+    /// block along the nba/redirect chain — in one dispatch, without
+    /// rebuilding `Mode::Vliw` or re-cloning `Arc`s per cycle. Returns
+    /// when control swaps to the Primary Processor, the program halts,
+    /// the instruction budget is spent, the watchdog fires, or a
+    /// snapshot falls due (`cycles >= snap_next`).
+    fn run_vliw_burst(
+        &mut self,
+        max_instructions: u64,
+        snap_next: u64,
+    ) -> Result<(), MachineError> {
         // Per-burst delta accounting (DESIGN.md §12): snapshot the
         // running counters, let the inner loop accumulate its own work
         // in plain `u64`s, and fold everything into the telemetry
         // registry exactly once at burst exit — whichever exit it is
-        // (mode swap, halt, budget, watchdog, engine error).
+        // (mode swap, halt, budget, snapshot, watchdog, engine error).
         let cycles0 = self.cycles;
         let instr0 = self.test.retired;
         let vliw0 = self.vliw_cycles;
         let vstats0 = self.vcache.stats();
         let mut delta = BurstDelta::default();
-        let result = self.run_vliw_burst_inner(max_instructions, &mut delta);
+        let result = self.run_vliw_burst_inner(max_instructions, snap_next, &mut delta);
         delta.cycles = self.cycles - cycles0;
         delta.instructions = self.test.retired - instr0;
         delta.vliw_cycles = self.vliw_cycles - vliw0;
@@ -1219,6 +1044,7 @@ impl Machine {
     fn run_vliw_burst_inner(
         &mut self,
         max_instructions: u64,
+        snap_next: u64,
         delta: &mut BurstDelta,
     ) -> Result<(), MachineError> {
         let (mut block, mut decoded, mut li, mut base) = match &self.mode {
@@ -1230,10 +1056,16 @@ impl Machine {
             } => (Arc::clone(block), Arc::clone(decoded), *li, *base),
             Mode::Primary => unreachable!(),
         };
+        // Neither hook can be attached mid-burst, so one loop-invariant
+        // branch per long instruction routes around both.
+        let hooked = self.tracer.is_some() || self.injector.is_some();
         loop {
-            // Replicate the run() loop's guards at the same points they
-            // would fire on the stepped path.
-            if self.halted.is_some() || self.test.retired >= max_instructions {
+            // The run loop's guards, checked before every long
+            // instruction; a due snapshot hands control back to it.
+            if self.halted.is_some()
+                || self.test.retired >= max_instructions
+                || self.cycles >= snap_next
+            {
                 self.mode = Mode::Vliw {
                     block,
                     decoded,
@@ -1257,6 +1089,8 @@ impl Machine {
                     });
                 }
             }
+            // `engine`, `state`, `mem` and `dcache_scratch` are disjoint
+            // fields, so the scratch buffer needs no take/put dance.
             let out = match self.engine.exec_li_decoded(
                 &decoded,
                 li,
@@ -1276,22 +1110,19 @@ impl Machine {
                     return self.recover_from_engine_error(e, &block);
                 }
             };
-            let mut c = 1u64;
-            let mut stall = 0u32;
-            for i in 0..self.dcache_scratch.len() {
-                stall = stall.max(self.dcache.access_cost(self.dcache_scratch[i]));
-            }
-            c += stall as u64;
-            self.cycles += c;
-            self.vliw_cycles += c;
+            let c = if hooked {
+                self.charge_li_hooked(block.tag_addr, li, &out)
+            } else {
+                self.charge_li()
+            };
             let row = decoded.rows[li];
             self.metrics.li_slot_occupancy.record(row.occupancy as u64);
             delta.lis += 1;
             delta.ops += row.occupancy as u64;
             delta.slots += row.width as u64;
             if self.sampling_now {
-                if let Some(s) = &mut self.sampler {
-                    s.note_li(row.occupancy as u32, row.width as u32, c);
+                if let Some(p) = &mut self.profiler {
+                    p.note_li(row.occupancy as u32, row.width as u32, c);
                 }
             }
 
@@ -1325,14 +1156,68 @@ impl Machine {
                     }
                 }
             }
-            // Heartbeat check at the same point the stepped path checks
-            // (after each full step), so emission stamps are identical
-            // fast-path-on vs off.
             if self.cycles >= self.hb_next {
                 self.heartbeat_tick();
             }
             self.debug_check_cycle_attribution();
         }
+    }
+
+    /// Charge the long instruction just executed: one cycle, plus the
+    /// worst data-cache port's miss penalty (a miss stalls the whole
+    /// engine).
+    #[inline]
+    fn charge_li(&mut self) -> u64 {
+        let mut stall = 0u32;
+        for i in 0..self.dcache_scratch.len() {
+            stall = stall.max(self.dcache.access_cost(self.dcache_scratch[i]));
+        }
+        let c = 1 + stall as u64;
+        self.cycles += c;
+        self.vliw_cycles += c;
+        c
+    }
+
+    /// [`Machine::charge_li`] with the per-LI hooks of an armed tracer
+    /// or fault injector, in cycle order: landed engine-knob faults and
+    /// each data-cache miss at the issue cycle, then the commit and
+    /// annul events once the cycles are charged. Kept out of line so
+    /// the hook-free loop carries none of it.
+    #[cold]
+    fn charge_li_hooked(&mut self, tag: u32, li: usize, out: &LiExec) -> u64 {
+        self.note_engine_fires(tag);
+        let mut stall = 0u32;
+        for i in 0..self.dcache_scratch.len() {
+            let addr = self.dcache_scratch[i];
+            let cost = self.dcache.access_cost(addr);
+            if cost > 0 {
+                self.emit(TraceEvent::CacheMiss {
+                    cache: CacheKind::Data,
+                    addr,
+                    penalty: cost,
+                });
+            }
+            stall = stall.max(cost);
+        }
+        let c = 1 + stall as u64;
+        self.cycles += c;
+        self.vliw_cycles += c;
+        if self.tracer.is_some() {
+            let li = li as u32;
+            self.emit(TraceEvent::LiCommit {
+                tag,
+                li,
+                committed: out.committed,
+            });
+            if out.annulled > 0 {
+                self.emit(TraceEvent::LiAnnul {
+                    tag,
+                    li,
+                    annulled: out.annulled,
+                });
+            }
+        }
+        c
     }
 
     /// Follow the trace to `addr`: enter the cached block there or fall
@@ -1373,16 +1258,7 @@ impl Machine {
             }
             self.charge_overhead(penalty, Overhead::NextLi);
             if let Some(p) = &mut self.profiler {
-                p.note_entry(
-                    block.tag_addr,
-                    block.entry_cwp,
-                    from.is_some(),
-                    self.cycles,
-                    || Machine::head_disasm(&block),
-                );
-            }
-            if let Some(s) = &mut self.sampler {
-                self.sampling_now = s.note_entry(
+                self.sampling_now = p.note_entry(
                     block.tag_addr,
                     block.entry_cwp,
                     from.is_some(),
@@ -1489,10 +1365,7 @@ impl Machine {
         }
         self.faults.detected += 1;
         self.breaker_note_event();
-        if let Some(p) = &mut self.profiler {
-            p.note_exit(block.tag_addr, block.entry_cwp, ExitKind::Exception);
-        }
-        self.sampler_exit(ExitKind::Exception);
+        self.profiler_exit(ExitKind::Exception);
         self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
         self.engine
             .rollback(&mut self.state, &mut self.mem)
@@ -1537,16 +1410,7 @@ impl Machine {
         self.quarantine
             .push((tag, cwp, self.cycles + self.cfg.quarantine_cooldown));
         if let Some(gone) = self.vcache.invalidate_at(tag, cwp) {
-            let lifetime = self.cycles - gone.installed_cycle;
-            self.metrics.evicted_block_lifetime.record(lifetime);
-            if let Some(p) = &mut self.profiler {
-                p.note_evict(gone.tag_addr, gone.entry_cwp, self.cycles);
-            }
-            self.emit(TraceEvent::BlockEvict {
-                tag: gone.tag_addr,
-                reason: EvictReason::Quarantined,
-                lifetime,
-            });
+            self.note_evicted(gone, EvictReason::Quarantined);
         }
     }
 

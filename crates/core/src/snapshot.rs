@@ -638,9 +638,6 @@ impl Machine {
             metrics,
             last_swap_cycle: u("last_swap_cycle")?,
             tracer: None,
-            // Reset-on-resume: profiler state never rides in snapshots,
-            // so a resumed run can never double-count an execution.
-            profiler: None,
             inject_divergence: flag("inject_divergence")?,
             injector,
             faults,
@@ -653,12 +650,11 @@ impl Machine {
             degraded_entered: b_u("degraded_entered")?,
             degraded_entries: b_u("entries")?,
             degraded_cycles: b_u("cycles")?,
-            fast_path: true,
-            // Host-side telemetry is reset-on-resume, like the
-            // profiler: burst counts depend on execution strategy and
-            // must never be double-counted across a resume boundary.
+            // Host-side telemetry and the profiler are reset-on-resume:
+            // a resumed run can never double-count a burst or a block
+            // execution.
             telemetry: Telemetry::new(),
-            sampler: None,
+            profiler: None,
             sampling_now: false,
             heartbeat: None,
             hb_next: u64::MAX,

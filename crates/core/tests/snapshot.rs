@@ -172,18 +172,19 @@ fn interrupted_and_resumed_run_matches_uninterrupted() {
 /// counts of an uninterrupted profiled run.
 #[test]
 fn resume_with_profiler_neither_corrupts_nor_double_counts() {
-    use dtsvliw_trace::BlockProfiler;
+    use dtsvliw_trace::SamplingProfiler;
 
     let dir = scratch("profiler-hygiene");
     let cfg = MachineConfig::ideal(4, 8);
 
     // Reference: one uninterrupted profiled run.
     let mut whole = Machine::new(cfg.clone(), &stress_image());
-    whole.attach_profiler(Box::new(BlockProfiler::new()));
+    whole.attach_sampler(Box::new(SamplingProfiler::new(1)));
     whole.run(10_000_000).expect("uninterrupted run completes");
     let whole_execs: u64 = whole
-        .profiler()
+        .sampler()
         .unwrap()
+        .profiler()
         .profiles()
         .iter()
         .map(|b| b.executions)
@@ -193,12 +194,13 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
 
     // Interrupt a profiled run mid-flight and snapshot it.
     let mut original = Machine::new(cfg.clone(), &stress_image());
-    original.attach_profiler(Box::new(BlockProfiler::new()));
+    original.attach_sampler(Box::new(SamplingProfiler::new(1)));
     original.run(700).expect("prefix completes");
     let path = original.write_snapshot(&dir).expect("snapshot writes");
     let prefix_execs: u64 = original
-        .profiler()
+        .sampler()
         .unwrap()
+        .profiler()
         .profiles()
         .iter()
         .map(|b| b.executions)
@@ -208,7 +210,7 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
     // and its statistics still match byte for byte.
     let mut restored = Machine::resume_from(cfg.clone(), &path).expect("snapshot restores");
     assert!(
-        restored.profiler().is_none(),
+        restored.sampler().is_none(),
         "profiler state must not survive a snapshot round trip"
     );
     assert_eq!(
@@ -220,11 +222,12 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
     // Profile the resumed tail with a fresh profiler: prefix + tail
     // must equal the uninterrupted run exactly — nothing lost, nothing
     // counted twice.
-    restored.attach_profiler(Box::new(BlockProfiler::new()));
+    restored.attach_sampler(Box::new(SamplingProfiler::new(1)));
     restored.run(10_000_000).expect("resumed run completes");
     let tail_execs: u64 = restored
-        .profiler()
+        .sampler()
         .unwrap()
+        .profiler()
         .profiles()
         .iter()
         .map(|b| b.executions)
@@ -379,4 +382,52 @@ fn quarantine_is_capped_to_the_newest_files() {
     // Idempotent once under the cap.
     assert_eq!(prune_quarantine(&dir, 3).expect("re-prune"), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Periodic snapshots ride the burst loop: a snapshotting run of every
+/// Table 2 workload takes bursts, finishes with the same `RunStats` as
+/// a plain `run`, and leaves a final `latest.json` whose FNV-1a digest
+/// is pinned (snapshots land at the same cycles, with the same state).
+#[test]
+fn snapshotting_runs_burst_and_match_plain_runs() {
+    use dtsvliw_workloads::{by_name, Scale};
+    const PINNED: [(&str, u64); 8] = [
+        ("compress", 0xa0e4e064886fd390),
+        ("gcc", 0xb9e18050ae282fba),
+        ("go", 0xa1c5bcd43cc11433),
+        ("ijpeg", 0x92a045ee811c5c9b),
+        ("m88ksim", 0xf563f4f7a125b4fd),
+        ("perl", 0x9ce2be83108d74f4),
+        ("vortex", 0x6205af910e1b0970),
+        ("xlisp", 0x4fd4ecf1361cd50b),
+    ];
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    for (name, want) in PINNED {
+        let dir = scratch(&format!("burst-{name}"));
+        let image = by_name(name, Scale::Test).expect("known workload").image();
+        let cfg = MachineConfig::feasible_paper();
+        let mut plain = Machine::new(cfg.clone(), &image);
+        let a = plain.run(40_000).expect("plain run completes");
+        let mut snapped = Machine::new(cfg, &image);
+        let b = snapped
+            .run_with_snapshots(40_000, 3_000, &dir)
+            .expect("snapshotting run completes");
+        assert!(
+            snapped.fast_path_stats().0 > 0,
+            "{name}: snapshotting run never burst"
+        );
+        assert_eq!(a, b, "{name}: outcome differs");
+        assert_eq!(
+            stats_doc(&plain),
+            stats_doc(&snapped),
+            "{name}: stats differ"
+        );
+        let latest = std::fs::read(dir.join("latest.json")).expect("final snapshot");
+        assert_eq!(fnv1a(&latest), want, "{name}: final snapshot differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,8 +1,8 @@
 //! Differential tests for the always-on telemetry layer: heartbeat and
-//! sampling profiler must be *burst-compatible* (the fast path keeps
-//! firing with them armed) and *invisible* (simulated results are
-//! byte-identical to a hook-free run). The sampled profile must
-//! converge to the exact profiler's hot-block ranking.
+//! sampling profiler must be *burst-compatible* (the burst loop keeps
+//! chaining blocks with them armed) and *invisible* (simulated results
+//! are byte-identical to a hook-free run). The sampled profile must
+//! converge to the exact (N = 1) profile's hot-block ranking.
 
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_json::{Json, ToJson};
@@ -16,7 +16,8 @@ const WORKLOADS: [&str; 8] = [
     "compress", "gcc", "go", "ijpeg", "m88ksim", "perl", "vortex", "xlisp",
 ];
 
-/// Instruction budget per workload (same rationale as fast_path.rs).
+/// Instruction budget per workload: enough for every workload to warm
+/// the VLIW Cache and chain blocks, small enough for a debug build.
 const BUDGET: u64 = 40_000;
 
 /// Heartbeat cadence: small enough that every workload emits a
@@ -43,48 +44,21 @@ impl Write for Shared {
     }
 }
 
-fn machine(name: &str, fast: bool) -> Machine {
+fn machine(name: &str) -> Machine {
     let w = by_name(name, Scale::Test).expect("known workload");
-    let mut m = Machine::new(MachineConfig::feasible_paper(), &w.image());
-    m.set_fast_path(fast);
-    m
+    Machine::new(MachineConfig::feasible_paper(), &w.image())
 }
 
-/// Drop the host-side fields (`bursts`, `chained`) from a heartbeat
-/// stream, leaving only simulated state. Those two fields legitimately
-/// depend on the host execution strategy; everything else must be
-/// byte-identical fast-path-on vs off.
-fn simulated_fields(stream: &str) -> String {
-    stream
-        .lines()
-        .map(|line| {
-            let j = Json::parse(line).expect("heartbeat line parses");
-            let Json::Obj(pairs) = j else {
-                panic!("heartbeat line is not an object")
-            };
-            Json::Obj(
-                pairs
-                    .into_iter()
-                    .filter(|(k, _)| k != "bursts" && k != "chained")
-                    .collect(),
-            )
-            .to_string()
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// All 8 workloads: with the heartbeat armed the fast path must still
-/// burst, and `RunStats`, output and outcome must be byte-identical to
-/// a heartbeat-off run. The simulated portion of the heartbeat stream
-/// must be byte-identical between the fast and the stepped path, and
-/// the whole stream must be deterministic across reruns.
+/// All 8 workloads: with the heartbeat armed the burst loop must still
+/// chain blocks, `RunStats`, output and outcome must be byte-identical
+/// to a heartbeat-off run, and the stream must be deterministic across
+/// reruns.
 #[test]
 fn heartbeat_is_burst_compatible_and_invisible() {
     for name in WORKLOADS {
-        let hb_run = |fast: bool| {
+        let hb_run = || {
             let buf = Shared::default();
-            let mut m = machine(name, fast);
+            let mut m = machine(name);
             m.attach_heartbeat(Box::new(Heartbeat::new(EVERY, Some(Box::new(buf.clone())))));
             let out = m.run(BUDGET).expect("workload runs");
             let mut hb = m.take_heartbeat().expect("heartbeat attached");
@@ -100,18 +74,15 @@ fn heartbeat_is_burst_compatible_and_invisible() {
             )
         };
 
-        let (out_a, stats_a, text_a, (bursts_a, chained_a), stream_a) = hb_run(true);
-        assert!(
-            bursts_a > 0,
-            "{name}: heartbeat must not disarm the fast path"
-        );
+        let (out_a, stats_a, text_a, (bursts_a, chained_a), stream_a) = hb_run();
+        assert!(bursts_a > 0, "{name}: no burst with heartbeat armed");
         assert!(
             chained_a > 0,
             "{name}: no chain crossed with heartbeat armed"
         );
 
-        // Heartbeat-off, fast-on: simulated results byte-identical.
-        let mut free = machine(name, true);
+        // Heartbeat off: simulated results byte-identical.
+        let mut free = machine(name);
         let out_b = free.run(BUDGET).expect("workload runs");
         assert_eq!(out_a, out_b, "{name}: outcome differs under heartbeat");
         assert_eq!(
@@ -125,21 +96,10 @@ fn heartbeat_is_burst_compatible_and_invisible() {
             "{name}: output differs under heartbeat"
         );
 
-        // Stepped path: same emission cycles, same simulated fields.
-        let (out_c, stats_c, _, (bursts_c, _), stream_c) = hb_run(false);
-        assert_eq!(bursts_c, 0, "{name}: disabled fast path must not burst");
-        assert_eq!(out_a, out_c);
-        assert_eq!(stats_a, stats_c);
-        assert_eq!(
-            simulated_fields(&stream_a),
-            simulated_fields(&stream_c),
-            "{name}: heartbeat stream differs between fast and stepped paths"
-        );
-
-        // Determinism: rerunning the same strategy reproduces the
-        // stream byte for byte (this is what makes the supervisor's
-        // merged campaign timeline a deterministic artifact).
-        let (_, _, _, _, stream_a2) = hb_run(true);
+        // Determinism: a rerun reproduces the stream byte for byte
+        // (this is what makes the supervisor's merged campaign timeline
+        // a deterministic artifact).
+        let (_, _, _, _, stream_a2) = hb_run();
         assert_eq!(
             stream_a, stream_a2,
             "{name}: heartbeat stream not deterministic"
@@ -153,7 +113,7 @@ fn heartbeat_is_burst_compatible_and_invisible() {
 #[test]
 fn heartbeat_schema_and_cadence() {
     let buf = Shared::default();
-    let mut m = machine("compress", true);
+    let mut m = machine("compress");
     m.attach_heartbeat(Box::new(Heartbeat::new(EVERY, Some(Box::new(buf.clone())))));
     m.run(BUDGET).expect("workload runs");
     let mut hb = m.take_heartbeat().expect("heartbeat attached");
@@ -197,26 +157,24 @@ fn heartbeat_schema_and_cadence() {
     );
 }
 
-/// All 8 workloads: the sampling profiler keeps the fast path armed,
-/// never perturbs simulated results, and its top-10 hot blocks overlap
-/// the exact profiler's top-10 by at least 8.
+/// All 8 workloads: the sampling profiler keeps the burst loop
+/// running, never perturbs simulated results, and its top-10 hot
+/// blocks overlap the exact (N = 1) profile's top-10 by at least 8.
 #[test]
 fn sampled_profile_matches_exact_ranking() {
     for name in WORKLOADS {
-        // Exact profile (disarms the fast path by design).
-        let mut exact = machine(name, true);
-        exact.attach_profiler(Box::new(BlockProfiler::new()));
+        let mut exact = machine(name);
+        exact.attach_sampler(Box::new(SamplingProfiler::new(1)));
         exact.run(BUDGET).expect("workload runs");
-        assert_eq!(exact.fast_path_stats().0, 0);
+        assert!(exact.fast_path_stats().0 > 0, "{name}: no burst at N = 1");
         let exact_stats = exact.stats().to_json().to_string();
-        let exact_prof = exact.take_profiler().unwrap();
+        let exact_prof = exact.take_sampler().unwrap();
 
-        // Sampled profile: the fast path must keep bursting.
-        let mut sampled = machine(name, true);
+        let mut sampled = machine(name);
         sampled.attach_sampler(Box::new(SamplingProfiler::new(4)));
         sampled.run(BUDGET).expect("workload runs");
         let (bursts, _) = sampled.fast_path_stats();
-        assert!(bursts > 0, "{name}: sampler must not disarm the fast path");
+        assert!(bursts > 0, "{name}: no burst at N = 4");
         assert_eq!(
             exact_stats,
             sampled.stats().to_json().to_string(),
@@ -236,7 +194,7 @@ fn sampled_profile_matches_exact_ranking() {
                 .map(|b| (b.tag_addr, b.entry_cwp))
                 .collect()
         };
-        let exact_top = top(&exact_prof);
+        let exact_top = top(exact_prof.profiler());
         let sampled_top = top(smp.profiler());
         let k = exact_top.len().min(sampled_top.len());
         let overlap = exact_top
@@ -258,7 +216,7 @@ fn sampled_profile_matches_exact_ranking() {
 /// majority of its VLIW cycles inside bursts.
 #[test]
 fn burst_deltas_tie_out_with_run_totals() {
-    let mut m = machine("xlisp", true);
+    let mut m = machine("xlisp");
     m.run(BUDGET).expect("workload runs");
     let stats = m.stats();
     let t = m.telemetry();

@@ -9,9 +9,10 @@
 //! VLIW mode, and whether the replacement policy evicted it while still
 //! hot.
 //!
-//! The machine owns an optional profiler behind the same one-branch
-//! `Option` pattern as the `Tracer`: every hook site costs a single
-//! branch when profiling is disabled. Profiler state is deliberately
+//! The machine owns it through a [`crate::SamplingProfiler`] (N = 1
+//! records every execution) behind the same one-branch `Option` pattern
+//! as the `Tracer`: every hook site costs a single branch when
+//! profiling is disabled. Profiler state is deliberately
 //! *not* serialised into machine snapshots — a resumed run starts with a
 //! fresh (or no) profiler, so resuming can never double-count an
 //! execution (reset-on-resume).

@@ -1,14 +1,13 @@
-//! Sampling profiler: the [`crate::BlockProfiler`]'s report at a
-//! fraction of its cost — and, crucially, without disarming the
-//! machine's batched fast path.
+//! Sampling profiler: the machine's one profiler hook. It feeds an
+//! inner [`crate::BlockProfiler`], either completely (N = 1, the exact
+//! per-block report) or at a fraction of its cost (N > 1).
 //!
-//! The exact profiler hooks every long instruction, so attaching it
-//! routes execution to the stepped path. The [`SamplingProfiler`]
-//! instead samples every Nth *block entry*: when an entry is picked,
-//! the whole execution of that block (entry → exit) is recorded into an
-//! inner [`crate::BlockProfiler`]; otherwise nothing is. The machine
-//! keeps the armed/idle decision in a plain `bool`, so the per-LI cost
-//! inside a burst is one predictable branch.
+//! The [`SamplingProfiler`] samples every Nth *block entry*: when an
+//! entry is picked, the whole execution of that block (entry → exit) is
+//! recorded into the inner profiler; otherwise nothing is. Evictions
+//! are always recorded. The machine keeps the armed/idle decision in a
+//! plain `bool`, so the per-LI cost inside a burst is one predictable
+//! branch.
 //!
 //! **Why the ranking converges.** Block entries are sampled
 //! stratified-systematically: entry number `k` of the run is recorded
@@ -20,7 +19,7 @@
 //! the exact ranking with relative error shrinking as `E_b/N` grows;
 //! hot blocks (large `E_b`) are exactly the ones estimated best. The
 //! differential test in `crates/core/tests/telemetry.rs` checks top-10
-//! rank overlap ≥ 8/10 against the exact profiler on all 8 workloads.
+//! rank overlap ≥ 8/10 against N = 1 on all 8 workloads.
 
 use crate::profile::{BlockProfiler, ExitKind};
 use dtsvliw_json::Json;
@@ -111,6 +110,13 @@ impl SamplingProfiler {
         }
     }
 
+    /// Record an eviction of `(tag, cwp)` at `cycle`, sampled or not:
+    /// evictions are rare and their eviction-while-hot test needs every
+    /// one (see [`BlockProfiler::note_evict`]).
+    pub fn note_evict(&mut self, tag: u32, cwp: u8, cycle: u64) {
+        self.inner.note_evict(tag, cwp, cycle);
+    }
+
     /// The inner profiler holding the sampled accounting.
     pub fn profiler(&self) -> &BlockProfiler {
         &self.inner
@@ -189,6 +195,42 @@ mod tests {
         assert_eq!(p.cycles, 21);
         assert_eq!(p.chained, 6);
         assert_eq!(p.exit_redirect, 7);
+    }
+
+    /// At N = 1 the sampler is the exact profiler: the same
+    /// entry/li/exit/evict stream yields the same report and digest.
+    #[test]
+    fn period_one_matches_a_bare_block_profiler() {
+        let mut s = SamplingProfiler::new(1);
+        let mut bare = BlockProfiler::new();
+        let blocks = [(0x1000u32, 0u8), (0x2000, 1), (0x1000, 0), (0x3000, 2)];
+        for (k, &(tag, cwp)) in blocks.iter().cycle().take(40).enumerate() {
+            let k = k as u64;
+            let head = || format!("head {tag:#x}");
+            let chained = !k.is_multiple_of(3);
+            assert!(s.note_entry(tag, cwp, chained, k * 7, head));
+            bare.note_entry(tag, cwp, chained, k * 7, head);
+            for li in 0..(k % 4 + 1) as u32 {
+                s.note_li(li + 1, 8, 1 + (k + li as u64) % 5);
+                bare.note_li(tag, cwp, li + 1, 8, 1 + (k + li as u64) % 5);
+            }
+            let kind = [ExitKind::Nba, ExitKind::Redirect, ExitKind::Exception][k as usize % 3];
+            s.note_exit(kind);
+            bare.note_exit(tag, cwp, kind);
+            if k % 5 == 4 {
+                s.note_evict(tag, cwp, k * 7 + 3);
+                bare.note_evict(tag, cwp, k * 7 + 3);
+                // An eviction of a line that never executed.
+                s.note_evict(0x9000, 0, k * 7 + 4);
+                bare.note_evict(0x9000, 0, k * 7 + 4);
+            }
+        }
+        assert_eq!(
+            s.profiler().report_json(10).to_string(),
+            bare.report_json(10).to_string()
+        );
+        assert_eq!(s.profiler().hot_digest(10), bare.hot_digest(10));
+        assert!(bare.profiles().iter().any(|p| p.evictions_while_hot > 0));
     }
 
     #[test]

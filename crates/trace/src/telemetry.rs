@@ -1,5 +1,5 @@
 //! Always-on, burst-compatible telemetry: the host-side counter
-//! registry the fast path folds into at burst exit, and the heartbeat
+//! registry the VLIW burst loop folds into at burst exit, and the heartbeat
 //! progress stream.
 //!
 //! Three observation tiers coexist in the simulator (DESIGN.md §12):
@@ -11,15 +11,15 @@
 //!    the simulation was executed (bursts taken, chains crossed,
 //!    work retired inside bursts). Never serialised, never part of
 //!    `RunStats`, reset on resume; two runs of the same program may
-//!    legitimately disagree here (e.g. stepped vs batched execution).
+//!    legitimately disagree here (e.g. a resumed vs an uninterrupted
+//!    run).
 //! 3. **[`Heartbeat`]** (this module) — a cycle-budgeted JSONL progress
 //!    stream. Every record is derived purely from *simulated* state at
-//!    a *simulated* cycle stamp, so the stream is byte-identical
-//!    whether the fast path was armed or not — only its existence is a
-//!    host-side concern.
+//!    a *simulated* cycle stamp, except the host-side `bursts`/`chained`
+//!    counters — only its existence is a host-side concern.
 //!
 //! Unlike the `Option<Box<Tracer>>` hooks, [`Telemetry`] is owned
-//! unconditionally by the machine: the fast path accumulates per-burst
+//! unconditionally by the machine: the burst loop accumulates per-burst
 //! deltas in plain locals and folds them here once per burst, so the
 //! hot loop carries no extra branch at all.
 
@@ -56,7 +56,7 @@ pub struct BurstDelta {
 /// Host-side telemetry registry (tier 2 of the taxonomy above).
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    /// Bursts entered by the batched fast path.
+    /// Bursts entered by the VLIW burst loop.
     pub bursts: u64,
     /// Block-chain transitions taken inside bursts.
     pub burst_chained: u64,
@@ -186,9 +186,8 @@ pub struct HeartbeatRecord {
     pub degraded_cycles: u64,
     /// Engine-mode swaps so far.
     pub mode_swaps: u64,
-    /// Fast-path bursts entered so far (host-side; see module docs —
-    /// identical runs may disagree, but the field is indispensable for
-    /// live "is the fast path firing?" monitoring).
+    /// VLIW bursts entered so far (host-side; see module docs — reset
+    /// on resume, so a resumed run disagrees with an uninterrupted one).
     pub bursts: u64,
     /// Chain transitions inside bursts so far.
     pub chained: u64,
@@ -234,7 +233,7 @@ impl ToJson for HeartbeatRecord {
 
 /// The heartbeat emitter: appends one JSONL record roughly every
 /// `every` cycles (the machine checks a single `u64` per step / per
-/// long instruction, so arming it never disarms the fast path).
+/// long instruction).
 ///
 /// Like the [`crate::Tracer`] sink, a write error parks the error and
 /// drops the writer — a full disk must not kill a long simulation.
