@@ -5,10 +5,11 @@
 //! chaos tear can splice garbage into the middle of the stream. Both
 //! the incremental tailer and the whole-file reader therefore treat the
 //! stream defensively: a trailing line without its newline is *waited
-//! on*, never parsed; a complete line that fails to parse (or lacks the
-//! progress fields) is *skipped*, never an error.
+//! on*, never parsed; a complete line that fails to parse (or is not a
+//! JSON object) is *skipped*, never an error.
 
 use dtsvliw_json::Json;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 
 /// The progress a heartbeat record carries.
@@ -32,6 +33,18 @@ pub fn progress_of(j: &Json) -> Option<Progress> {
     })
 }
 
+/// What one read of a [`HeartbeatTail`] produced.
+#[derive(Debug, Default, PartialEq)]
+pub struct TailRead {
+    /// The complete, well-formed records this read consumed, in file
+    /// order; across reads each record comes back exactly once.
+    pub records: Vec<Json>,
+    /// The freshest progress the stream has carried so far.
+    pub progress: Option<Progress>,
+    /// Torn final records: only [`HeartbeatTail::finish`] counts them.
+    pub truncated: u64,
+}
+
 /// Incremental reader over a child's heartbeat JSONL file. Tracks a
 /// byte offset so each poll only parses new complete lines; a file that
 /// shrank (a retry recreated it) resets the tail to the start.
@@ -50,59 +63,63 @@ impl HeartbeatTail {
         }
     }
 
-    /// Consume any new complete lines and return the freshest progress
-    /// seen so far.
-    pub fn poll(&mut self) -> Option<Progress> {
-        use std::io::{Read, Seek, SeekFrom};
+    /// Consume any new complete lines: their records, and the freshest
+    /// progress seen so far. A record mid-write waits for the next poll
+    /// rather than being parsed half-torn.
+    pub fn poll(&mut self) -> TailRead {
+        let mut records = Vec::new();
+        if let Some(buf) = self.unread() {
+            let complete = buf.rfind('\n').map_or(0, |p| p + 1);
+            self.offset += complete as u64;
+            records = complete_records(&buf[..complete]);
+            self.last = records.iter().rev().find_map(progress_of).or(self.last);
+        }
+        TailRead {
+            records,
+            progress: self.last,
+            truncated: 0,
+        }
+    }
+
+    /// Final flush once the child is dead: consume any remaining
+    /// complete lines, then give the torn tail — a record the dead
+    /// child never newline-terminated — one last parse. A tail that
+    /// parses whole is a real record and is returned (and its progress
+    /// credited); one that does not is counted as truncated, never an
+    /// error.
+    pub fn finish(&mut self) -> TailRead {
+        let mut read = self.poll();
+        if let Some(rest) = self.unread() {
+            self.offset += rest.len() as u64;
+            match Json::parse(rest.trim()) {
+                Ok(rec @ Json::Obj(_)) => {
+                    self.last = progress_of(&rec).or(self.last);
+                    read.progress = self.last;
+                    read.records.push(rec);
+                }
+                _ => read.truncated = u64::from(!rest.trim().is_empty()),
+            }
+        }
+        read
+    }
+
+    /// Everything past the offset, or `None` when there is nothing new
+    /// (or the file cannot be read yet). A file shorter than the offset
+    /// was recreated: the tail starts again from byte 0.
+    fn unread(&mut self) -> Option<String> {
         let mut f = std::fs::File::open(&self.path).ok()?;
         let len = f.metadata().ok()?.len();
         if len < self.offset {
             self.offset = 0;
             self.last = None;
         }
-        if len > self.offset {
-            f.seek(SeekFrom::Start(self.offset)).ok()?;
-            let mut buf = String::new();
-            f.take(len - self.offset).read_to_string(&mut buf).ok()?;
-            // Only complete lines: a record mid-write waits for the
-            // next poll rather than being parsed half-torn.
-            let complete = buf.rfind('\n').map_or(0, |p| p + 1);
-            for line in buf[..complete].lines() {
-                if let Some(p) = Json::parse(line).ok().as_ref().and_then(progress_of) {
-                    self.last = Some(p);
-                }
-            }
-            self.offset += complete as u64;
+        if len == self.offset {
+            return None;
         }
-        self.last
-    }
-
-    /// Final flush at attempt completion: consume any remaining
-    /// complete lines, then give the torn tail — a record the dead
-    /// child never newline-terminated — one last parse. A tail that
-    /// parses whole is real progress and is credited; one that does not
-    /// is counted as truncated (second return), never an error.
-    pub fn finish(&mut self) -> (Option<Progress>, u64) {
-        use std::io::{Read, Seek, SeekFrom};
-        let last = self.poll();
-        let Ok(mut f) = std::fs::File::open(&self.path) else {
-            return (last, 0);
-        };
-        if f.seek(SeekFrom::Start(self.offset)).is_err() {
-            return (last, 0);
-        }
-        let mut rest = String::new();
-        if f.read_to_string(&mut rest).is_err() || rest.trim().is_empty() {
-            return (last, 0);
-        }
-        self.offset += rest.len() as u64;
-        match Json::parse(rest.trim()).ok().as_ref().and_then(progress_of) {
-            Some(p) => {
-                self.last = Some(p);
-                (self.last, 0)
-            }
-            None => (last, 1),
-        }
+        f.seek(SeekFrom::Start(self.offset)).ok()?;
+        let mut buf = String::new();
+        f.take(len - self.offset).read_to_string(&mut buf).ok()?;
+        Some(buf)
     }
 }
 
@@ -160,13 +177,13 @@ mod tests {
         // must land, the torn one must wait.
         write!(f, "{{\"seq\": 1, \"cycle\": 2").unwrap();
         f.flush().unwrap();
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(100));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(100));
 
         // The write completes; the next poll must pick it up whole.
         writeln!(f, "00, \"instructions\": 400}}").unwrap();
         f.flush().unwrap();
         assert_eq!(
-            tail.poll(),
+            tail.poll().progress,
             Some(Progress {
                 cycle: 200,
                 instructions: 400,
@@ -193,9 +210,9 @@ mod tests {
         )
         .unwrap();
         let mut tail = HeartbeatTail::new(path);
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(200));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(200));
         // Polling again must be stable, not error or re-read.
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(200));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(200));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -206,18 +223,18 @@ mod tests {
         let path = dir.join("hb.jsonl");
         std::fs::write(&path, format!("{}{}", record(0, 100), record(1, 900))).unwrap();
         let mut tail = HeartbeatTail::new(path.clone());
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(900));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(900));
         // A retry recreates the file from scratch: smaller, earlier.
         std::fs::write(&path, record(0, 50)).unwrap();
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(50));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(50));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_no_progress() {
         let mut tail = HeartbeatTail::new(PathBuf::from("/nonexistent/hb.jsonl"));
-        assert_eq!(tail.poll(), None);
-        assert_eq!(tail.finish(), (None, 0));
+        assert_eq!(tail.poll().progress, None);
+        assert_eq!(tail.finish(), TailRead::default());
     }
 
     #[test]
@@ -244,9 +261,13 @@ mod tests {
         .unwrap();
         let mut tail = HeartbeatTail::new(path);
         // A mid-flight poll must still wait on it…
-        assert_eq!(tail.poll().map(|p| p.cycle), Some(100));
+        assert_eq!(tail.poll().progress.map(|p| p.cycle), Some(100));
         // …but the completion flush parses it whole: no truncation.
-        let (last, truncated) = tail.finish();
+        let TailRead {
+            progress: last,
+            truncated,
+            ..
+        } = tail.finish();
         assert_eq!(last.map(|p| p.cycle), Some(300));
         assert_eq!(truncated, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -259,9 +280,120 @@ mod tests {
         let path = dir.join("hb.jsonl");
         std::fs::write(&path, format!("{}{{\"seq\": 1, \"cyc", record(0, 100))).unwrap();
         let mut tail = HeartbeatTail::new(path);
-        let (last, truncated) = tail.finish();
+        let TailRead {
+            progress: last,
+            truncated,
+            ..
+        } = tail.finish();
         assert_eq!(last.map(|p| p.cycle), Some(100), "complete records kept");
         assert_eq!(truncated, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fresh file under the temp dir for one test.
+    fn hb_file(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("dtsvliw-hb{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hb.jsonl");
+        (dir, path)
+    }
+
+    fn seqs(read: &TailRead) -> Vec<u64> {
+        read.records
+            .iter()
+            .map(|r| r.get("seq").and_then(Json::as_u64).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn each_complete_record_comes_back_once_and_in_order() {
+        let (dir, path) = hb_file("once");
+        let mut f = std::fs::File::create(&path).unwrap();
+        let mut tail = HeartbeatTail::new(path);
+        write!(f, "{}{}", record(0, 100), record(1, 200)).unwrap();
+        f.flush().unwrap();
+        let read = tail.poll();
+        assert_eq!(seqs(&read), [0, 1]);
+        assert_eq!(read.progress.map(|p| p.cycle), Some(200));
+        // Nothing new: no records, the progress stays.
+        let read = tail.poll();
+        assert_eq!(seqs(&read), [] as [u64; 0]);
+        assert_eq!(read.progress.map(|p| p.cycle), Some(200));
+        write!(f, "{}", record(2, 300)).unwrap();
+        f.flush().unwrap();
+        assert_eq!(seqs(&tail.poll()), [2]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_trailing_record_waits_for_its_newline() {
+        let (dir, path) = hb_file("wait");
+        let mut f = std::fs::File::create(&path).unwrap();
+        let mut tail = HeartbeatTail::new(path);
+        write!(f, "{}{{\"seq\": 1, \"cyc", record(0, 100)).unwrap();
+        f.flush().unwrap();
+        assert_eq!(seqs(&tail.poll()), [0]);
+        assert_eq!(seqs(&tail.poll()), [] as [u64; 0], "the torn line waits");
+        writeln!(f, "le\": 200, \"instructions\": 400}}").unwrap();
+        f.flush().unwrap();
+        let read = tail.poll();
+        assert_eq!(seqs(&read), [1], "the completed line comes back whole");
+        assert_eq!(read.truncated, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn garbage_lines_are_dropped_from_the_records() {
+        let (dir, path) = hb_file("garbage");
+        std::fs::write(
+            &path,
+            format!("{}###torn###\n42\n[1]\n{}", record(0, 100), record(1, 200)),
+        )
+        .unwrap();
+        let mut tail = HeartbeatTail::new(path);
+        assert_eq!(seqs(&tail.poll()), [0, 1]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shrunk_file_is_read_again_from_offset_zero() {
+        let (dir, path) = hb_file("reread");
+        std::fs::write(&path, format!("{}{}", record(0, 100), record(1, 900))).unwrap();
+        let mut tail = HeartbeatTail::new(path.clone());
+        assert_eq!(seqs(&tail.poll()), [0, 1]);
+        // A retry recreates the file: shorter, so every record in it is
+        // new to the tail.
+        std::fs::write(&path, record(7, 50)).unwrap();
+        let read = tail.poll();
+        assert_eq!(seqs(&read), [7]);
+        assert_eq!(read.progress.map(|p| p.cycle), Some(50));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn finish_returns_a_whole_tail_as_a_record_and_counts_a_torn_one() {
+        let (dir, path) = hb_file("finrec");
+        std::fs::write(
+            &path,
+            format!(
+                "{}{{\"seq\": 1, \"cycle\": 300, \"instructions\": 600}}",
+                record(0, 100)
+            ),
+        )
+        .unwrap();
+        let mut tail = HeartbeatTail::new(path.clone());
+        assert_eq!(seqs(&tail.poll()), [0]);
+        let read = tail.finish();
+        assert_eq!(seqs(&read), [1], "the un-newlined record is returned");
+        assert_eq!(
+            (read.truncated, read.progress.map(|p| p.cycle)),
+            (0, Some(300))
+        );
+
+        std::fs::write(&path, format!("{}{{\"seq\": 1, \"cyc", record(0, 100))).unwrap();
+        let read = HeartbeatTail::new(path).finish();
+        assert_eq!(seqs(&read), [0], "complete records still come back");
+        assert_eq!(read.truncated, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,6 +17,10 @@
 //! * [`outcome`] — attempt classification (`success`, `timeout`,
 //!   `stalled`, `requeued`, `watchdog`, `corrupt-snapshot`, `signal`,
 //!   `error`);
+//! * [`babysit`] — the one child babysitter (spawn, `try_wait`,
+//!   heartbeat tail, kill-precedence classification) shared by local
+//!   slots and `dtsvliw_worker`, and the one kill policy every attempt
+//!   runs under;
 //! * [`backoff`] — interleaving-independent retry jitter, keyed by
 //!   (campaign seed, job id, attempt);
 //! * [`heartbeat`] — torn-line-safe incremental JSONL tailing;
@@ -33,6 +37,7 @@
 //!   lease protocol behind `--workers` and the `dtsvliw_worker`
 //!   binary, with lease-epoch fencing and network chaos strikes.
 
+pub mod babysit;
 pub mod backoff;
 pub mod chaos;
 pub mod dist;

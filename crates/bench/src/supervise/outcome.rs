@@ -23,6 +23,18 @@ pub enum KillReason {
     Requeue,
 }
 
+impl KillReason {
+    /// The outcome a supervisor kill settles as, whatever the child's
+    /// wait status says (or whether it was ever reaped).
+    pub fn outcome(self) -> Outcome {
+        match self {
+            KillReason::Timeout => Outcome::Timeout,
+            KillReason::Stalled => Outcome::Stalled,
+            KillReason::Requeue => Outcome::Requeued,
+        }
+    }
+}
+
 /// How one attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
@@ -87,6 +99,16 @@ impl Outcome {
         })
     }
 
+    /// The signal number or exit code the outcome carries, as the wire
+    /// and the attempts log spell it.
+    pub fn detail(&self) -> Option<i64> {
+        match *self {
+            Outcome::Signal(sig) => Some(sig as i64),
+            Outcome::Error(code) => Some(code as i64),
+            _ => None,
+        }
+    }
+
     /// Outcomes that terminate the attempt without counting as either
     /// success or a consumed retry by construction.
     pub fn is_requeue(&self) -> bool {
@@ -109,11 +131,8 @@ fn signal_of(_status: &ExitStatus) -> Option<i32> {
 /// precedence over whatever the wait status says (the SIGKILL we sent
 /// would otherwise read as a foreign signal).
 pub fn classify(status: &ExitStatus, killed: Option<KillReason>) -> Outcome {
-    match killed {
-        Some(KillReason::Timeout) => return Outcome::Timeout,
-        Some(KillReason::Stalled) => return Outcome::Stalled,
-        Some(KillReason::Requeue) => return Outcome::Requeued,
-        None => {}
+    if let Some(reason) = killed {
+        return reason.outcome();
     }
     if let Some(sig) = signal_of(status) {
         return Outcome::Signal(sig);

@@ -427,6 +427,83 @@ fn chaos_storm_report_matches_undisturbed_run() {
     );
 }
 
+/// A snapshotting simulator job, with `extra` spliced into its spec
+/// entry.
+fn soft_deadline_spec(extra: &str) -> String {
+    format!(
+        r#"{{ "seed": 21, "backoff_ms": 2, "max_requeues": 3, "jobs": [
+          {{ "name": "compress-soft", "timeout_ms": 120000, "retries": 0{extra},
+            "argv": ["dtsvliw_run", "--workload", "compress", "--scale", "small",
+                     "--max", "50000000", "--config", "ideal", "--geometry", "4x8",
+                     "--snapshot-every", "200000", "--snapshot-dir", "snaps/a",
+                     "--metrics-json", "out/a.json"],
+            "snapshot_dir": "snaps/a", "result": "out/a.json" }} ] }}"#
+    )
+}
+
+/// The `job_attempt` spans of a merged Perfetto trace that ended
+/// `requeued`, as their args.
+fn requeued_attempt_spans(trace: &str) -> Vec<Json> {
+    let doc = Json::parse(trace).expect("trace parses");
+    doc.as_arr()
+        .expect("trace-event array")
+        .iter()
+        .filter_map(|ev| ev.get("args"))
+        .filter(|a| a.get("kind").and_then(Json::as_str) == Some("job_attempt"))
+        .filter(|a| a.get("outcome").and_then(Json::as_str) == Some("requeued"))
+        .cloned()
+        .collect()
+}
+
+/// Soft-deadline checkpoint-and-requeue on a local slot: the job is
+/// killed past its soft deadline once a snapshot exists, resumes from
+/// it, and converges to the report of a run that was never requeued.
+/// Requeues stay within `max_requeues`, never reach the attempts log,
+/// and their attempt spans carry no consumed-retry index.
+#[test]
+fn soft_deadline_requeues_locally_and_resumes_to_the_same_report() {
+    let plain_dir = scratch("requeue-plain");
+    let soft_dir = scratch("requeue-soft");
+    let outs = [
+        "--jobs",
+        "1",
+        "--out",
+        "r.json",
+        "--attempts-out",
+        "at.json",
+        "--spans-out",
+        "spans.json",
+        "--wallclock-out",
+        "wall.json",
+        "--quiet",
+    ];
+    let plain = supervise(&plain_dir, &soft_deadline_spec(""), &outs);
+    assert_eq!(plain.code, 0, "{}", plain.stderr);
+    let soft = supervise(
+        &soft_dir,
+        &soft_deadline_spec(r#", "soft_deadline_ms": 300"#),
+        &outs,
+    );
+    assert_eq!(soft.code, 0, "{}", soft.stderr);
+
+    let wall = Json::parse(&read(&soft_dir, "wall.json")).expect("wallclock parses");
+    let requeues = wall.get("jobs").and_then(Json::as_arr).unwrap()[0]
+        .get("requeues")
+        .and_then(Json::as_u64)
+        .unwrap();
+    assert!((1..=3).contains(&requeues), "requeues {requeues}");
+    let attempts = read(&soft_dir, "at.json");
+    assert!(!attempts.contains("requeued"), "{attempts}");
+    assert_eq!(
+        read(&plain_dir, "r.json"),
+        read(&soft_dir, "r.json"),
+        "requeued-and-resumed report must match the straight run"
+    );
+    let spans = requeued_attempt_spans(&read(&soft_dir, "spans.json"));
+    assert_eq!(spans.len() as u64, requeues, "{spans:?}");
+    assert!(spans.iter().all(|a| a.get("n").is_none()), "{spans:?}");
+}
+
 /// The supervisor's pull-based `/metrics` endpoint answers while the
 /// campaign is still running, in Prometheus text exposition format,
 /// with the span/outcome counter families present.
