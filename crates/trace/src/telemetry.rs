@@ -276,12 +276,14 @@ impl Heartbeat {
         self.seq
     }
 
-    /// Emit one record (the caller fills everything but `seq`).
+    /// Emit one record (the caller fills everything but `seq`). The
+    /// record is flushed at once: a supervisor tailing the stream judges
+    /// liveness by it, so it must not wait in a buffer.
     pub fn emit(&mut self, mut rec: HeartbeatRecord) {
         rec.seq = self.seq;
         self.seq += 1;
         if let Some(out) = &mut self.out {
-            if let Err(e) = writeln!(out, "{}", rec.to_json()) {
+            if let Err(e) = writeln!(out, "{}", rec.to_json()).and_then(|()| out.flush()) {
                 self.err.get_or_insert(e);
                 self.out = None;
             }
@@ -406,6 +408,33 @@ mod tests {
             assert!(j.get("cycle").and_then(Json::as_u64).unwrap() > 0);
             assert!(j.get("ipc").is_some());
             assert_eq!(j.get("breaker_open"), Some(&Json::Bool(false)));
+        }
+    }
+
+    /// A tailing supervisor sees each record as soon as it is emitted,
+    /// not when the buffer fills or the run ends.
+    #[test]
+    fn heartbeat_records_reach_the_sink_as_they_are_emitted() {
+        let buf = Shared::default();
+        let mut hb = Heartbeat::new(1000, Some(Box::new(buf.clone())));
+        for n in 1..=3u64 {
+            hb.emit(HeartbeatRecord {
+                seq: 0,
+                cycle: n * 1000,
+                instructions: n * 1800,
+                vliw_cycles: 0,
+                primary_cycles: 0,
+                overhead_cycles: 0,
+                degraded_cycles: 0,
+                mode_swaps: 0,
+                bursts: 0,
+                chained: 0,
+                breaker_open: false,
+                vcache_hits: 0,
+                vcache_evictions: 0,
+            });
+            let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+            assert_eq!(text.lines().count() as u64, n, "record {n} still buffered");
         }
     }
 
