@@ -253,6 +253,10 @@ pub struct Machine {
     /// Reused per-cycle scratch: data-cache addresses touched by the
     /// long instruction just executed.
     pub(crate) dcache_scratch: Vec<u32>,
+    /// When `Some`, the `Block::content_hash` of every block entering
+    /// the VLIW Cache, in install order (see
+    /// [`Machine::record_install_hashes`]). Never serialised.
+    pub(crate) install_hashes: Option<Vec<u64>>,
 }
 
 impl Machine {
@@ -314,8 +318,22 @@ impl Machine {
             heartbeat: None,
             hb_next: u64::MAX,
             dcache_scratch: Vec::new(),
+            install_hashes: None,
             cfg,
         }
+    }
+
+    /// Record the `Block::content_hash` of every block installed from
+    /// now on, so tests can pin the Scheduler Unit's output block by
+    /// block. Observation only: the simulation is unchanged.
+    pub fn record_install_hashes(&mut self) {
+        self.install_hashes.get_or_insert_with(Vec::new);
+    }
+
+    /// Content hashes recorded since [`Machine::record_install_hashes`],
+    /// in install order (empty when recording is off).
+    pub fn install_hashes(&self) -> &[u64] {
+        self.install_hashes.as_deref().unwrap_or_default()
     }
 
     /// `(bursts entered, chained block transitions)` taken by the
@@ -715,6 +733,9 @@ impl Machine {
         let filled = b.filled_slots() as u32;
         self.metrics.block_height.record(lis as u64);
         self.metrics.block_filled.record(filled as u64);
+        if let Some(h) = &mut self.install_hashes {
+            h.push(b.content_hash());
+        }
         let evicted = self.vcache.insert_at(b, self.cycles)?;
         self.emit(TraceEvent::BlockInstall { tag, lis, filled });
         if let Some(gone) = evicted {

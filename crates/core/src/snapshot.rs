@@ -659,6 +659,7 @@ impl Machine {
             heartbeat: None,
             hb_next: u64::MAX,
             dcache_scratch: Vec::new(),
+            install_hashes: None,
             cfg,
         })
     }
