@@ -431,3 +431,66 @@ fn snapshotting_runs_burst_and_match_plain_runs() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Mid-block Scheduler Unit state survives a snapshot exactly under the
+/// benchmark's thrash geometry (the feasible machine with a 3 KB
+/// direct-mapped VLIW Cache, so blocks are rebuilt all the time). The
+/// run is interrupted every 997 instructions; at the first four points
+/// where the scheduling list holds a pending candidate, the snapshot is
+/// restored, must re-serialise to the same bytes, and the resumed run
+/// must finish byte-identical to the uninterrupted one.
+#[test]
+fn thrash_geometry_resumes_byte_identical_at_every_interrupt_point() {
+    use dtsvliw_vliw::VliwCacheConfig;
+    use dtsvliw_workloads::{by_name, Scale};
+    let image = by_name("gcc", Scale::Test).expect("known workload").image();
+    let mut cfg = MachineConfig::feasible_paper();
+    let v = cfg.vliw_cache;
+    cfg.vliw_cache = VliwCacheConfig::kb(3, 1, v.width, v.height);
+
+    let mut uninterrupted = Machine::new(cfg.clone(), &image);
+    let want = uninterrupted.run(u64::MAX).expect("reference completes");
+    let pending = |doc: &Json| {
+        doc.get("payload")
+            .and_then(|p| p.get("sched"))
+            .and_then(|s| s.get("elems"))
+            .and_then(Json::as_arr)
+            .expect("scheduling list in the snapshot")
+            .iter()
+            .any(|e| !matches!(e.get("candidate"), Some(Json::Null)))
+    };
+
+    let mut walker = Machine::new(cfg.clone(), &image);
+    let mut resumed_runs = 0;
+    let mut interrupt_at = 0;
+    while resumed_runs < 4 && interrupt_at < want.instructions {
+        interrupt_at += 997;
+        walker.run(interrupt_at).expect("prefix completes");
+        if !pending(&walker.snapshot_json()) {
+            continue;
+        }
+        let dir = scratch(&format!("thrash-{resumed_runs}"));
+        let path = walker.write_snapshot(&dir).expect("snapshot writes");
+        let bytes = std::fs::read_to_string(&path).expect("snapshot reads");
+        let mut resumed = Machine::resume_from(cfg.clone(), &path).expect("snapshot restores");
+        assert_eq!(
+            resumed.snapshot_json().to_string(),
+            bytes,
+            "restore must be byte-exact (interrupt at {interrupt_at})"
+        );
+        let got = resumed.run(u64::MAX).expect("resumed run completes");
+        assert_eq!(want, got, "outcome differs (interrupt at {interrupt_at})");
+        assert_eq!(
+            stats_doc(&uninterrupted),
+            stats_doc(&resumed),
+            "final statistics differ (interrupt at {interrupt_at})"
+        );
+        assert_eq!(uninterrupted.output_string(), resumed.output_string());
+        let _ = std::fs::remove_dir_all(&dir);
+        resumed_runs += 1;
+    }
+    assert_eq!(
+        resumed_runs, 4,
+        "too few interrupt points caught a pending candidate"
+    );
+}

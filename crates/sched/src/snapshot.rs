@@ -14,7 +14,7 @@
 //! typed corrupt-snapshot error.
 
 use crate::block::{Block, CopyInstr, LongInstr, RenameCounts, ScheduledInstr, SlotOp};
-use crate::scheduler::{Candidate, Element, SchedConfig, SchedStats, Scheduler};
+use crate::scheduler::{ElemView, SchedConfig, SchedStats, Scheduler};
 use dtsvliw_isa::encode::{decode, encode};
 use dtsvliw_isa::{ArchState, DynInstr, Fcc, Icc, ResList, Resource};
 use dtsvliw_json::Json;
@@ -433,7 +433,7 @@ impl Scheduler {
     /// machine configuration, which the snapshot header pins by digest.
     pub fn snapshot_json(&self) -> Json {
         let elems = self
-            .elems
+            .view()
             .iter()
             .map(|e| {
                 Json::obj([
@@ -441,11 +441,11 @@ impl Scheduler {
                     ("cur_tag", Json::U64(e.cur_tag as u64)),
                     (
                         "candidate",
-                        match &e.candidate {
+                        match e.candidate_op() {
                             None => Json::Null,
-                            Some(c) => Json::obj([
-                                ("op", scheduled_to_json(&c.op)),
-                                ("slot", Json::U64(c.slot as u64)),
+                            Some((op, slot)) => Json::obj([
+                                ("op", scheduled_to_json(op)),
+                                ("slot", Json::U64(slot as u64)),
                             ]),
                         },
                     ),
@@ -466,32 +466,30 @@ impl Scheduler {
     }
 
     /// Rebuild a scheduler from [`Scheduler::snapshot_json`] output and
-    /// the configuration it ran with.
+    /// the configuration it ran with. `None` for any malformed input,
+    /// including more elements than the list holds and a candidate that
+    /// is not the instruction in its slot (the list stores each op once,
+    /// so `tick` can never produce that state).
     pub fn from_snapshot_json(cfg: SchedConfig, j: &Json) -> Option<Scheduler> {
         let mut s = Scheduler::new(cfg);
         for e in j.get("elems")?.as_arr()? {
             let li = longinstr_from_json(e.get("li")?)?;
-            if li.slots.len() != s.config().width {
-                return None;
-            }
             let candidate = match e.get("candidate")? {
                 Json::Null => None,
                 c => {
-                    let slot = u64_of(c, "slot")? as usize;
-                    if slot >= s.config().width {
-                        return None;
+                    let slot = usize::try_from(u64_of(c, "slot")?).ok()?;
+                    let op = scheduled_from_json(c.get("op")?)?;
+                    match li.slots.get(slot) {
+                        Some(Some(SlotOp::Instr(companion))) if *companion == op => Some(slot),
+                        _ => return None,
                     }
-                    Some(Candidate {
-                        op: scheduled_from_json(c.get("op")?)?,
-                        slot,
-                    })
                 }
             };
-            s.elems.push(Element {
+            s.push_view(ElemView {
                 li,
                 cur_tag: u8_of(e, "cur_tag")?,
                 candidate,
-            });
+            })?;
         }
         s.block_tag = u32_of(j, "block_tag")?;
         s.entry_cwp = u8_of(j, "entry_cwp")?;
@@ -676,6 +674,35 @@ mod tests {
         assert_eq!(s.stats(), restored.stats());
     }
 
+    /// Mutable access to one member of a JSON object.
+    fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(pairs) = j else {
+            panic!("not an object");
+        };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    /// A mid-block list whose tail element holds a candidate.
+    fn mid_block(cfg: &SchedConfig) -> Json {
+        let mut s = Scheduler::new(cfg.clone());
+        for seq in 0..3 {
+            s.insert(
+                &di(
+                    seq,
+                    Instr::Alu {
+                        op: AluOp::Add,
+                        cc: false,
+                        rd: 8 + seq as u8,
+                        rs1: 8 + seq as u8,
+                        src2: Src2::Imm(1),
+                    },
+                ),
+                1,
+            );
+        }
+        s.snapshot_json()
+    }
+
     #[test]
     fn malformed_snapshots_are_rejected() {
         assert!(block_from_json(&Json::obj([("tag_addr", Json::U64(1))])).is_none());
@@ -684,5 +711,35 @@ mod tests {
             &Json::obj([("elems", Json::Arr(vec![Json::Null]))])
         )
         .is_none());
+
+        let cfg = SchedConfig::homogeneous(4, 2);
+        let good = mid_block(&cfg);
+        assert!(Scheduler::from_snapshot_json(cfg.clone(), &good).is_some());
+
+        // A candidate that is not the instruction in its slot.
+        let mut stray = good.clone();
+        let Json::Arr(elems) = member(&mut stray, "elems") else {
+            panic!("elems is an array");
+        };
+        let op = member(member(&mut elems[0], "candidate"), "op");
+        *member(op, "tag") = Json::U64(7);
+        assert!(Scheduler::from_snapshot_json(cfg.clone(), &stray).is_none());
+
+        // A candidate naming an empty slot.
+        let mut empty = good.clone();
+        let Json::Arr(elems) = member(&mut empty, "elems") else {
+            panic!("elems is an array");
+        };
+        *member(member(&mut elems[0], "candidate"), "slot") = Json::U64(3);
+        assert!(Scheduler::from_snapshot_json(cfg.clone(), &empty).is_none());
+
+        // More elements than the list holds.
+        let mut long = good;
+        let Json::Arr(elems) = member(&mut long, "elems") else {
+            panic!("elems is an array");
+        };
+        let e = elems[0].clone();
+        elems.extend([e.clone(), e]);
+        assert!(Scheduler::from_snapshot_json(cfg, &long).is_none());
     }
 }

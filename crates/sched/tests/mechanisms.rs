@@ -401,3 +401,26 @@ fn multicycle_independent_work_fills_bubbles() {
     assert!(pos(1) - pos(0) >= 3);
     assert!(pos(2) < pos(1), "independent work moved above the consumer");
 }
+
+#[test]
+#[should_panic(expected = "MAX_WIDTH")]
+fn width_beyond_the_slot_mask_is_refused() {
+    Scheduler::new(SchedConfig::homogeneous(65, 2));
+}
+
+#[test]
+#[should_panic(expected = "MAX_BLOCK_SLOTS")]
+fn block_beyond_the_op_index_is_refused() {
+    Scheduler::new(SchedConfig::homogeneous(64, 1024));
+}
+
+#[test]
+fn widest_supported_geometry_schedules() {
+    let mut s = Scheduler::new(SchedConfig::homogeneous(64, 16));
+    for seq in 0..200 {
+        s.tick();
+        s.insert(&alu(seq, 8 + (seq % 20) as u8, 8 + (seq % 7) as u8), 1);
+    }
+    let b = s.seal(0, 200).expect("a block");
+    assert!(b.lis.iter().all(|li| li.slots.len() == 64));
+}
