@@ -38,6 +38,8 @@
 //!   the seeded backoff schedule);
 //! * `--wallclock-out` — durations, requeues, the chaos ledger
 //!   (nondeterministic by design);
+//! * `--spans-out` — the merged campaign trace: the span log every
+//!   other document is projected from;
 //! * `--timeline` — the merged heartbeat timeline, torn lines skipped.
 //!
 //! Exit codes: 0 all jobs succeeded, 1 some failed, 2 bad usage/spec.
@@ -225,7 +227,7 @@ fn main() {
     if let Some(p) = &args.attempts_out {
         write_doc(
             p,
-            &(attempts_json(&spec, &result).to_string_pretty() + "\n"),
+            &(attempts_json(spec.seed, &result.jobs).to_string_pretty() + "\n"),
         );
     }
     if let Some(p) = &args.wallclock_out {

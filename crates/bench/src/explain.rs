@@ -1,18 +1,22 @@
-//! Post-mortem campaign explainer (DESIGN.md §15).
+//! The campaign's one reader (DESIGN.md §15).
 //!
 //! `dtsvliw_supervise --spans-out` merges every scheduling decision —
 //! on both sides of the wire — into one Perfetto trace. This module
-//! reads that document *back* and reconstructs the campaign's causal
-//! story: per-job attempt chains (what ran where, what killed it, what
-//! was forgiven and why), the chaos strikes and steals that shaped the
-//! schedule, and a summary table. It also re-derives the canonical
-//! timestamp-stripped span set from the trace, so CI can `cmp` a chaos
-//! storm against a calm run without keeping the raw span log around.
+//! reads that document *back* into a [`CampaignView`]: per-job attempt
+//! chains (what ran where, what killed it, what was forgiven and why,
+//! how long it took), the chaos strikes, fencing rejections, quarantines
+//! and steals that shaped the schedule. The supervise engine reads its
+//! own span log through the same view to build the report, attempts and
+//! wall-clock documents and the `/metrics` page, so the trace and every
+//! document tell one story. From the view come the summary table, the
+//! per-job narrative, and the canonical timestamp-stripped span set CI
+//! `cmp`s between a chaos storm and a calm run.
 //!
 //! Everything here is pure text-in/text-out and unit-testable; the
 //! `dtsvliw_explain` binary is a thin shell over it.
 
 use dtsvliw_json::Json;
+use dtsvliw_trace::{merge_perfetto, SpanEvent};
 
 /// One attempt (or soft-deadline requeue) reconstructed from the trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,8 +27,22 @@ pub struct AttemptView {
     /// consume nothing) and unclosed attempts.
     pub n: Option<u64>,
     pub outcome: String,
+    /// The signal number or exit code the outcome carries.
+    pub detail: Option<i64>,
     pub forgiven: bool,
     pub resumed: bool,
+    /// Backoff scheduled after the attempt (`None` on success, on
+    /// requeues and when the attempt was the job's last).
+    pub backoff_ms: Option<u64>,
+    /// The attempt used up the job's retries: the job failed.
+    pub job_failed: bool,
+    /// Spawn to settle as the engine measured it, milliseconds. Not the
+    /// trace duration: millisecond stamps round each end down.
+    pub wall_ms: u64,
+    /// Torn final heartbeat records.
+    pub tail_truncated: u64,
+    /// VLIW bursts in the successful attempt's freshest heartbeat.
+    pub bursts: u64,
     /// Campaign-clock start and duration, milliseconds.
     pub t_ms: u64,
     pub dur_ms: u64,
@@ -37,6 +55,7 @@ pub struct AttemptView {
 pub struct CampaignView {
     pub jobs: u64,
     pub workers: u64,
+    pub seed: u64,
     pub succeeded: Option<u64>,
     pub failed: Option<u64>,
     /// Attempts in document order (nondecreasing start time).
@@ -45,6 +64,12 @@ pub struct CampaignView {
     pub strikes: Vec<(u64, String, String)>,
     /// `(t_ms, job, track)` per work-stealing claim.
     pub steals: Vec<(u64, u64, String)>,
+    /// `(job, reason)` per remote result lease fencing rejected;
+    /// `reason` is `late` or `duplicate`.
+    pub fences: Vec<(u64, String)>,
+    /// Older quarantined snapshots the retention cap evicted, summed
+    /// over the quarantine spans.
+    pub quarantines_evicted: u64,
     pub reconnects: u64,
     pub snapshot_ships: u64,
     /// Lease intervals: `(t_ms, dur_ms, job, track)`.
@@ -110,6 +135,7 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
             Some("campaign") => {
                 view.jobs = au64(args, "jobs").unwrap_or(0);
                 view.workers = au64(args, "workers").unwrap_or(0);
+                view.seed = au64(args, "seed").unwrap_or(0);
                 view.succeeded = au64(args, "succeeded");
                 view.failed = au64(args, "failed");
             }
@@ -128,8 +154,14 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
                             "?".to_string()
                         }
                     }),
+                    detail: args.get("detail").and_then(Json::as_i64),
                     forgiven: abool(args, "forgiven"),
                     resumed: abool(args, "resumed"),
+                    backoff_ms: au64(args, "backoff_ms"),
+                    job_failed: abool(args, "job_failed"),
+                    wall_ms: au64(args, "wall_ms").unwrap_or(0),
+                    tail_truncated: au64(args, "tail_truncated").unwrap_or(0),
+                    bursts: au64(args, "bursts").unwrap_or(0),
                     t_ms,
                     dur_ms,
                     track: track_of(rec),
@@ -146,6 +178,11 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
                 view.steals
                     .push((t_ms, au64(args, "job").unwrap_or(0), track_of(rec)));
             }
+            Some("fence") => view.fences.push((
+                au64(args, "job").unwrap_or(0),
+                astr(args, "reason").unwrap_or_default(),
+            )),
+            Some("quarantine") => view.quarantines_evicted += au64(args, "evicted").unwrap_or(0),
             Some("reconnect") => view.reconnects += 1,
             Some("snapshot_ship") => view.snapshot_ships += 1,
             // Worker-side lease mirrors ride their own track; count
@@ -160,12 +197,20 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
     Ok(view)
 }
 
-/// Re-derive the canonical timestamp-stripped span set from a merged
-/// Perfetto document — the same text `dtsvliw_trace::canonical_spans`
-/// renders from the raw span log, so either side of a `cmp` gate can be
-/// produced from the trace artifact alone.
-pub fn canonical_from_trace(doc: &Json) -> Result<String, String> {
-    let view = parse_trace(doc)?;
+/// Read a campaign's span log through its merged trace: the view the
+/// engine builds its documents and `/metrics` page from.
+pub fn view_of(events: &[SpanEvent]) -> CampaignView {
+    parse_trace(&merge_perfetto(events)).expect("a merged trace is an event array")
+}
+
+/// The timestamp-stripped deterministic span set: the campaign's job
+/// count plus every non-forgiven attempt, reduced to `(job, n, outcome)`
+/// where `n` is the attempt's consumed-retry index. Chaos-shaped fields
+/// (timestamps, tracks, the `resumed` flag, forgiven attempts, requeues,
+/// steals, reconnects, strikes) are all projected away, so a chaos storm
+/// and an undisturbed run of the same campaign render byte-identical
+/// text — the cmp gate CI holds them to.
+pub fn canonical(view: &CampaignView) -> String {
     let mut lines: Vec<(u64, u64, String)> = Vec::new();
     for a in &view.attempts {
         let Some(n) = a.n else { continue };
@@ -188,7 +233,28 @@ pub fn canonical_from_trace(doc: &Json) -> Result<String, String> {
         out.push_str(&line);
         out.push('\n');
     }
-    Ok(out)
+    out
+}
+
+/// One job's attempts in execution order (start time, then consumed
+/// index), soft-deadline requeues and unclosed attempts included.
+pub fn chain(view: &CampaignView, job: u64) -> Vec<&AttemptView> {
+    let mut chain: Vec<&AttemptView> = view.attempts.iter().filter(|a| a.job == job).collect();
+    chain.sort_by_key(|a| (a.t_ms, a.n));
+    chain
+}
+
+/// Every job the trace saw, as `(id, name)` in id order.
+pub fn jobs(view: &CampaignView) -> Vec<(u64, String)> {
+    let mut jobs: Vec<(u64, String)> = view
+        .attempts
+        .iter()
+        .map(|a| (a.job, a.name.clone()))
+        .collect();
+    // A job's first entry after the sort carries its name if any does.
+    jobs.sort_by_key(|(id, name)| (*id, name.is_empty()));
+    jobs.dedup_by_key(|(id, _)| *id);
+    jobs
 }
 
 /// Per-job attempt chains in execution order: `(job, attempts)` sorted
@@ -197,76 +263,10 @@ pub fn canonical_from_trace(doc: &Json) -> Result<String, String> {
 /// are part of the causal story even though the attempts log omits
 /// them.
 pub fn attempt_chains(view: &CampaignView) -> Vec<(u64, Vec<&AttemptView>)> {
-    let mut ids: Vec<u64> = view.attempts.iter().map(|a| a.job).collect();
-    ids.sort();
-    ids.dedup();
-    ids.into_iter()
-        .map(|job| {
-            let mut chain: Vec<&AttemptView> =
-                view.attempts.iter().filter(|a| a.job == job).collect();
-            chain.sort_by_key(|a| (a.t_ms, a.n));
-            (job, chain)
-        })
+    jobs(view)
+        .into_iter()
+        .map(|(job, _)| (job, chain(view, job)))
         .collect()
-}
-
-/// Cross-check the trace-derived attempt chains against the attempts
-/// side-channel document: for every job, the ordered sequence of
-/// `(outcome, forgiven, resumed)` of real attempts (requeues excluded)
-/// must match the log exactly. Returns the list of mismatch
-/// descriptions (empty means the two documents tell one story).
-pub fn crosscheck_attempts(view: &CampaignView, attempts_doc: &Json) -> Vec<String> {
-    let mut problems = Vec::new();
-    let Some(jobs) = attempts_doc.get("jobs").and_then(Json::as_arr) else {
-        return vec!["attempts doc has no jobs array".to_string()];
-    };
-    for jdoc in jobs {
-        let Some(id) = jdoc.get("id").and_then(Json::as_u64) else {
-            continue;
-        };
-        let logged: Vec<(String, bool, bool)> = jdoc
-            .get("attempts")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .map(|r| {
-                        (
-                            r.get("outcome")
-                                .and_then(Json::as_str)
-                                .unwrap_or("?")
-                                .to_string(),
-                            r.get("forgiven").and_then(Json::as_bool).unwrap_or(false),
-                            r.get("resumed").and_then(Json::as_bool).unwrap_or(false),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut traced: Vec<&AttemptView> = view
-            .attempts
-            .iter()
-            .filter(|a| a.job == id && a.n.is_some() && a.outcome != "unclosed")
-            .collect();
-        traced.sort_by_key(|a| (a.t_ms, a.n));
-        if traced.len() != logged.len() {
-            problems.push(format!(
-                "job {id}: trace has {} attempts, log has {}",
-                traced.len(),
-                logged.len()
-            ));
-            continue;
-        }
-        for (i, (t, l)) in traced.iter().zip(&logged).enumerate() {
-            if t.outcome != l.0 || t.forgiven != l.1 || t.resumed != l.2 {
-                problems.push(format!(
-                    "job {id} attempt {i}: trace says {}/forgiven={}/resumed={}, \
-                     log says {}/forgiven={}/resumed={}",
-                    t.outcome, t.forgiven, t.resumed, l.0, l.1, l.2
-                ));
-            }
-        }
-    }
-    problems
 }
 
 fn fmt_ms(ms: u64) -> String {
@@ -316,19 +316,9 @@ pub fn summary_table(view: &CampaignView) -> String {
 
 /// The per-job causal narrative: every attempt in time order with where
 /// it ran, how long, how it ended, and why that was (or was not) held
-/// against the job — joined with the wall-clock doc's per-job ledger
-/// when provided.
-pub fn narrate(view: &CampaignView, wallclock_doc: Option<&Json>, only_job: Option<u64>) -> String {
-    let wall_of = |id: u64| -> Option<(u64, u64)> {
-        let jobs = wallclock_doc?.get("jobs")?.as_arr()?;
-        let j = jobs
-            .iter()
-            .find(|j| j.get("id").and_then(Json::as_u64) == Some(id))?;
-        Some((
-            j.get("wall_ms").and_then(Json::as_u64).unwrap_or(0),
-            j.get("tail_truncated").and_then(Json::as_u64).unwrap_or(0),
-        ))
-    };
+/// against the job, under a header with the job's wall time and torn
+/// heartbeat tails.
+pub fn narrate(view: &CampaignView, only_job: Option<u64>) -> String {
     let mut s = String::new();
     for (job, chain) in attempt_chains(view) {
         if only_job.is_some_and(|j| j != job) {
@@ -354,14 +344,13 @@ pub fn narrate(view: &CampaignView, wallclock_doc: Option<&Json>, only_job: Opti
             .count();
         s.push_str(&format!(
             "job {job} `{name}` — {fate} ({} attempt(s) consumed, {forgiven} forgiven, \
-             {requeues} requeue(s))",
-            consumed
+             {requeues} requeue(s)), {} wall",
+            consumed,
+            fmt_ms(chain.iter().map(|a| a.wall_ms).sum())
         ));
-        if let Some((wall, torn)) = wall_of(job) {
-            s.push_str(&format!(", {} wall", fmt_ms(wall)));
-            if torn > 0 {
-                s.push_str(&format!(", {torn} torn heartbeat tail(s)"));
-            }
+        let torn: u64 = chain.iter().map(|a| a.tail_truncated).sum();
+        if torn > 0 {
+            s.push_str(&format!(", {torn} torn heartbeat tail(s)"));
         }
         s.push('\n');
         for a in chain {
@@ -410,7 +399,8 @@ pub fn narrate(view: &CampaignView, wallclock_doc: Option<&Json>, only_job: Opti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtsvliw_trace::{canonical_spans, merge_perfetto, SpanEvent, SpanKind, SpanPhase};
+    use crate::supervise::engine::{attempts_json, job_results};
+    use dtsvliw_trace::{SpanKind, SpanPhase};
 
     fn sev(
         t: u64,
@@ -430,6 +420,8 @@ mod tests {
         }
     }
 
+    /// A settled attempt's begin/end pair; `settled` rides on the end
+    /// the way the engine records it.
     #[allow(clippy::too_many_arguments)]
     fn attempt_pair(
         t0: u64,
@@ -440,6 +432,7 @@ mod tests {
         outcome: &str,
         forgiven: bool,
         track: &str,
+        settled: &[(&str, Json)],
     ) -> Vec<SpanEvent> {
         let mut bargs = vec![
             ("job".to_string(), Json::U64(job)),
@@ -451,6 +444,7 @@ mod tests {
             ("forgiven".to_string(), Json::Bool(forgiven)),
             ("resumed".to_string(), Json::Bool(false)),
         ];
+        eargs.extend(settled.iter().map(|(k, v)| (k.to_string(), v.clone())));
         if let Some(n) = n {
             bargs.push(("n".to_string(), Json::U64(n)));
             eargs.push(("n".to_string(), Json::U64(n)));
@@ -471,12 +465,36 @@ mod tests {
             vec![
                 ("jobs".to_string(), Json::U64(2)),
                 ("workers".to_string(), Json::U64(2)),
+                ("seed".to_string(), Json::U64(9)),
             ],
         )];
-        events.extend(attempt_pair(5, 20, 2, 0, Some(0), "success", false, "w0"));
+        events.extend(attempt_pair(
+            5,
+            20,
+            2,
+            0,
+            Some(0),
+            "success",
+            false,
+            "w0",
+            &[
+                ("wall_ms", Json::U64(15_000)),
+                ("tail_truncated", Json::U64(1)),
+            ],
+        ));
         // Job 1: a forgiven chaos kill, then a consumed timeout, then
         // success.
-        events.extend(attempt_pair(5, 12, 3, 1, Some(0), "signal", true, "w1"));
+        events.extend(attempt_pair(
+            5,
+            12,
+            3,
+            1,
+            Some(0),
+            "signal",
+            true,
+            "w1",
+            &[("detail", Json::I64(9)), ("backoff_ms", Json::U64(4))],
+        ));
         events.push(sev(
             8,
             SpanKind::ChaosStrike,
@@ -485,8 +503,28 @@ mod tests {
             "chaos",
             vec![("action".to_string(), Json::Str("kill".to_string()))],
         ));
-        events.extend(attempt_pair(13, 30, 4, 1, Some(0), "timeout", false, "w1"));
-        events.extend(attempt_pair(31, 44, 5, 1, Some(1), "success", false, "w0"));
+        events.extend(attempt_pair(
+            13,
+            30,
+            4,
+            1,
+            Some(0),
+            "timeout",
+            false,
+            "w1",
+            &[("backoff_ms", Json::U64(4))],
+        ));
+        events.extend(attempt_pair(
+            31,
+            44,
+            5,
+            1,
+            Some(1),
+            "success",
+            false,
+            "w0",
+            &[],
+        ));
         events.push(sev(
             31,
             SpanKind::Steal,
@@ -494,6 +532,17 @@ mod tests {
             0,
             "w0",
             vec![("job".to_string(), Json::U64(1))],
+        ));
+        events.push(sev(
+            40,
+            SpanKind::Fence,
+            SpanPhase::Instant,
+            0,
+            "w0",
+            vec![
+                ("job".to_string(), Json::U64(1)),
+                ("reason".to_string(), Json::Str("late".to_string())),
+            ],
         ));
         events.push(sev(
             44,
@@ -511,13 +560,14 @@ mod tests {
 
     #[test]
     fn trace_round_trips_into_a_campaign_view() {
-        let doc = merge_perfetto(&fixture_events());
-        let view = parse_trace(&doc).unwrap();
+        let view = view_of(&fixture_events());
         assert_eq!(view.jobs, 2);
+        assert_eq!(view.seed, 9);
         assert_eq!(view.succeeded, Some(2));
         assert_eq!(view.attempts.len(), 4);
         assert_eq!(view.strikes.len(), 1);
         assert_eq!(view.steals.len(), 1);
+        assert_eq!(view.fences, vec![(1, "late".to_string())]);
         let chains = attempt_chains(&view);
         assert_eq!(chains.len(), 2);
         let (job1, chain1) = &chains[1];
@@ -525,72 +575,97 @@ mod tests {
         let outcomes: Vec<&str> = chain1.iter().map(|a| a.outcome.as_str()).collect();
         assert_eq!(outcomes, vec!["signal", "timeout", "success"]);
         assert!(chain1[0].forgiven && !chain1[1].forgiven);
+        assert_eq!((chain1[0].detail, chain1[0].backoff_ms), (Some(9), Some(4)));
     }
 
     #[test]
-    fn canonical_from_trace_matches_the_span_log_projection() {
-        let events = fixture_events();
-        let doc = merge_perfetto(&events);
-        assert_eq!(
-            canonical_from_trace(&doc).unwrap(),
-            canonical_spans(&events),
-            "the trace artifact and the raw log must canonicalise identically"
+    fn canonical_projection_strips_chaos_shape() {
+        let attempt = |t: u64, job: u64, n: Option<u64>, outcome: &str, forgiven: bool| {
+            attempt_pair(
+                t,
+                t + 1,
+                job * 100 + t,
+                job,
+                n,
+                outcome,
+                forgiven,
+                "w0",
+                &[],
+            )
+        };
+        let mut calm = vec![sev(
+            0,
+            SpanKind::Campaign,
+            SpanPhase::Begin,
+            1,
+            "campaign",
+            vec![("jobs".to_string(), Json::U64(2))],
+        )];
+        calm.extend(attempt(10, 0, Some(0), "success", false));
+        calm.extend(attempt(20, 1, Some(0), "timeout", false));
+        calm.extend(attempt(30, 1, Some(1), "success", false));
+        let mut storm = calm.clone();
+        // Chaos inserts forgiven attempts, steals, strikes, different
+        // timestamps and an index-less requeue — all of which the
+        // projection must erase.
+        storm.extend(attempt(5, 0, Some(0), "signal", true));
+        storm.extend(attempt(6, 1, None, "requeued", false));
+        storm.push(sev(7, SpanKind::Steal, SpanPhase::Instant, 0, "w1", vec![]));
+        storm.push(sev(
+            8,
+            SpanKind::ChaosStrike,
+            SpanPhase::Instant,
+            0,
+            "chaos",
+            vec![],
+        ));
+        for e in &mut storm {
+            e.t_ms += 1000;
+        }
+        let canon = canonical(&view_of(&calm));
+        assert_eq!(canon, canonical(&view_of(&storm)));
+        assert!(canon.contains("\"jobs\":2"), "{canon}");
+        assert!(
+            canon.contains("\"job\":1,\"n\":1,\"outcome\":\"success\""),
+            "{canon}"
+        );
+        assert!(
+            !canon.contains("resumed"),
+            "resumed is chaos-shaped: {canon}"
         );
     }
 
     #[test]
     fn crosscheck_agrees_with_a_faithful_attempts_doc() {
-        let doc = merge_perfetto(&fixture_events());
-        let view = parse_trace(&doc).unwrap();
-        let rec = |outcome: &str, forgiven: bool| {
-            Json::obj([
-                ("outcome", Json::Str(outcome.to_string())),
-                ("forgiven", Json::Bool(forgiven)),
-                ("resumed", Json::Bool(false)),
-            ])
-        };
-        let attempts_doc = Json::obj([(
-            "jobs",
-            Json::Arr(vec![
-                Json::obj([
-                    ("id", Json::U64(0)),
-                    ("attempts", Json::Arr(vec![rec("success", false)])),
-                ]),
-                Json::obj([
-                    ("id", Json::U64(1)),
-                    (
-                        "attempts",
-                        Json::Arr(vec![
-                            rec("signal", true),
-                            rec("timeout", false),
-                            rec("success", false),
-                        ]),
-                    ),
-                ]),
-            ]),
-        )]);
-        assert_eq!(
-            crosscheck_attempts(&view, &attempts_doc),
-            Vec::<String>::new()
-        );
+        let view = view_of(&fixture_events());
+        let traced = attempts_json(view.seed, &job_results(&view, &jobs(&view)));
+        let traced = Json::parse(&traced.to_string()).unwrap();
+        let faithful = Json::parse(
+            r#"{ "format": "dtsvliw-campaign-attempts", "seed": 9, "jobs": [
+              { "id": 0, "name": "job0", "status": "succeeded", "attempts_used": 1,
+                "consumed_retries": 0, "forgiven": 0, "fenced_results": 0, "attempts": [
+                { "attempt": 0, "outcome": "success", "detail": null, "resumed": false,
+                  "forgiven": false, "backoff_ms": null } ] },
+              { "id": 1, "name": "job1", "status": "succeeded", "attempts_used": 3,
+                "consumed_retries": 1, "forgiven": 1, "fenced_results": 1, "attempts": [
+                { "attempt": 0, "outcome": "signal", "detail": 9, "resumed": false,
+                  "forgiven": true, "backoff_ms": 4 },
+                { "attempt": 1, "outcome": "timeout", "detail": null, "resumed": false,
+                  "forgiven": false, "backoff_ms": 4 },
+                { "attempt": 2, "outcome": "success", "detail": null, "resumed": false,
+                  "forgiven": false, "backoff_ms": null } ] } ] }"#,
+        )
+        .unwrap();
+        assert_eq!(traced, faithful);
         // A doc that disagrees must be called out, not glossed over.
-        let wrong = Json::obj([(
-            "jobs",
-            Json::Arr(vec![Json::obj([
-                ("id", Json::U64(0)),
-                ("attempts", Json::Arr(vec![rec("timeout", false)])),
-            ])]),
-        )]);
-        let problems = crosscheck_attempts(&view, &wrong);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("job 0"), "{problems:?}");
+        let wrong = faithful.to_string().replace("\"timeout\"", "\"stalled\"");
+        assert_ne!(traced, Json::parse(&wrong).unwrap());
     }
 
     #[test]
     fn narrative_tells_the_forgiveness_story() {
-        let doc = merge_perfetto(&fixture_events());
-        let view = parse_trace(&doc).unwrap();
-        let text = narrate(&view, None, None);
+        let view = view_of(&fixture_events());
+        let text = narrate(&view, None);
         assert!(text.contains("job 1 `job1` — succeeded"), "{text}");
         assert!(text.contains("forgiven"), "{text}");
         assert!(text.contains("retry consumed"), "{text}");
@@ -602,7 +677,7 @@ mod tests {
         );
         assert!(table.contains("chaos strikes   : 1"), "{table}");
         // Single-job narration filters.
-        let only0 = narrate(&view, None, Some(0));
+        let only0 = narrate(&view, Some(0));
         assert!(
             only0.contains("job 0") && !only0.contains("job 1 "),
             "{only0}"
@@ -610,18 +685,9 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_join_enriches_the_header() {
-        let doc = merge_perfetto(&fixture_events());
-        let view = parse_trace(&doc).unwrap();
-        let wallclock = Json::obj([(
-            "jobs",
-            Json::Arr(vec![Json::obj([
-                ("id", Json::U64(0)),
-                ("wall_ms", Json::U64(15_000)),
-                ("tail_truncated", Json::U64(1)),
-            ])]),
-        )]);
-        let text = narrate(&view, Some(&wallclock), Some(0));
+    fn narrative_reads_wall_time_and_torn_tails_from_the_trace() {
+        let view = view_of(&fixture_events());
+        let text = narrate(&view, Some(0));
         assert!(text.contains("15.0s wall"), "{text}");
         assert!(text.contains("1 torn heartbeat tail(s)"), "{text}");
     }

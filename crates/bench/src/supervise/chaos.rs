@@ -14,6 +14,8 @@
 //! * **tear** — splice a partial, newline-less record into a heartbeat
 //!   file, the shape a mid-write kill leaves behind.
 //!
+//! Only a strike that acted is recorded, as a `chaos_strike` span: the
+//! wall-clock ledger and `/metrics` count strikes from the span log.
 //! The engine marks every strike against the job it hit; outcomes the
 //! chaos itself caused are *forgiven* (they consume no retry budget, up
 //! to a hard cap), which is what makes the merged report of a chaos run
@@ -21,7 +23,6 @@
 //! `cmp`, not claimed.
 
 use dtsvliw_faults::Rng64;
-use dtsvliw_json::Json;
 use std::path::Path;
 
 /// Per-job ceiling on forgiven (chaos- or corruption-caused) attempt
@@ -42,25 +43,15 @@ pub enum ChaosAction {
     TearHeartbeat,
 }
 
-/// The seeded strike generator plus its action ledger (the ledger goes
-/// into the wall-clock side-channel so CI can prove chaos actually
-/// happened).
+/// The seeded strike generator.
 pub struct ChaosEngine {
     rng: Rng64,
-    pub kills: u64,
-    pub freezes: u64,
-    pub corruptions: u64,
-    pub tears: u64,
 }
 
 impl ChaosEngine {
     pub fn new(seed: u64) -> Self {
         ChaosEngine {
             rng: Rng64::new(seed ^ 0xc4a0_5bad_c4a0_5bad),
-            kills: 0,
-            freezes: 0,
-            corruptions: 0,
-            tears: 0,
         }
     }
 
@@ -105,41 +96,18 @@ impl ChaosEngine {
                 *b = b'#';
             }
         }
-        let damaged = std::fs::write(path, &bytes).is_ok();
-        if damaged {
-            self.corruptions += 1;
-        }
-        damaged
+        std::fs::write(path, &bytes).is_ok()
     }
 
     /// Splice a torn, newline-less partial record onto a heartbeat
     /// file — the exact shape a SIGKILL mid-write leaves. The tailer
     /// and timeline merge must skip it (heartbeat.rs).
-    pub fn tear_heartbeat(&mut self, path: &Path) -> bool {
+    pub fn tear_heartbeat(&self, path: &Path) -> bool {
         use std::io::Write;
         let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) else {
             return false;
         };
-        let torn = f.write_all(b"{\"seq\": 999999, \"cyc").is_ok();
-        if torn {
-            self.tears += 1;
-        }
-        torn
-    }
-
-    pub fn total(&self) -> u64 {
-        self.kills + self.freezes + self.corruptions + self.tears
-    }
-
-    /// The action ledger, for the wall-clock side-channel.
-    pub fn summary_json(&self) -> Json {
-        Json::obj([
-            ("actions", Json::U64(self.total())),
-            ("kills", Json::U64(self.kills)),
-            ("freezes", Json::U64(self.freezes)),
-            ("snapshot_corruptions", Json::U64(self.corruptions)),
-            ("heartbeat_tears", Json::U64(self.tears)),
-        ])
+        f.write_all(b"{\"seq\": 999999, \"cyc").is_ok()
     }
 }
 
@@ -204,7 +172,6 @@ mod tests {
             assert!(path.exists());
             assert_ne!(after, original, "corruption must change the bytes");
         }
-        assert_eq!(e.corruptions, 8);
         assert!(!e.corrupt_file(&dir.join("missing.json")));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -215,8 +182,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hb.jsonl");
         std::fs::write(&path, "{\"cycle\": 10, \"instructions\": 20}\n").unwrap();
-        let mut e = ChaosEngine::new(7);
-        assert!(e.tear_heartbeat(&path));
+        assert!(ChaosEngine::new(7).tear_heartbeat(&path));
         let text = std::fs::read_to_string(&path).unwrap();
         let records = crate::supervise::heartbeat::complete_records(&text);
         assert_eq!(records.len(), 1, "torn splice must not add a record");

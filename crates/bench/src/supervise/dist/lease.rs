@@ -7,7 +7,7 @@
 //! still-open* epoch — a partitioned worker that finishes after its
 //! lease was reassigned presents a stale epoch and is **fenced**; a
 //! duplicated delivery of an already-settled result presents a closed
-//! epoch and is a **duplicate**. Both are rejected and counted, never
+//! epoch and is a **duplicate**. Both are rejected, never
 //! double-applied, which is what keeps the campaign's retry accounting
 //! exact under every network failure the chaos harness throws.
 //!
@@ -35,10 +35,6 @@ pub struct LeaseTable {
     epoch: Vec<Option<u64>>,
     /// Whether the current lease is still open (unsettled, unrevoked).
     open: Vec<bool>,
-    /// Fenced results rejected, per job.
-    pub fenced: Vec<u64>,
-    /// Duplicate/post-revocation results rejected, per job.
-    pub duplicates: Vec<u64>,
 }
 
 impl LeaseTable {
@@ -46,8 +42,6 @@ impl LeaseTable {
         LeaseTable {
             epoch: vec![None; jobs],
             open: vec![false; jobs],
-            fenced: vec![0; jobs],
-            duplicates: vec![0; jobs],
         }
     }
 
@@ -79,30 +73,13 @@ impl LeaseTable {
                     self.open[job] = false;
                     Settle::Ok
                 } else {
-                    self.duplicates[job] += 1;
                     Settle::Duplicate
                 }
             }
-            _ => {
-                // Older epoch, or a result for a job never leased (a
-                // confused or malicious peer): fenced either way.
-                self.fenced[job] += 1;
-                Settle::Fenced
-            }
+            // Older epoch, or a result for a job never leased (a
+            // confused or malicious peer): fenced either way.
+            _ => Settle::Fenced,
         }
-    }
-
-    /// Total rejected settles (fenced + duplicate) for `job`.
-    pub fn rejected(&self, job: usize) -> u64 {
-        self.fenced[job] + self.duplicates[job]
-    }
-
-    pub fn total_fenced(&self) -> u64 {
-        self.fenced.iter().sum()
-    }
-
-    pub fn total_duplicates(&self) -> u64 {
-        self.duplicates.iter().sum()
     }
 }
 
@@ -126,9 +103,7 @@ mod tests {
         assert_eq!(t.settle(0, e), Settle::Ok);
         // The duplicated delivery of the same result must be rejected.
         assert_eq!(t.settle(0, e), Settle::Duplicate);
-        assert_eq!(t.rejected(0), 1);
-        assert_eq!(t.total_duplicates(), 1);
-        assert_eq!(t.total_fenced(), 0);
+        assert_eq!(t.settle(0, e), Settle::Duplicate, "and every later copy");
     }
 
     #[test]
@@ -142,7 +117,7 @@ mod tests {
         let b = t.issue(0);
         assert_eq!(t.settle(0, b), Settle::Ok);
         assert_eq!(t.settle(0, a), Settle::Fenced, "A's ghost must be fenced");
-        assert_eq!(t.fenced[0], 1);
+        assert_eq!(t.settle(0, b), Settle::Duplicate, "B settled exactly once");
     }
 
     #[test]
@@ -156,7 +131,11 @@ mod tests {
         // The reassigned attempt is unaffected.
         let e2 = t.issue(0);
         assert_eq!(t.settle(0, e2), Settle::Ok);
-        assert_eq!(t.rejected(0), 1);
+        assert_eq!(
+            t.settle(0, e),
+            Settle::Fenced,
+            "the revoked epoch is now stale"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod worker;
 pub use client::{coordinator_connect, ConnError, Connection};
 pub use frame::{FrameError, FrameReader};
 pub use lease::{LeaseTable, Settle};
-pub use netchaos::{NetChaos, NetLedger, NetStrike};
+pub use netchaos::{NetChaos, NetStrike};
 pub use worker::{serve, WorkerOptions};
 
 /// Parse and validate a `--workers` list: comma-separated `host:port`

@@ -19,11 +19,11 @@
 //!   second copy must be rejected by the lease table (at-most-once
 //!   proven in vivo, not just in unit tests).
 //!
-//! The ledger is merged into the wall-clock side-channel so CI can
-//! assert the storm actually attacked the wire.
+//! Every applied strike is recorded as a `chaos_strike` span; the
+//! wall-clock ledger counts them from the span log, so CI can assert
+//! the storm actually attacked the wire.
 
 use dtsvliw_faults::Rng64;
-use dtsvliw_json::Json;
 
 /// One network strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,22 +38,9 @@ pub enum NetStrike {
     DupResult,
 }
 
-/// Seeded strike generator plus its ledger, one per remote slot.
+/// Seeded strike generator, one per remote slot.
 pub struct NetChaos {
     rng: Rng64,
-    pub resets: u64,
-    pub half_opens: u64,
-    pub truncations: u64,
-    pub dup_results: u64,
-}
-
-/// Aggregated ledger across every slot's [`NetChaos`].
-#[derive(Default, Clone, Copy)]
-pub struct NetLedger {
-    pub resets: u64,
-    pub half_opens: u64,
-    pub truncations: u64,
-    pub dup_results: u64,
 }
 
 impl NetChaos {
@@ -63,10 +50,6 @@ impl NetChaos {
         let key = crate::supervise::fnv1a(endpoint.as_bytes()) ^ (slot as u64).wrapping_mul(0x9e37);
         NetChaos {
             rng: Rng64::new(chaos_seed ^ key ^ 0x0e7c_4a05_0e7c_4a05),
-            resets: 0,
-            half_opens: 0,
-            truncations: 0,
-            dup_results: 0,
         }
     }
 
@@ -82,48 +65,6 @@ impl NetChaos {
             2 => NetStrike::Truncate,
             _ => NetStrike::DupResult,
         })
-    }
-
-    /// Record a strike the slot actually applied.
-    pub fn record(&mut self, strike: NetStrike) {
-        match strike {
-            NetStrike::Reset => self.resets += 1,
-            NetStrike::HalfOpen(_) => self.half_opens += 1,
-            NetStrike::Truncate => self.truncations += 1,
-            NetStrike::DupResult => self.dup_results += 1,
-        }
-    }
-
-    pub fn ledger(&self) -> NetLedger {
-        NetLedger {
-            resets: self.resets,
-            half_opens: self.half_opens,
-            truncations: self.truncations,
-            dup_results: self.dup_results,
-        }
-    }
-}
-
-impl NetLedger {
-    pub fn absorb(&mut self, other: NetLedger) {
-        self.resets += other.resets;
-        self.half_opens += other.half_opens;
-        self.truncations += other.truncations;
-        self.dup_results += other.dup_results;
-    }
-
-    pub fn total(&self) -> u64 {
-        self.resets + self.half_opens + self.truncations + self.dup_results
-    }
-
-    pub fn summary_json(&self) -> Json {
-        Json::obj([
-            ("strikes", Json::U64(self.total())),
-            ("resets", Json::U64(self.resets)),
-            ("half_opens", Json::U64(self.half_opens)),
-            ("truncated_frames", Json::U64(self.truncations)),
-            ("duplicated_results", Json::U64(self.dup_results)),
-        ])
     }
 }
 
@@ -160,22 +101,5 @@ mod tests {
             }
         }
         assert_eq!(kinds, [true; 4]);
-    }
-
-    #[test]
-    fn ledger_aggregates_across_slots() {
-        let mut a = NetChaos::new(1, "x:1", 0);
-        a.record(NetStrike::Reset);
-        a.record(NetStrike::DupResult);
-        let mut b = NetChaos::new(1, "x:1", 1);
-        b.record(NetStrike::HalfOpen(900));
-        b.record(NetStrike::Truncate);
-        let mut total = NetLedger::default();
-        total.absorb(a.ledger());
-        total.absorb(b.ledger());
-        assert_eq!(total.total(), 4);
-        let j = total.summary_json();
-        assert_eq!(j.get("strikes").and_then(Json::as_u64), Some(4));
-        assert_eq!(j.get("resets").and_then(Json::as_u64), Some(1));
     }
 }

@@ -29,20 +29,27 @@
 //!   they are wall-clock shaped by nature and live in the side-channel.
 //! * **wall-clock side-channel** ([`wallclock_json`]) — durations,
 //!   requeue counts, the chaos ledger; never expected to reproduce.
+//!
+//! The campaign span log is the only record of what happened. Every
+//! settled attempt, strike, fencing rejection and quarantine lands there
+//! as a span; the documents, [`CampaignResult`] and the `/metrics` page
+//! are all read back out of it through [`crate::explain`], the reader
+//! `dtsvliw_explain` uses on the trace file.
 
 use super::babysit::{Babysitter, KillPolicy};
 use super::backoff;
 use super::chaos::{send_signal, ChaosAction, ChaosEngine, FORGIVENESS_CAP};
 use super::dist::{
-    coordinator_connect, proto, Connection, LeaseTable, NetChaos, NetLedger, NetStrike, Settle,
+    coordinator_connect, proto, Connection, LeaseTable, NetChaos, NetStrike, Settle,
 };
 use super::heartbeat::{complete_records, progress_of, Progress};
-use super::metrics::{spawn_metrics_server, CampaignCounters};
+use super::metrics::{campaign_page, spawn_metrics_server};
 use super::outcome::{KillReason, Outcome};
 use super::queue::{Claim, Scheduler};
 use super::spec::{CampaignSpec, JobSpec};
 use super::status::{BoardSnapshot, StatusSink, WorkerView};
 use super::{canonical_result_digest, fnv1a};
+use crate::explain::{self, CampaignView};
 use dtsvliw_json::Json;
 use dtsvliw_trace::{SpanEvent, SpanKind, SpanLog, SpanPhase};
 use std::collections::HashMap;
@@ -144,35 +151,33 @@ pub struct CampaignResult {
     /// for local-only campaigns.
     pub dist: Option<Json>,
     /// Quarantined snapshots evicted by the retention cap.
-    pub quarantine_evictions: u64,
+    pub quarantines_evicted: u64,
     /// Every campaign span recorded on either side of the wire, with
     /// worker-local clocks already normalised against lease-grant
-    /// anchors. Feed to [`dtsvliw_trace::merge_perfetto`].
+    /// anchors: the ledger everything above was projected from. Feed
+    /// to [`dtsvliw_trace::merge_perfetto`].
     pub spans: Vec<SpanEvent>,
-    /// Heartbeat tails whose final record was torn mid-write
-    /// (campaign-wide; per-job counts are on [`JobResult`]).
-    pub tail_truncated: u64,
 }
 
 // ---------------------------------------------------------------------
 // Shared engine state
 // ---------------------------------------------------------------------
 
+/// A job's decision state: what the next attempt's budget, backoff and
+/// kill policy depend on. What happened is in the span log.
 #[derive(Default)]
 struct JobRun {
     consumed: u32,
     forgiven: u64,
+    /// Soft-deadline requeues so far, against the spec's
+    /// `max_requeues`.
     requeues: u64,
-    wall_ms: u64,
-    records: Vec<AttemptRecord>,
     done: Option<bool>,
     /// Chaos marks against the in-flight attempt, cleared when it ends.
     chaos_killed: bool,
     chaos_frozen: bool,
     /// A network strike hit the attempt's connection.
     chaos_net: bool,
-    /// Heartbeat tails of this job's attempts that ended torn.
-    tail_truncated: u64,
 }
 
 struct RunningChild {
@@ -195,8 +200,6 @@ struct EngineState {
     /// Sticky: every endpoint was down while jobs were outstanding —
     /// the campaign drained (at least partly) on local slots alone.
     degraded: bool,
-    /// Quarantined snapshots evicted by the retention cap.
-    quarantine_evictions: u64,
 }
 
 struct Shared<'a> {
@@ -207,12 +210,11 @@ struct Shared<'a> {
     sink: Mutex<StatusSink>,
     over: AtomicBool,
     started: Instant,
-    /// Campaign span log (tentpole). Lock order: state -> spans; no
-    /// code path takes state while holding spans.
-    spans: Mutex<SpanLog>,
-    /// `/metrics` counter registry, `Arc` so the exposition thread can
-    /// outlive the borrow-scoped worker threads.
-    counters: Arc<CampaignCounters>,
+    /// Campaign span log: the campaign's only ledger. `Arc` so the
+    /// `/metrics` thread, which outlives the borrow-scoped worker
+    /// threads, can fold it on each scrape. Lock order: state -> spans;
+    /// no code path takes state while holding spans.
+    spans: Arc<Mutex<SpanLog>>,
     /// Stable-id allocator for begin/end span pairing.
     span_seq: AtomicU64,
     /// Track name per slot: `w<i>` local, `r<i>:<endpoint>` remote.
@@ -252,7 +254,6 @@ impl Shared<'_> {
         track: &str,
         args: Vec<(String, Json)>,
     ) {
-        self.counters.add(&self.counters.spans, 1);
         self.spans
             .lock()
             .unwrap()
@@ -326,7 +327,6 @@ fn claim_job(shared: &Shared<'_>, w: usize) -> Option<usize> {
             Claim::Done => return None,
             Claim::Run(j) => {
                 if st.sched.last_claim_was_steal() {
-                    shared.counters.add(&shared.counters.steals, 1);
                     shared.span(
                         SpanKind::Steal,
                         SpanPhase::Instant,
@@ -452,8 +452,8 @@ fn run_attempt(shared: &Shared<'_>, w: usize, job_idx: usize, wire: Option<Wire<
         .filter(|p| p.exists());
     let resumed = snapshot.is_some() && !job.argv.iter().any(|a| a == "--resume");
     let (seq, requeues) = {
-        let st = shared.state.lock().unwrap();
-        (st.runs[job_idx].records.len(), st.runs[job_idx].requeues)
+        let run = &shared.state.lock().unwrap().runs[job_idx];
+        (run.consumed as u64 + run.forgiven, run.requeues)
     };
     shared.log(&format!(
         "supervise: {} job `{}` attempt {}/{}{}",
@@ -554,6 +554,7 @@ fn finish_attempt(
     let job = &shared.spec.jobs[job_idx];
     let outcome = end.outcome;
     let now_ms = shared.now_ms();
+    let wall_ms = spawn_time.elapsed().as_millis() as u64;
     let t_spawn = spawn_time.duration_since(shared.started).as_millis() as u64;
     let span_id = shared.next_span_id();
     let track = shared.slot_names[w].clone();
@@ -561,61 +562,58 @@ fn finish_attempt(
     // is known (the merge pairs by id, not by emission order). `n` is
     // the consumed-retry index — byte-stable across chaos because
     // forgiveness keeps it so — and is what the canonical projection
-    // and `dtsvliw_explain` key attempt chains on.
-    let attempt_span = |shared: &Shared<'_>, n: Option<u32>, outcome: Outcome, forgiven: bool| {
-        let mut args = vec![
-            ("job".to_string(), Json::U64(job.id)),
-            ("name".to_string(), Json::Str(job.name.clone())),
-        ];
-        if let Some(n) = n {
-            args.push(("n".to_string(), Json::U64(n as u64)));
-        }
-        shared.span_at(
-            t_spawn,
-            SpanKind::JobAttempt,
-            SpanPhase::Begin,
-            span_id,
-            &track,
-            args,
-        );
-        // The canonical projection reads `n` off the End event (it is
-        // the settled record), so it rides on both phases.
-        let mut end_args = vec![
-            ("job".to_string(), Json::U64(job.id)),
-            (
-                "outcome".to_string(),
-                Json::Str(outcome.label().to_string()),
-            ),
-            ("forgiven".to_string(), Json::Bool(forgiven)),
-            ("resumed".to_string(), Json::Bool(resumed)),
-        ];
-        if let Some(n) = n {
-            end_args.push(("n".to_string(), Json::U64(n as u64)));
-        }
-        shared.span_at(
-            now_ms.max(t_spawn),
-            SpanKind::JobAttempt,
-            SpanPhase::End,
-            span_id,
-            &track,
-            end_args,
-        );
-    };
-    shared.counters.count_attempt(outcome.label());
-    shared
-        .counters
-        .add(&shared.counters.tail_truncated, end.truncated);
+    // and `dtsvliw_explain` key attempt chains on. The end carries the
+    // settled attempt whole: every attempt figure the campaign
+    // documents and `/metrics` print is read back from it.
+    let mut settled = vec![
+        ("job".to_string(), Json::U64(job.id)),
+        (
+            "outcome".to_string(),
+            Json::Str(outcome.label().to_string()),
+        ),
+        ("resumed".to_string(), Json::Bool(resumed)),
+        ("wall_ms".to_string(), Json::U64(wall_ms)),
+        ("tail_truncated".to_string(), Json::U64(end.truncated)),
+    ];
+    if let Some(detail) = outcome.detail() {
+        settled.push(("detail".to_string(), Json::I64(detail)));
+    }
+    let attempt_span =
+        |shared: &Shared<'_>, n: Option<u32>, forgiven: bool, mut end_args: Vec<_>| {
+            let mut args = vec![
+                ("job".to_string(), Json::U64(job.id)),
+                ("name".to_string(), Json::Str(job.name.clone())),
+            ];
+            end_args.push(("forgiven".to_string(), Json::Bool(forgiven)));
+            if let Some(n) = n {
+                args.push(("n".to_string(), Json::U64(n as u64)));
+                end_args.push(("n".to_string(), Json::U64(n as u64)));
+            }
+            shared.span_at(
+                t_spawn,
+                SpanKind::JobAttempt,
+                SpanPhase::Begin,
+                span_id,
+                &track,
+                args,
+            );
+            shared.span_at(
+                now_ms.max(t_spawn),
+                SpanKind::JobAttempt,
+                SpanPhase::End,
+                span_id,
+                &track,
+                end_args,
+            );
+        };
     let mut st = shared.state.lock().unwrap();
     let st = &mut *st;
 
     // Credit the attempt's heartbeat as it deregisters, so the
-    // aggregate throughput survives job completion, and ledger a tail
-    // the child tore mid-record.
+    // aggregate throughput survives job completion.
     if let (Outcome::Success, Some(p)) = (outcome, end.progress) {
-        shared.counters.add(&shared.counters.bursts, p.bursts);
         st.finished_instructions += p.instructions;
     }
-    st.runs[job_idx].tail_truncated += end.truncated;
     st.running.retain(|r| r.job != job_idx);
     st.workers[w] = WorkerView::default();
     let run = &mut st.runs[job_idx];
@@ -624,15 +622,13 @@ fn finish_attempt(
     run.chaos_killed = false;
     run.chaos_frozen = false;
     run.chaos_net = false;
-    run.wall_ms += spawn_time.elapsed().as_millis() as u64;
 
     if outcome.is_requeue() {
         // Not a failure, not recorded in the attempts log (requeues are
         // wall-clock shaped); immediately claimable by any worker. The
         // attempt span likewise carries no consumed-retry index.
         run.requeues += 1;
-        shared.counters.add(&shared.counters.requeues, 1);
-        attempt_span(shared, None, outcome, false);
+        attempt_span(shared, None, false, settled);
         st.sched.requeue(job_idx, w, now_ms);
         quota_headroom_sample(shared, st);
         shared.log(&format!(
@@ -644,17 +640,12 @@ fn finish_attempt(
 
     if outcome == Outcome::Success {
         let n = run.consumed;
-        run.records.push(AttemptRecord {
-            outcome,
-            resumed,
-            forgiven: false,
-            backoff_ms: None,
-        });
         run.done = Some(true);
         st.done += 1;
         st.sched.finish(job_idx);
-        shared.counters.add(&shared.counters.jobs_done, 1);
-        attempt_span(shared, Some(n), outcome, false);
+        let bursts = end.progress.map_or(0, |p| p.bursts);
+        settled.push(("bursts".to_string(), Json::U64(bursts)));
+        attempt_span(shared, Some(n), false, settled);
         quota_headroom_sample(shared, st);
         return;
     }
@@ -664,7 +655,7 @@ fn finish_attempt(
     // never deleted) inside this job's own snapshot directory.
     if outcome == Outcome::CorruptSnapshot {
         if let Some(dir) = &job.snapshot_dir {
-            let tag = job.id * 1000 + run.records.len() as u64;
+            let tag = job.id * 1000 + run.consumed as u64 + run.forgiven;
             match dtsvliw_core::quarantine_latest(dir, tag) {
                 Ok(Some(dest)) => {
                     shared.log(&format!(
@@ -674,13 +665,26 @@ fn finish_attempt(
                     ));
                     // A long storm must not let forensic copies pile up
                     // without bound: keep the newest few, ledger the rest.
-                    match dtsvliw_core::prune_quarantine(dir, QUARANTINE_KEEP) {
-                        Ok(evicted) => st.quarantine_evictions += evicted,
-                        Err(e) => shared.log(&format!(
-                            "supervise: w{w} job `{}`: quarantine prune failed: {e}",
-                            job.name
-                        )),
-                    }
+                    let evicted = match dtsvliw_core::prune_quarantine(dir, QUARANTINE_KEEP) {
+                        Ok(evicted) => evicted,
+                        Err(e) => {
+                            shared.log(&format!(
+                                "supervise: w{w} job `{}`: quarantine prune failed: {e}",
+                                job.name
+                            ));
+                            0
+                        }
+                    };
+                    shared.span(
+                        SpanKind::Quarantine,
+                        SpanPhase::Instant,
+                        0,
+                        &track,
+                        vec![
+                            ("job".to_string(), Json::U64(job.id)),
+                            ("evicted".to_string(), Json::U64(evicted)),
+                        ],
+                    );
                 }
                 Ok(None) => {}
                 Err(e) => shared.log(&format!(
@@ -709,40 +713,27 @@ fn finish_attempt(
         run.consumed += 1;
     }
     let terminal = !forgiven && run.consumed > job.retries;
-    let backoff_ms = if terminal {
-        None
-    } else {
-        Some(backoff::delay_ms(
-            shared.spec.seed,
-            job.id,
-            attempt_key,
-            shared.spec.backoff_ms,
-        ))
-    };
-    run.records.push(AttemptRecord {
-        outcome,
-        resumed,
-        forgiven,
-        backoff_ms,
-    });
-    attempt_span(shared, Some(attempt_key), outcome, forgiven);
-    if let Some(ms) = backoff_ms {
-        shared.counters.add(&shared.counters.backoffs_scheduled, 1);
-        shared.counters.add(&shared.counters.backoff_ms, ms);
-    }
     if terminal {
         run.done = Some(false);
         st.done += 1;
         st.failed += 1;
         st.sched.finish(job_idx);
-        shared.counters.add(&shared.counters.jobs_failed, 1);
+        settled.push(("job_failed".to_string(), Json::Bool(true)));
+        attempt_span(shared, Some(attempt_key), forgiven, settled);
         shared.log(&format!(
             "supervise: w{w} job `{}` failed ({})",
             job.name,
             outcome.label()
         ));
     } else {
-        let delay = backoff_ms.unwrap_or(0);
+        let delay = backoff::delay_ms(
+            shared.spec.seed,
+            job.id,
+            attempt_key,
+            shared.spec.backoff_ms,
+        );
+        settled.push(("backoff_ms".to_string(), Json::U64(delay)));
+        attempt_span(shared, Some(attempt_key), forgiven, settled);
         st.sched.requeue(job_idx, w, now_ms + delay);
     }
     quota_headroom_sample(shared, st);
@@ -767,13 +758,7 @@ fn mark_endpoint(shared: &Shared<'_>, ep_idx: usize, up: bool) {
 
 /// One remote slot: connect (with seeded backoff on failure), then
 /// claim-and-lease until the campaign drains or the wire dies.
-fn remote_slot_loop(
-    shared: &Shared<'_>,
-    w: usize,
-    ep_idx: usize,
-    endpoint: &str,
-    sub: usize,
-) -> NetLedger {
+fn remote_slot_loop(shared: &Shared<'_>, w: usize, ep_idx: usize, endpoint: &str, sub: usize) {
     let mut net = shared
         .opts
         .chaos_seed
@@ -794,7 +779,6 @@ fn remote_slot_loop(
                     shared.log(&format!("supervise: r{w} {why}"));
                 }
                 failures = failures.saturating_add(1);
-                shared.counters.add(&shared.counters.reconnects, 1);
                 shared.span(
                     SpanKind::Reconnect,
                     SpanPhase::Instant,
@@ -839,7 +823,6 @@ fn remote_slot_loop(
             }
         }
     }
-    net.map(|n| n.ledger()).unwrap_or_default()
 }
 
 /// A leased attempt's transport: one lease epoch on a worker
@@ -883,7 +866,6 @@ impl<'c> Lease<'c> {
         let job = &shared.spec.jobs[job_idx];
         let snap_text = snapshot.and_then(|p| std::fs::read_to_string(p).ok());
         let epoch = shared.state.lock().unwrap().leases.issue(job_idx);
-        shared.counters.add(&shared.counters.leases_issued, 1);
         let span = shared.next_span_id();
         shared.span(
             SpanKind::Lease,
@@ -972,7 +954,8 @@ impl<'c> Lease<'c> {
 
     /// Settle a `result` frame through the lease table. `None` when it
     /// was fenced or a duplicate: it belongs to no live attempt, and
-    /// this one keeps pumping.
+    /// this one keeps pumping. Each rejection is recorded as a fence
+    /// span.
     fn settle(&mut self, shared: &Shared<'_>, w: usize, frame: &Json) -> Option<End> {
         let job = &shared.spec.jobs[self.job_idx];
         let result_epoch = frame
@@ -988,15 +971,25 @@ impl<'c> Lease<'c> {
                 .unwrap()
                 .leases
                 .settle(self.job_idx, result_epoch);
-            let (counter, what) = match verdict {
+            let what = match verdict {
                 Settle::Ok => {
                     accepted = true;
                     continue;
                 }
-                Settle::Fenced => (&shared.counters.fenced_results, "late"),
-                Settle::Duplicate => (&shared.counters.duplicate_results, "duplicate"),
+                Settle::Fenced => "late",
+                Settle::Duplicate => "duplicate",
             };
-            shared.counters.add(counter, 1);
+            shared.span(
+                SpanKind::Fence,
+                SpanPhase::Instant,
+                0,
+                &shared.slot_names[w],
+                vec![
+                    ("job".to_string(), Json::U64(job.id)),
+                    ("epoch".to_string(), Json::U64(result_epoch)),
+                    ("reason".to_string(), Json::Str(what.to_string())),
+                ],
+            );
             shared.log(&format!(
                 "supervise: r{w} job `{}`: rejected a {what} result for epoch {result_epoch} (current {})",
                 job.name, self.epoch
@@ -1026,9 +1019,7 @@ impl<'c> Lease<'c> {
         let Some(strike) = nc.draw(6) else {
             return;
         };
-        nc.record(strike);
         shared.state.lock().unwrap().runs[self.job_idx].chaos_net = true;
-        shared.counters.add(&shared.counters.net_strikes, 1);
         let strike_label = match strike {
             NetStrike::Reset => "net-reset",
             NetStrike::HalfOpen(_) => "net-half-open",
@@ -1261,7 +1252,7 @@ fn accept_result(shared: &Shared<'_>, job: &JobSpec, frame: &Json) -> Outcome {
 // Chaos and status threads
 // ---------------------------------------------------------------------
 
-fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
+fn chaos_loop(shared: &Shared<'_>, seed: u64) {
     let mut engine = ChaosEngine::new(seed);
     let mut frozen: Vec<(u32, Instant)> = Vec::new();
     while !shared.over.load(Ordering::Relaxed) {
@@ -1278,8 +1269,9 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
         let Some(action) = engine.draw(6) else {
             continue;
         };
-        // A strike that finds no eligible victim is not a strike: only
-        // executed actions land on the chaos track or in the counters.
+        // A strike that finds no eligible victim, or nothing to damage,
+        // is not a strike: only executed actions land on the chaos
+        // track, which the ledger and `/metrics` count.
         let mut struck: Option<(&'static str, u64)> = None;
         let mut st = shared.state.lock().unwrap();
         match action {
@@ -1289,7 +1281,6 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
                     let (pid, job) = (st.running[victim].pid, st.running[victim].job);
                     send_signal(pid, "KILL");
                     st.runs[job].chaos_killed = true;
-                    engine.kills += 1;
                     struck = Some(("kill", shared.spec.jobs[job].id));
                 }
             }
@@ -1303,7 +1294,6 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
                     if send_signal(pid, "STOP") {
                         frozen.push((pid, now + Duration::from_millis(ms)));
                         st.runs[job].chaos_frozen = true;
-                        engine.freezes += 1;
                         struck = Some(("freeze", shared.spec.jobs[job].id));
                     }
                 }
@@ -1316,8 +1306,9 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
                 if !candidates.is_empty() {
                     let j = candidates[engine.pick(candidates.len())];
                     let dir = shared.spec.jobs[j].snapshot_dir.as_deref().unwrap();
-                    engine.corrupt_file(&dtsvliw_core::latest_path(dir));
-                    struck = Some(("corrupt-snapshot", shared.spec.jobs[j].id));
+                    if engine.corrupt_file(&dtsvliw_core::latest_path(dir)) {
+                        struck = Some(("corrupt-snapshot", shared.spec.jobs[j].id));
+                    }
                 }
             }
             ChaosAction::TearHeartbeat => {
@@ -1329,14 +1320,14 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
                     .collect();
                 if !candidates.is_empty() {
                     let j = candidates[engine.pick(candidates.len())];
-                    engine.tear_heartbeat(shared.spec.jobs[j].heartbeat.as_deref().unwrap());
-                    struck = Some(("tear-heartbeat", shared.spec.jobs[j].id));
+                    if engine.tear_heartbeat(shared.spec.jobs[j].heartbeat.as_deref().unwrap()) {
+                        struck = Some(("tear-heartbeat", shared.spec.jobs[j].id));
+                    }
                 }
             }
         }
         drop(st);
         if let Some((action, job_id)) = struck {
-            shared.counters.add(&shared.counters.chaos_strikes, 1);
             shared.span(
                 SpanKind::ChaosStrike,
                 SpanPhase::Instant,
@@ -1352,7 +1343,6 @@ fn chaos_loop(shared: &Shared<'_>, seed: u64) -> ChaosEngine {
     for (pid, _) in frozen {
         send_signal(pid, "CONT");
     }
-    engine
 }
 
 fn status_loop(shared: &Shared<'_>) {
@@ -1446,14 +1436,12 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
             leases: LeaseTable::new(spec.jobs.len()),
             endpoint_up: vec![true; opts.remotes.len()],
             degraded: false,
-            quarantine_evictions: 0,
         }),
         cv: Condvar::new(),
         sink: Mutex::new(StatusSink::new(!opts.quiet, opts.status_width)),
         over: AtomicBool::new(false),
         started: Instant::now(),
-        spans: Mutex::new(SpanLog::new()),
-        counters: Arc::new(CampaignCounters::default()),
+        spans: Arc::new(Mutex::new(SpanLog::new())),
         span_seq: AtomicU64::new(0),
         slot_names,
     };
@@ -1471,12 +1459,15 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
     );
 
     // The /metrics endpoint outlives the scoped worker threads (its
-    // thread is 'static), so it scrapes the counter registry through
-    // its own Arc and is stopped and joined before the result merge.
+    // thread is 'static), so it folds the span log through its own Arc
+    // on each scrape and is stopped and joined before the result merge.
     let metrics_stop = Arc::new(AtomicBool::new(false));
     let metrics_server = opts.metrics_addr.as_deref().and_then(|addr| {
-        let counters = Arc::clone(&shared.counters);
-        let page: Arc<dyn Fn() -> String + Send + Sync> = Arc::new(move || counters.render());
+        let log = Arc::clone(&shared.spans);
+        let page: Arc<dyn Fn() -> String + Send + Sync> = Arc::new(move || {
+            let events = log.lock().unwrap().events().to_vec();
+            campaign_page(&explain::view_of(&events), events.len())
+        });
         match spawn_metrics_server(addr, page, Arc::clone(&metrics_stop)) {
             Ok((bound, handle)) => {
                 if !opts.quiet {
@@ -1493,7 +1484,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
 
     let shared_ref = &shared;
     let remote_plan_ref = &remote_plan;
-    let (chaos, net) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let chaos_handle = opts
             .chaos_seed
             .map(|seed| scope.spawn(move || chaos_loop(shared_ref, seed)));
@@ -1513,16 +1504,14 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         for h in worker_handles {
             h.join().expect("worker thread panicked");
         }
-        let mut net = NetLedger::default();
         for h in remote_handles {
-            net.absorb(h.join().expect("remote slot thread panicked"));
+            h.join().expect("remote slot thread panicked");
         }
         shared_ref.over.store(true, Ordering::Relaxed);
         status_handle.join().expect("status thread panicked");
-        (
-            chaos_handle.map(|h| h.join().expect("chaos thread panicked")),
-            net,
-        )
+        if let Some(h) = chaos_handle {
+            h.join().expect("chaos thread panicked");
+        }
     });
 
     {
@@ -1546,7 +1535,45 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         let _ = handle.join();
     }
 
-    let st = shared.state.into_inner().unwrap();
+    // The merge: every figure below is read back out of the span log.
+    let spans = std::mem::take(&mut *shared.spans.lock().unwrap()).into_events();
+    let view = explain::view_of(&spans);
+    let mut by_id: Vec<&JobSpec> = spec.jobs.iter().collect();
+    by_id.sort_by_key(|j| j.id);
+    let names: Vec<(u64, String)> = by_id.iter().map(|j| (j.id, j.name.clone())).collect();
+    let mut jobs = job_results(&view, &names);
+    for (result, job) in jobs.iter_mut().zip(by_id) {
+        if let (Some(path), true) = (&job.result, result.succeeded) {
+            result.result_digest = Some(
+                std::fs::read_to_string(path)
+                    .ok()
+                    .as_deref()
+                    .and_then(canonical_result_digest)
+                    .unwrap_or_else(|| "missing".to_string()),
+            );
+        }
+    }
+    // A strike ledger: the total under `total`, then the strikes per
+    // `(key, action)`, counted off the trace.
+    let strikes = |total: &str, kinds: [(&str, &str); 4]| {
+        let count = |action: &str| view.strikes.iter().filter(|(_, a, _)| a == action).count();
+        let counts = kinds.map(|(key, action)| (key, Json::U64(count(action) as u64)));
+        let sum = kinds.iter().map(|(_, action)| count(action) as u64).sum();
+        Json::obj(std::iter::once((total, Json::U64(sum))).chain(counts))
+    };
+    let chaos = opts.chaos_seed.map(|_| {
+        strikes(
+            "actions",
+            [
+                ("kills", "kill"),
+                ("freezes", "freeze"),
+                ("snapshot_corruptions", "corrupt-snapshot"),
+                ("heartbeat_tears", "tear-heartbeat"),
+            ],
+        )
+    });
+    let fences = |reason: &str| view.fences.iter().filter(|(_, r)| r == reason).count() as u64;
+    let degraded = shared.state.lock().unwrap().degraded;
     let dist = (!opts.remotes.is_empty()).then(|| {
         Json::obj([
             (
@@ -1554,72 +1581,80 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
                 Json::Arr(opts.remotes.iter().map(|e| Json::Str(e.clone())).collect()),
             ),
             ("remote_slots", Json::U64(remote_plan.len() as u64)),
-            ("degraded", Json::Bool(st.degraded)),
-            ("fenced_results", Json::U64(st.leases.total_fenced())),
-            ("duplicate_results", Json::U64(st.leases.total_duplicates())),
+            ("degraded", Json::Bool(degraded)),
+            ("fenced_results", Json::U64(fences("late"))),
+            ("duplicate_results", Json::U64(fences("duplicate"))),
             (
                 "net_chaos",
-                if opts.chaos_seed.is_some() {
-                    net.summary_json()
-                } else {
-                    Json::Null
+                match opts.chaos_seed {
+                    Some(_) => strikes(
+                        "strikes",
+                        [
+                            ("resets", "net-reset"),
+                            ("half_opens", "net-half-open"),
+                            ("truncated_frames", "net-truncate"),
+                            ("duplicated_results", "net-dup-result"),
+                        ],
+                    ),
+                    None => Json::Null,
                 },
             ),
         ])
     });
-    let fenced_by_job: Vec<u64> = (0..spec.jobs.len())
-        .map(|idx| st.leases.rejected(idx))
-        .collect();
-    let mut jobs: Vec<JobResult> = spec
-        .jobs
-        .iter()
-        .zip(st.runs)
-        .zip(fenced_by_job)
-        .map(|((job, run), fenced_results)| {
-            let succeeded = run.done == Some(true);
-            let result_digest = match (&job.result, succeeded) {
-                (Some(path), true) => Some(
-                    std::fs::read_to_string(path)
-                        .ok()
-                        .as_deref()
-                        .and_then(canonical_result_digest)
-                        .unwrap_or_else(|| "missing".to_string()),
-                ),
-                _ => None,
-            };
-            JobResult {
-                id: job.id,
-                name: job.name.clone(),
-                succeeded,
-                result_digest,
-                attempts: run.records,
-                consumed_retries: run.consumed,
-                forgiven: run.forgiven,
-                requeues: run.requeues,
-                wall_ms: run.wall_ms,
-                fenced_results,
-                tail_truncated: run.tail_truncated,
-            }
-        })
-        .collect();
-    // The merge key: completion order, worker count and chaos must not
-    // show through.
-    jobs.sort_by_key(|j| j.id);
     let succeeded = jobs.iter().filter(|j| j.succeeded).count() as u64;
     let failed = jobs.len() as u64 - succeeded;
-    let tail_truncated = jobs.iter().map(|j| j.tail_truncated).sum();
     CampaignResult {
         jobs,
         succeeded,
         failed,
         workers: total_slots,
         wall_ms: shared.started.elapsed().as_millis() as u64,
-        chaos: chaos.map(|e| e.summary_json()),
+        chaos,
         dist,
-        quarantine_evictions: st.quarantine_evictions,
-        spans: shared.spans.into_inner().unwrap().into_events(),
-        tail_truncated,
+        quarantines_evicted: view.quarantines_evicted,
+        spans,
     }
+}
+
+/// Every job's merged state, projected from the campaign view: `jobs`
+/// names the campaign's jobs as `(id, name)`, in id order. Result
+/// digests are left unset; they come from the result files.
+pub fn job_results(view: &CampaignView, jobs: &[(u64, String)]) -> Vec<JobResult> {
+    jobs.iter()
+        .map(|(id, name)| {
+            let chain = explain::chain(view, *id);
+            // Requeues carry no consumed-retry index and stay out of the
+            // attempt history; unclosed attempts parse to no outcome.
+            let attempts: Vec<AttemptRecord> = chain
+                .iter()
+                .filter(|a| a.n.is_some())
+                .filter_map(|a| {
+                    Some(AttemptRecord {
+                        outcome: Outcome::from_label(&a.outcome, a.detail)?,
+                        resumed: a.resumed,
+                        forgiven: a.forgiven,
+                        backoff_ms: a.backoff_ms,
+                    })
+                })
+                .collect();
+            JobResult {
+                id: *id,
+                name: name.clone(),
+                succeeded: attempts.iter().any(|a| a.outcome == Outcome::Success),
+                result_digest: None,
+                consumed_retries: attempts
+                    .iter()
+                    .filter(|a| !a.forgiven && a.outcome != Outcome::Success)
+                    .count() as u32,
+                forgiven: attempts.iter().filter(|a| a.forgiven).count() as u64,
+                requeues: chain.iter().filter(|a| a.outcome == "requeued").count() as u64,
+                wall_ms: chain.iter().map(|a| a.wall_ms).sum(),
+                fenced_results: view.fences.iter().filter(|(j, _)| j == id).count() as u64,
+                tail_truncated: chain.iter().map(|a| a.tail_truncated).sum(),
+                attempts,
+            }
+        })
+        .collect()
 }
 
 /// The byte-reproducible campaign report: job identity, final status,
@@ -1658,11 +1693,11 @@ pub fn report_json(spec: &CampaignSpec, result: &CampaignResult) -> Json {
     ])
 }
 
-/// The attempt-history side-channel: outcomes, resume flags, the seeded
-/// backoff schedule, forgiveness accounting.
-pub fn attempts_json(spec: &CampaignSpec, result: &CampaignResult) -> Json {
-    let jobs = result
-        .jobs
+/// The attempt-history side-channel of the campaign seeded `seed`:
+/// outcomes, resume flags, the seeded backoff schedule, forgiveness
+/// accounting.
+pub fn attempts_json(seed: u64, jobs: &[JobResult]) -> Json {
+    let jobs = jobs
         .iter()
         .map(|j| {
             let attempts = j
@@ -1709,7 +1744,7 @@ pub fn attempts_json(spec: &CampaignSpec, result: &CampaignResult) -> Json {
         .collect();
     Json::obj([
         ("format", Json::Str("dtsvliw-campaign-attempts".to_string())),
-        ("seed", Json::U64(spec.seed)),
+        ("seed", Json::U64(seed)),
         ("jobs", Json::Arr(jobs)),
     ])
 }
@@ -1742,9 +1777,12 @@ pub fn wallclock_json(result: &CampaignResult) -> Json {
         ("dist", result.dist.clone().unwrap_or(Json::Null)),
         (
             "quarantine_evictions",
-            Json::U64(result.quarantine_evictions),
+            Json::U64(result.quarantines_evicted),
         ),
-        ("tail_truncated", Json::U64(result.tail_truncated)),
+        (
+            "tail_truncated",
+            Json::U64(result.jobs.iter().map(|j| j.tail_truncated).sum()),
+        ),
         ("jobs", Json::Arr(jobs)),
     ])
 }
@@ -1809,9 +1847,8 @@ mod tests {
             wall_ms: 12345,
             chaos: None,
             dist: None,
-            quarantine_evictions: 0,
+            quarantines_evicted: 0,
             spans: Vec::new(),
-            tail_truncated: 0,
         }
     }
 
@@ -1880,7 +1917,7 @@ mod tests {
                 backoff_ms: Some(150),
             },
         );
-        let attempts = attempts_json(&spec, &r).to_string_pretty();
+        let attempts = attempts_json(spec.seed, &r.jobs).to_string_pretty();
         assert!(attempts.contains("\"outcome\": \"timeout\""), "{attempts}");
         assert!(attempts.contains("\"backoff_ms\": 150"), "{attempts}");
         let report = report_json(&spec, &r).to_string_pretty();

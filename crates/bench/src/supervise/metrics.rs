@@ -1,17 +1,19 @@
 //! Pull-based `/metrics` text exposition for campaigns.
 //!
 //! Both the coordinator (`dtsvliw_supervise --metrics-addr`) and the
-//! worker daemon (`dtsvliw_worker --metrics-addr`) expose a counter
-//! registry in the Prometheus text format over a deliberately tiny
-//! hand-rolled HTTP/1.1 responder — one nonblocking accept loop, no
-//! routing beyond "any GET gets the whole page", no dependencies. The
-//! counters are plain atomics so every hot path pays one relaxed
-//! increment; the page is rendered on demand by the scrape.
+//! worker daemon (`dtsvliw_worker --metrics-addr`) expose counters in
+//! the Prometheus text format over a deliberately tiny hand-rolled
+//! HTTP/1.1 responder — one nonblocking accept loop, no routing beyond
+//! "any GET gets the whole page", no dependencies. The page is rendered
+//! on demand by the scrape: the coordinator folds its campaign span log
+//! (the campaign's only ledger) through [`crate::explain::view_of`]; the
+//! worker keeps a few relaxed atomics.
 //!
 //! Name conventions (DESIGN.md §15): everything is prefixed
 //! `dtsvliw_`, counters end `_total`, the one label in use is
 //! `outcome` on attempt counts.
 
+use crate::explain::{AttemptView, CampaignView};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -19,8 +21,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Attempt outcome classes, index-aligned with
-/// [`CampaignCounters::attempts`].
+/// Attempt outcome classes, one `dtsvliw_attempts_total` series each.
 pub const OUTCOME_CLASSES: [&str; 9] = [
     "success",
     "error",
@@ -33,102 +34,62 @@ pub const OUTCOME_CLASSES: [&str; 9] = [
     "corrupt-snapshot",
 ];
 
-/// The coordinator's campaign-wide counter registry. Shared across the
-/// engine's worker threads and the metrics server via `Arc`, so every
-/// field is an atomic; all increments are `Relaxed` (scrapes tolerate
-/// being a beat behind).
-#[derive(Debug, Default)]
-pub struct CampaignCounters {
-    /// Finished attempts by outcome class (see [`OUTCOME_CLASSES`]).
-    pub attempts: [AtomicU64; 9],
-    /// Claims that raided a sibling shard.
-    pub steals: AtomicU64,
-    /// Remote leases issued.
-    pub leases_issued: AtomicU64,
-    /// Results rejected by lease fencing.
-    pub fenced_results: AtomicU64,
-    /// Duplicate settlements for an already-settled epoch.
-    pub duplicate_results: AtomicU64,
-    /// Retry backoffs scheduled.
-    pub backoffs_scheduled: AtomicU64,
-    /// Total backoff delay scheduled, in milliseconds (with
-    /// `backoffs_scheduled`, gives mean depth).
-    pub backoff_ms: AtomicU64,
-    /// Burst count from the freshest heartbeat of each completed
-    /// attempt (PR 7 telemetry riding the heartbeat stream).
-    pub bursts: AtomicU64,
-    /// Remote reconnect attempts after a connection failure.
-    pub reconnects: AtomicU64,
-    /// Process-level chaos strikes (kill/freeze/corrupt/tear).
-    pub chaos_strikes: AtomicU64,
-    /// Network-level chaos strikes from the net ledger.
-    pub net_strikes: AtomicU64,
-    /// Soft-deadline requeues.
-    pub requeues: AtomicU64,
-    /// Heartbeat tails whose final record was torn mid-write.
-    pub tail_truncated: AtomicU64,
-    /// Jobs finished successfully / exhausted their retries.
-    pub jobs_done: AtomicU64,
-    pub jobs_failed: AtomicU64,
-    /// Campaign span events recorded so far.
-    pub spans: AtomicU64,
-}
-
-fn bump(c: &AtomicU64, by: u64) {
-    c.fetch_add(by, Ordering::Relaxed);
-}
-
-impl CampaignCounters {
-    pub fn new() -> Self {
-        Self::default()
+/// The coordinator's `/metrics` page, folded from the campaign's span
+/// log as it stands: `spans` events so far, read back as `view`.
+pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
+    let count =
+        |hit: &dyn Fn(&AttemptView) -> bool| view.attempts.iter().filter(|a| hit(a)).count() as u64;
+    let sum = |of: &dyn Fn(&AttemptView) -> u64| view.attempts.iter().map(of).sum::<u64>();
+    let fences = |reason: &str| view.fences.iter().filter(|(_, r)| r == reason).count() as u64;
+    let net_strikes = view
+        .strikes
+        .iter()
+        .filter(|(_, action, _)| action.starts_with("net-"))
+        .count() as u64;
+    let mut s = String::with_capacity(2048);
+    s.push_str("# TYPE dtsvliw_attempts_total counter\n");
+    for class in OUTCOME_CLASSES {
+        s.push_str(&format!(
+            "dtsvliw_attempts_total{{outcome=\"{class}\"}} {}\n",
+            count(&|a| a.outcome == class)
+        ));
     }
-
-    /// Count one finished attempt under its outcome class. Unknown
-    /// labels are dropped rather than panicking — the registry must
-    /// never take down a campaign.
-    pub fn count_attempt(&self, outcome_label: &str) {
-        if let Some(i) = OUTCOME_CLASSES.iter().position(|c| *c == outcome_label) {
-            bump(&self.attempts[i], 1);
-        }
+    let plain: [(&str, u64); 15] = [
+        ("dtsvliw_steals_total", view.steals.len() as u64),
+        ("dtsvliw_leases_issued_total", view.leases.len() as u64),
+        ("dtsvliw_fenced_results_total", fences("late")),
+        ("dtsvliw_duplicate_results_total", fences("duplicate")),
+        (
+            "dtsvliw_backoffs_scheduled_total",
+            count(&|a| a.backoff_ms.is_some()),
+        ),
+        (
+            "dtsvliw_backoff_ms_total",
+            sum(&|a| a.backoff_ms.unwrap_or(0)),
+        ),
+        ("dtsvliw_bursts_total", sum(&|a| a.bursts)),
+        ("dtsvliw_reconnects_total", view.reconnects),
+        (
+            "dtsvliw_chaos_strikes_total",
+            view.strikes.len() as u64 - net_strikes,
+        ),
+        ("dtsvliw_net_strikes_total", net_strikes),
+        (
+            "dtsvliw_requeues_total",
+            count(&|a| a.outcome == "requeued"),
+        ),
+        ("dtsvliw_tail_truncated_total", sum(&|a| a.tail_truncated)),
+        (
+            "dtsvliw_jobs_done_total",
+            count(&|a| a.outcome == "success"),
+        ),
+        ("dtsvliw_jobs_failed_total", count(&|a| a.job_failed)),
+        ("dtsvliw_spans_total", spans as u64),
+    ];
+    for (name, value) in plain {
+        s.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
     }
-
-    pub fn add(&self, which: &AtomicU64, by: u64) {
-        bump(which, by);
-    }
-
-    /// The whole registry in Prometheus text-exposition format.
-    pub fn render(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let mut s = String::with_capacity(2048);
-        s.push_str("# TYPE dtsvliw_attempts_total counter\n");
-        for (i, class) in OUTCOME_CLASSES.iter().enumerate() {
-            s.push_str(&format!(
-                "dtsvliw_attempts_total{{outcome=\"{class}\"}} {}\n",
-                g(&self.attempts[i])
-            ));
-        }
-        let plain: [(&str, &AtomicU64); 15] = [
-            ("dtsvliw_steals_total", &self.steals),
-            ("dtsvliw_leases_issued_total", &self.leases_issued),
-            ("dtsvliw_fenced_results_total", &self.fenced_results),
-            ("dtsvliw_duplicate_results_total", &self.duplicate_results),
-            ("dtsvliw_backoffs_scheduled_total", &self.backoffs_scheduled),
-            ("dtsvliw_backoff_ms_total", &self.backoff_ms),
-            ("dtsvliw_bursts_total", &self.bursts),
-            ("dtsvliw_reconnects_total", &self.reconnects),
-            ("dtsvliw_chaos_strikes_total", &self.chaos_strikes),
-            ("dtsvliw_net_strikes_total", &self.net_strikes),
-            ("dtsvliw_requeues_total", &self.requeues),
-            ("dtsvliw_tail_truncated_total", &self.tail_truncated),
-            ("dtsvliw_jobs_done_total", &self.jobs_done),
-            ("dtsvliw_jobs_failed_total", &self.jobs_failed),
-            ("dtsvliw_spans_total", &self.spans),
-        ];
-        for (name, c) in plain {
-            s.push_str(&format!("# TYPE {name} counter\n{name} {}\n", g(c)));
-        }
-        s
-    }
+    s
 }
 
 /// The worker daemon's counter registry — the worker-side view of the
@@ -242,34 +203,151 @@ pub fn spawn_metrics_server(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::view_of;
+    use dtsvliw_json::Json;
+    use dtsvliw_trace::{SpanEvent, SpanKind, SpanPhase};
     use std::net::TcpStream;
 
+    /// A span event from its parts; `args` as `(key, value)` pairs.
+    fn ev(
+        kind: SpanKind,
+        phase: SpanPhase,
+        id: u64,
+        track: &str,
+        args: &[(&str, Json)],
+    ) -> SpanEvent {
+        SpanEvent {
+            t_ms: id,
+            kind,
+            phase,
+            id,
+            track: track.to_string(),
+            args: args
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        }
+    }
+
+    /// A settled attempt the way the engine records it: begin and end
+    /// together, the settled fields on the end.
+    fn attempt(id: u64, job: u64, outcome: &str, settled: &[(&str, Json)]) -> [SpanEvent; 2] {
+        let mut end = vec![
+            ("job", Json::U64(job)),
+            ("outcome", Json::Str(outcome.into())),
+        ];
+        end.extend(settled.iter().cloned());
+        [
+            ev(
+                SpanKind::JobAttempt,
+                SpanPhase::Begin,
+                id,
+                "w0",
+                &[("job", Json::U64(job))],
+            ),
+            ev(SpanKind::JobAttempt, SpanPhase::End, id, "w0", &end),
+        ]
+    }
+
     #[test]
-    fn campaign_registry_renders_every_name() {
-        let c = CampaignCounters::new();
-        c.count_attempt("success");
-        c.count_attempt("success");
-        c.count_attempt("timeout");
-        c.count_attempt("not-a-class"); // dropped, not a panic
-        c.add(&c.steals, 3);
-        c.add(&c.backoff_ms, 250);
-        let page = c.render();
-        assert!(
-            page.contains("dtsvliw_attempts_total{outcome=\"success\"} 2"),
-            "{page}"
-        );
-        assert!(
-            page.contains("dtsvliw_attempts_total{outcome=\"timeout\"} 1"),
-            "{page}"
-        );
-        assert!(page.contains("dtsvliw_steals_total 3"), "{page}");
-        assert!(page.contains("dtsvliw_backoff_ms_total 250"), "{page}");
-        assert!(page.contains("dtsvliw_tail_truncated_total 0"), "{page}");
-        // Every line is either a TYPE comment or `name[{labels}] value`.
-        for line in page.lines() {
+    fn campaign_page_folds_a_fixture_span_log() {
+        let mut log = vec![ev(SpanKind::Campaign, SpanPhase::Begin, 1, "campaign", &[])];
+        log.extend(attempt(
+            2,
+            0,
+            "success",
+            &[("bursts", Json::U64(5)), ("tail_truncated", Json::U64(1))],
+        ));
+        log.extend(attempt(3, 1, "timeout", &[("backoff_ms", Json::U64(30))]));
+        log.extend(attempt(4, 1, "requeued", &[]));
+        log.extend(attempt(5, 1, "success", &[("bursts", Json::U64(7))]));
+        log.extend(attempt(
+            6,
+            2,
+            "error",
+            &[("detail", Json::I64(1)), ("job_failed", Json::Bool(true))],
+        ));
+        let job1 = [("job", Json::U64(1))];
+        log.push(ev(SpanKind::Steal, SpanPhase::Instant, 0, "w1", &job1));
+        log.push(ev(SpanKind::Lease, SpanPhase::Begin, 7, "r1:h#0", &job1));
+        log.push(ev(SpanKind::Lease, SpanPhase::End, 7, "r1:h#0", &[]));
+        log.push(ev(SpanKind::Lease, SpanPhase::Begin, 8, "r1:h#0", &job1));
+        // A lease the worker relayed is its mirror, not another lease.
+        let worker = [("side", Json::Str("worker".into()))];
+        log.push(ev(
+            SpanKind::Lease,
+            SpanPhase::Begin,
+            9,
+            "r1:h#0/worker",
+            &worker,
+        ));
+        log.push(ev(
+            SpanKind::Lease,
+            SpanPhase::End,
+            9,
+            "r1:h#0/worker",
+            &worker,
+        ));
+        for reason in ["late", "duplicate"] {
+            let args = [("job", Json::U64(1)), ("reason", Json::Str(reason.into()))];
+            log.push(ev(SpanKind::Fence, SpanPhase::Instant, 0, "r1:h#0", &args));
+        }
+        log.push(ev(
+            SpanKind::Reconnect,
+            SpanPhase::Instant,
+            0,
+            "r1:h#0",
+            &[],
+        ));
+        for (track, action) in [("chaos", "kill"), ("r1:h#0", "net-reset")] {
+            let args = [("action", Json::Str(action.into()))];
+            log.push(ev(
+                SpanKind::ChaosStrike,
+                SpanPhase::Instant,
+                0,
+                track,
+                &args,
+            ));
+        }
+        let page = campaign_page(&view_of(&log), log.len());
+
+        let mut series: Vec<String> = OUTCOME_CLASSES
+            .iter()
+            .map(|class| {
+                let n = match *class {
+                    "success" => 2,
+                    "timeout" | "requeued" | "error" => 1,
+                    _ => 0,
+                };
+                format!("dtsvliw_attempts_total{{outcome=\"{class}\"}} {n}")
+            })
+            .collect();
+        for (name, n) in [
+            ("steals", 1),
+            ("leases_issued", 2),
+            ("fenced_results", 1),
+            ("duplicate_results", 1),
+            ("backoffs_scheduled", 1),
+            ("backoff_ms", 30),
+            ("bursts", 12),
+            ("reconnects", 1),
+            ("chaos_strikes", 1),
+            ("net_strikes", 1),
+            ("requeues", 1),
+            ("tail_truncated", 1),
+            ("jobs_done", 2),
+            ("jobs_failed", 1),
+            ("spans", log.len()),
+        ] {
+            series.push(format!("dtsvliw_{name}_total {n}"));
+        }
+        let values: Vec<&str> = page.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(values, series, "{page}");
+        // Every series is introduced by its TYPE comment.
+        for line in page.lines().filter(|l| l.starts_with('#')) {
             assert!(
-                line.starts_with("# TYPE dtsvliw_") || line.starts_with("dtsvliw_"),
-                "malformed exposition line: {line}"
+                line.starts_with("# TYPE dtsvliw_") && line.ends_with(" counter"),
+                "{line}"
             );
         }
     }
@@ -310,8 +388,8 @@ mod tests {
 
     #[test]
     fn http_server_answers_a_get_and_stops() {
-        let counters = Arc::new(CampaignCounters::new());
-        counters.add(&counters.leases_issued, 7);
+        let counters = Arc::new(WorkerCounters::new());
+        counters.leases_accepted.fetch_add(7, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
         let body_src = Arc::clone(&counters);
         let (addr, handle) = spawn_metrics_server(
@@ -329,7 +407,7 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("text/plain"), "{response}");
         assert!(
-            response.contains("dtsvliw_leases_issued_total 7"),
+            response.contains("dtsvliw_worker_leases_accepted_total 7"),
             "{response}"
         );
 

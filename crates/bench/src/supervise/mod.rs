@@ -28,11 +28,12 @@
 //!   quotas and a bounded spawn window;
 //! * [`chaos`] — the self-attack harness (`--chaos SEED`);
 //! * [`status`] — the multi-worker live status line;
-//! * [`engine`] — worker threads, the attempt loop, and the
-//!   deterministic merge into report / attempts-log / wall-clock
-//!   side-channel documents;
-//! * [`metrics`] — campaign counter registries and the hand-rolled
-//!   `/metrics` Prometheus text-exposition endpoint (DESIGN.md §15);
+//! * [`engine`] — worker threads, the attempt loop, the campaign span
+//!   log, and the deterministic merge: report / attempts-log /
+//!   wall-clock side-channel documents projected from that log;
+//! * [`metrics`] — the `/metrics` pages (the coordinator's folded from
+//!   the span log) and the hand-rolled Prometheus text-exposition
+//!   endpoint (DESIGN.md §15);
 //! * [`dist`] — the distributed tier (DESIGN.md §14): the TCP/JSONL
 //!   lease protocol behind `--workers` and the `dtsvliw_worker`
 //!   binary, with lease-epoch fencing and network chaos strikes.
@@ -50,7 +51,7 @@ pub mod spec;
 pub mod status;
 
 pub use engine::{run_campaign, CampaignResult, EngineOptions, JobResult};
-pub use metrics::{spawn_metrics_server, CampaignCounters, WorkerCounters, OUTCOME_CLASSES};
+pub use metrics::{campaign_page, spawn_metrics_server, WorkerCounters, OUTCOME_CLASSES};
 pub use outcome::Outcome;
 pub use spec::{parse_campaign, CampaignSpec, JobSpec, SpecError};
 

@@ -384,6 +384,33 @@ fn distributed_chaos_storm_with_a_killed_worker_matches_calm_local_run() {
         .expect("net chaos ledger present");
     assert!(strikes > 0, "the storm must have attacked the wire");
 
+    // Both ledgers count exactly what the trace records: every network
+    // strike, and per job every result fencing rejected.
+    let instants = instants(&read(&storm_dir, "spans.json"));
+    let net_strikes = instants
+        .iter()
+        .filter(|(kind, _)| kind == "chaos_strike")
+        .filter(|(_, args)| {
+            args.get("action")
+                .and_then(Json::as_str)
+                .is_some_and(|a| a.starts_with("net-"))
+        })
+        .count();
+    assert_eq!(strikes, net_strikes as u64);
+    let attempts_doc = Json::parse(&attempts).expect("attempts doc parses");
+    for job in attempts_doc.get("jobs").and_then(Json::as_arr).unwrap() {
+        let id = job.get("id").and_then(Json::as_u64);
+        let fences = instants
+            .iter()
+            .filter(|(kind, args)| kind == "fence" && args.get("job").and_then(Json::as_u64) == id)
+            .count();
+        assert_eq!(
+            job.get("fenced_results").and_then(Json::as_u64),
+            Some(fences as u64),
+            "job {id:?}"
+        );
+    }
+
     // The merged cross-host trace stays well-formed through a worker
     // assassination, its canonical projection matches the calm local
     // run's, and the explainer's trace-derived attempt chains agree
@@ -420,6 +447,20 @@ fn distributed_chaos_storm_with_a_killed_worker_matches_calm_local_run() {
         story.contains("cross-check: trace agrees with the attempts log"),
         "{story}"
     );
+}
+
+/// The `(kind, args)` of every instant in a merged Perfetto trace.
+fn instants(trace: &str) -> Vec<(String, Json)> {
+    let doc = Json::parse(trace).expect("trace parses");
+    doc.as_arr()
+        .expect("trace-event array")
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("i"))
+        .filter_map(|ev| {
+            let args = ev.get("args")?;
+            Some((args.get("kind")?.as_str()?.to_string(), args.clone()))
+        })
+        .collect()
 }
 
 /// At-most-once, proven against a real worker: a lease the coordinator
@@ -479,8 +520,11 @@ fn late_result_after_reassignment_is_fenced() {
         }
     };
     assert_eq!(verdict, Settle::Fenced, "late result must be fenced");
-    assert_eq!(table.rejected(0), 1);
-    assert_eq!(table.total_fenced(), 1);
+    assert_eq!(
+        table.settle(0, epoch1),
+        Settle::Duplicate,
+        "the reassigned epoch settled exactly once"
+    );
     let _ = conn.send(&proto::bye(), Duration::from_secs(5));
 }
 

@@ -88,6 +88,29 @@ fn fetch_metrics(addr: &str, deadline: Instant) -> String {
     }
 }
 
+/// The `(kind, args)` of every instant in a merged Perfetto trace.
+fn instants(trace: &str) -> Vec<(String, Json)> {
+    let doc = Json::parse(trace).expect("trace parses");
+    doc.as_arr()
+        .expect("trace-event array")
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("i"))
+        .filter_map(|ev| {
+            let args = ev.get("args")?;
+            Some((args.get("kind")?.as_str()?.to_string(), args.clone()))
+        })
+        .collect()
+}
+
+/// The action of every chaos strike in a merged Perfetto trace.
+fn strike_actions(trace: &str) -> Vec<String> {
+    instants(trace)
+        .into_iter()
+        .filter(|(kind, _)| kind == "chaos_strike")
+        .filter_map(|(_, args)| Some(args.get("action")?.as_str()?.to_string()))
+        .collect()
+}
+
 /// Pick a port the OS considers free right now. A bind races with the
 /// server reusing it, but the window is tiny and tests retry on fetch.
 fn free_port() -> u16 {
@@ -384,7 +407,8 @@ fn chaos_storm_report_matches_undisturbed_run() {
         read(&storm_dir, "r.json"),
         "chaos-stormed report must be byte-identical to the undisturbed one"
     );
-    // The ledger proves the storm actually attacked something.
+    // The ledger proves the storm actually attacked something, and
+    // counts exactly the strikes the trace records.
     let wall = Json::parse(&read(&storm_dir, "wall.json")).expect("wallclock parses");
     let actions = wall
         .get("chaos")
@@ -392,6 +416,8 @@ fn chaos_storm_report_matches_undisturbed_run() {
         .and_then(Json::as_u64)
         .expect("chaos ledger present");
     assert!(actions > 0, "chaos must have acted: {actions}");
+    let strikes = strike_actions(&read(&storm_dir, "spans.json"));
+    assert_eq!(actions, strikes.len() as u64, "{strikes:?}");
 
     // Both merged traces are well-formed Perfetto documents, and the
     // storm's timestamp-stripped canonical span set is byte-identical
@@ -425,6 +451,58 @@ fn chaos_storm_report_matches_undisturbed_run() {
         story.contains("cross-check: trace agrees with the attempts log"),
         "{story}"
     );
+}
+
+/// A strike that found nothing to damage did not happen: jobs that
+/// declare a snapshot directory and a heartbeat file but never write
+/// either must draw no `corrupt-snapshot` or `tear-heartbeat` strike.
+/// Chaos seed 2 draws a snapshot corruption on its sixth tick, while
+/// both jobs are still sleeping.
+#[test]
+fn chaos_strikes_that_find_nothing_to_damage_are_not_logged() {
+    let dir = scratch("chaos-noop");
+    let job = |tag: &str| {
+        format!(
+            r#"{{ "name": "quiet-{tag}", "timeout_ms": 30000, "retries": 4,
+              "argv": ["sh", "-c", "sleep 1"],
+              "snapshot_dir": "snaps/{tag}", "heartbeat": "hb/{tag}.jsonl" }}"#
+        )
+    };
+    let spec = format!(
+        r#"{{ "seed": 5, "backoff_ms": 1, "jobs": [ {}, {} ] }}"#,
+        job("a"),
+        job("b")
+    );
+    let run = supervise(
+        &dir,
+        &spec,
+        &[
+            "--jobs",
+            "2",
+            "--chaos",
+            "2",
+            "--out",
+            "r.json",
+            "--spans-out",
+            "spans.json",
+            "--wallclock-out",
+            "wall.json",
+            "--quiet",
+        ],
+    );
+    assert_eq!(run.code, 0, "{}", run.stderr);
+    let strikes = strike_actions(&read(&dir, "spans.json"));
+    assert!(
+        strikes
+            .iter()
+            .all(|a| a != "corrupt-snapshot" && a != "tear-heartbeat"),
+        "{strikes:?}"
+    );
+    let wall = Json::parse(&read(&dir, "wall.json")).expect("wallclock parses");
+    let chaos = wall.get("chaos").expect("chaos ledger present");
+    for key in ["snapshot_corruptions", "heartbeat_tears"] {
+        assert_eq!(chaos.get(key).and_then(Json::as_u64), Some(0), "{chaos:?}");
+    }
 }
 
 /// A snapshotting simulator job, with `extra` spliced into its spec

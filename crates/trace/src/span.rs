@@ -10,15 +10,11 @@
 //! the coordinator against the lease-grant anchor:
 //! `t_coord = t_grant + t_worker`.
 //!
-//! Two projections come out of one span log:
-//!
-//! * [`merge_perfetto`] — the full wall-clock trace (one track per
-//!   slot/endpoint, counter tracks derived from lease begin/end pairs
-//!   and chaos-strike instants), loadable at <https://ui.perfetto.dev>;
-//! * [`canonical_spans`] — the timestamp-stripped deterministic subset
-//!   (the campaign span plus every *non-forgiven* attempt), which must
-//!   be byte-identical between a chaos storm and an undisturbed run,
-//!   exactly like the campaign report.
+//! [`merge_perfetto`] turns a span log into the full wall-clock trace
+//! (one track per slot/endpoint, counter tracks derived from lease
+//! begin/end pairs and chaos-strike instants), loadable at
+//! <https://ui.perfetto.dev>. The campaign tier reads every document it
+//! writes back out of that trace (`dtsvliw_bench::explain`).
 
 use dtsvliw_json::Json;
 
@@ -41,10 +37,14 @@ pub enum SpanKind {
     SnapshotShip,
     /// A chaos-harness strike (process or network).
     ChaosStrike,
+    /// Lease fencing rejected a late or duplicated remote result.
+    Fence,
+    /// A corrupt snapshot was quarantined.
+    Quarantine,
 }
 
 /// Every kind, in a stable order (useful for exhaustive summaries).
-pub const SPAN_KINDS: [SpanKind; 7] = [
+pub const SPAN_KINDS: [SpanKind; 9] = [
     SpanKind::Campaign,
     SpanKind::JobAttempt,
     SpanKind::Lease,
@@ -52,6 +52,8 @@ pub const SPAN_KINDS: [SpanKind; 7] = [
     SpanKind::Reconnect,
     SpanKind::SnapshotShip,
     SpanKind::ChaosStrike,
+    SpanKind::Fence,
+    SpanKind::Quarantine,
 ];
 
 impl SpanKind {
@@ -65,6 +67,8 @@ impl SpanKind {
             SpanKind::Reconnect => "reconnect",
             SpanKind::SnapshotShip => "snapshot_ship",
             SpanKind::ChaosStrike => "chaos_strike",
+            SpanKind::Fence => "fence",
+            SpanKind::Quarantine => "quarantine",
         }
     }
 
@@ -429,59 +433,6 @@ fn counter_sample(name: &str, t_ms: u64, value: u64) -> Json {
 }
 
 // ---------------------------------------------------------------------
-// The canonical (deterministic) projection
-// ---------------------------------------------------------------------
-
-/// The timestamp-stripped deterministic span set: the campaign span
-/// plus every non-forgiven `job_attempt` end, reduced to
-/// `(job, n, outcome)` where `n` is the attempt's consumed-retry index.
-/// Chaos-shaped fields (timestamps, tracks, the `resumed` flag,
-/// forgiven attempts, steals, reconnects, strikes) are all projected
-/// away, so a chaos storm and an undisturbed run of the same campaign
-/// render byte-identical text — the cmp gate CI holds them to.
-pub fn canonical_spans(events: &[SpanEvent]) -> String {
-    let mut lines: Vec<(u64, u64, String)> = Vec::new();
-    let mut campaign_jobs: Option<u64> = None;
-    for ev in events {
-        match (ev.kind, ev.phase) {
-            (SpanKind::Campaign, SpanPhase::Begin) => {
-                campaign_jobs = ev.arg("jobs").and_then(Json::as_u64);
-            }
-            (SpanKind::JobAttempt, SpanPhase::End) => {
-                let forgiven = ev.arg("forgiven").and_then(Json::as_bool).unwrap_or(false);
-                let (Some(job), Some(n)) = (
-                    ev.arg("job").and_then(Json::as_u64),
-                    ev.arg("n").and_then(Json::as_u64),
-                ) else {
-                    continue; // soft-deadline requeues carry no consumed index
-                };
-                if forgiven {
-                    continue;
-                }
-                let outcome = ev.arg("outcome").and_then(Json::as_str).unwrap_or("?");
-                lines.push((
-                    job,
-                    n,
-                    format!("{{\"kind\":\"job_attempt\",\"job\":{job},\"n\":{n},\"outcome\":\"{outcome}\"}}"),
-                ));
-            }
-            _ => {}
-        }
-    }
-    lines.sort();
-    lines.dedup();
-    let mut out = format!(
-        "{{\"kind\":\"campaign\",\"jobs\":{}}}\n",
-        campaign_jobs.unwrap_or(0)
-    );
-    for (_, _, line) in lines {
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // Perfetto document validation
 // ---------------------------------------------------------------------
 
@@ -585,26 +536,6 @@ mod tests {
             track: track.to_string(),
             args,
         }
-    }
-
-    fn attempt_end(t: u64, job: u64, n: Option<u64>, outcome: &str, forgiven: bool) -> SpanEvent {
-        let mut args = vec![
-            ("job".to_string(), Json::U64(job)),
-            ("outcome".to_string(), Json::Str(outcome.to_string())),
-            ("forgiven".to_string(), Json::Bool(forgiven)),
-            ("resumed".to_string(), Json::Bool(t.is_multiple_of(2))),
-        ];
-        if let Some(n) = n {
-            args.push(("n".to_string(), Json::U64(n)));
-        }
-        ev(
-            t,
-            SpanKind::JobAttempt,
-            SpanPhase::End,
-            job * 100 + t,
-            "w0",
-            args,
-        )
     }
 
     #[test]
@@ -740,52 +671,6 @@ mod tests {
                 .and_then(Json::as_bool)
                 == Some(true)
         }));
-    }
-
-    #[test]
-    fn canonical_projection_strips_chaos_shape() {
-        let calm = vec![
-            ev(
-                0,
-                SpanKind::Campaign,
-                SpanPhase::Begin,
-                0,
-                "campaign",
-                vec![("jobs".to_string(), Json::U64(2))],
-            ),
-            attempt_end(10, 0, Some(0), "success", false),
-            attempt_end(20, 1, Some(0), "timeout", false),
-            attempt_end(30, 1, Some(1), "success", false),
-        ];
-        let mut storm = calm.clone();
-        // Chaos inserts forgiven attempts, steals, strikes, reconnects,
-        // different timestamps and an index-less requeue — all of which
-        // the projection must erase.
-        storm.insert(1, attempt_end(5, 0, Some(0), "signal", true));
-        storm.insert(2, attempt_end(6, 1, None, "requeued", false));
-        storm.push(ev(7, SpanKind::Steal, SpanPhase::Instant, 0, "w1", vec![]));
-        storm.push(ev(
-            8,
-            SpanKind::ChaosStrike,
-            SpanPhase::Instant,
-            0,
-            "chaos",
-            vec![],
-        ));
-        for e in &mut storm {
-            e.t_ms += 1000;
-        }
-        assert_eq!(canonical_spans(&calm), canonical_spans(&storm));
-        let canon = canonical_spans(&calm);
-        assert!(canon.contains("\"jobs\":2"), "{canon}");
-        assert!(
-            canon.contains("\"job\":1,\"n\":1,\"outcome\":\"success\""),
-            "{canon}"
-        );
-        assert!(
-            !canon.contains("resumed"),
-            "resumed is chaos-shaped: {canon}"
-        );
     }
 
     #[test]
