@@ -1670,3 +1670,65 @@ impl Machine {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtsvliw_asm::assemble;
+    use dtsvliw_isa::encode::encode;
+    use dtsvliw_isa::{AluOp, Instr, Src2};
+
+    /// Run the first pass of a loop on both machines, overwrite its first
+    /// instruction in the Primary Processor's memory only, and run up to
+    /// the second execution of that word. Each machine owns its decoded
+    /// code, so the Primary must execute the new word while the oracle
+    /// keeps executing the old one.
+    fn corrupt_executed_code(recover: bool) -> (Machine, u32, Result<RunOutcome, MachineError>) {
+        let img = assemble(
+            "_start: mov 2, %o2\nloop: mov 1, %o0\n subcc %o2, 1, %o2\n bne loop\n nop\n ta 0\n",
+        )
+        .unwrap();
+        let mut cfg = MachineConfig::feasible_paper();
+        cfg.verify = true;
+        cfg.recover_divergence = recover;
+        let mut m = Machine::new(cfg, &img);
+        let at = img.symbols["loop"];
+        assert_eq!(
+            m.run(2).unwrap().instructions,
+            2,
+            "both machines ran `mov 1`"
+        );
+        let original = m.mem.read_u32(at);
+        let mov7 = Instr::Alu {
+            op: AluOp::Or,
+            cc: false,
+            rd: 8,
+            rs1: 0,
+            src2: Src2::Imm(7),
+        };
+        m.mem.write_u32(at, encode(&mov7));
+        // mov 2, mov 1, subcc, bne, nop, then the overwritten word.
+        let out = m.run(6);
+        assert_eq!(m.test.mem.read_u32(at), original, "oracle code untouched");
+        (m, at, out)
+    }
+
+    #[test]
+    fn primary_code_store_diverges_from_oracle() {
+        let (_, at, out) = corrupt_executed_code(false);
+        match out {
+            Err(MachineError::Divergence { pc, .. }) => assert_eq!(pc, at + 4),
+            other => panic!("expected a divergence after the new word, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn primary_code_store_is_scrubbed_from_oracle() {
+        let (mut m, _, out) = corrupt_executed_code(true);
+        out.unwrap();
+        assert_eq!(m.faults.scrubs, 1, "scrubbed when the new word ran");
+        assert_eq!(m.run(100).unwrap().exit_code, Some(1), "oracle's exit code");
+        assert_eq!(m.faults.scrubs, 1);
+        assert_eq!(m.mem.first_difference(&m.test.mem), None);
+    }
+}

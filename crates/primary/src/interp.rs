@@ -1,7 +1,6 @@
 //! Architectural interpreter: one SPARC instruction per step.
 
 use dtsvliw_isa::alu::{exec_alu, exec_fp};
-use dtsvliw_isa::encode::decode;
 use dtsvliw_isa::insn::{FpOp, Instr, Src2};
 use dtsvliw_isa::regs::{r, restore_cwp, save_cwp};
 use dtsvliw_isa::{ArchState, DynInstr};
@@ -128,8 +127,7 @@ fn fill_next(state: &mut ArchState, mem: &Memory) {
 /// in the delay slot executes before the target.
 pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, StepError> {
     let pc = state.pc;
-    let word = mem.read_u32(pc);
-    let instr = decode(word);
+    let instr = mem.fetch(pc);
     if let Instr::Illegal(w) = instr {
         return Err(StepError::Illegal { pc, word: w });
     }
@@ -293,7 +291,7 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
     }
 
     if is_cti {
-        d.delay_is_nop = decode(mem.read_u32(pc.wrapping_add(4))).is_nop();
+        d.delay_is_nop = mem.fetch(pc.wrapping_add(4)).is_nop();
     }
 
     state.pc = state.npc;
@@ -516,6 +514,74 @@ mod tests {
         for i in 0..200u64 {
             if let Some(Halt::Exit(code)) = step(&mut st, &mut mem, i).unwrap().halt {
                 assert_eq!(code, 51234u32.wrapping_mul(77777));
+                return;
+            }
+        }
+        panic!("did not halt");
+    }
+
+    #[test]
+    fn stores_over_executed_code_take_effect() {
+        // Patch an instruction that has already executed, then a branch's
+        // delay slot: each new word must run on the next pass, and
+        // `delay_is_nop` must follow the new delay-slot word.
+        let src = "
+            _start:
+                set patch, %l0
+                set slot, %l1
+                set repl, %l2
+                ld [%l2], %l3        ! add %o1, 100, %o1
+                ld [%l2 + 4], %l4    ! add %o1, 1000, %o1
+                mov 0, %o1
+                mov 3, %o0
+            loop:
+            patch:
+                add %o1, 1, %o1
+                st %l3, [%l0]
+                cmp %o0, 2
+                bne skip
+                nop
+                st %l4, [%l1]
+            skip:
+                subcc %o0, 1, %o0
+            back:
+                bne loop
+            slot:
+                nop
+                mov %o1, %o0
+                ta 3
+                ta 0
+            repl:
+                add %o1, 100, %o1
+                add %o1, 1000, %o1
+        ";
+        // 1 + 100 + 1000 + 100 + 1000: the delay slot runs on the taken
+        // and the final not-taken `bne`.
+        let expect = 2201;
+        let img = assemble(src).unwrap();
+        let back = img.symbols["back"];
+        let (mut st, mut mem) = machine(src);
+        let mut delay_nops = Vec::new();
+        let mut output = Vec::new();
+        for i in 0..1000u64 {
+            let s = step(&mut st, &mut mem, i).unwrap();
+            if s.dyn_instr.pc == back {
+                delay_nops.push(s.dyn_instr.delay_is_nop);
+            }
+            output.extend(s.output.unwrap_or_default());
+            if let Some(Halt::Exit(code)) = s.halt {
+                assert_eq!(code, expect);
+                assert_eq!(delay_nops, [true, false, false]);
+                let mut reference = crate::RefMachine::new(&img);
+                assert_eq!(
+                    reference.run(1000).unwrap(),
+                    crate::RunOutcome::Halted {
+                        code,
+                        retired: i + 1
+                    }
+                );
+                assert_eq!(reference.output, output);
+                assert_eq!(output, expect.to_string().into_bytes());
                 return;
             }
         }
