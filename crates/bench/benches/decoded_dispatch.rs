@@ -74,9 +74,9 @@ fn synthetic_block(width: usize, height: usize) -> Block {
     let mut seq = 0u64;
     for _ in 0..height {
         let mut li = LongInstr::empty(width);
-        for (w, s) in li.slots.iter_mut().enumerate() {
+        for w in 0..width {
             // Distinct destinations within a row (%o0..): no conflicts.
-            *s = Some(slot(8 + (w % 8) as u8, w as i32, seq));
+            li.set(w, slot(8 + (w % 8) as u8, w as i32, seq));
             seq += 1;
         }
         lis.push(li);

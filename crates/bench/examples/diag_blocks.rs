@@ -41,8 +41,7 @@ fn main() {
         );
         for (i, li) in b.lis.iter().enumerate() {
             let row: Vec<String> = li
-                .slots
-                .iter()
+                .slots()
                 .map(|s| match s {
                     None => "-".into(),
                     Some(dtsvliw_sched::SlotOp::Instr(x)) => format!("{}", x.d.instr),

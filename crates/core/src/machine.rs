@@ -636,7 +636,7 @@ impl Machine {
         block
             .lis
             .first()
-            .and_then(|li| li.ops().next())
+            .and_then(|li| li.ops().first())
             .map(|op| match op {
                 SlotOp::Instr(s) => s.d.instr.to_string(),
                 SlotOp::Copy(_) => "copy".to_string(),

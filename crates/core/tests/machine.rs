@@ -222,3 +222,34 @@ fn every_geometry_produces_identical_results() {
     }
     assert!(codes.windows(2).all(|w| w[0] == w[1]));
 }
+
+#[test]
+fn blocks_taller_than_256_long_instructions_run_to_completion() {
+    // The nba line index of a block this tall does not fit a byte: a
+    // narrowed comparison ended such blocks at the wrong row and test
+    // mode caught the divergence.
+    let w = dtsvliw_workloads::by_name("compress", dtsvliw_workloads::Scale::Test).unwrap();
+    let img = w.image();
+    let mut reference = dtsvliw_primary::RefMachine::new(&img);
+    let want = match reference.run(50_000_000).unwrap() {
+        dtsvliw_primary::RunOutcome::Halted { code, .. } => code,
+        other => panic!("reference did not halt: {other:?}"),
+    };
+    for (width, height) in [(1, 300), (2, 400)] {
+        let cfg = MachineConfig::ideal(width, height);
+        assert!(cfg.verify, "test mode co-simulates every commit");
+        let mut m = Machine::new(cfg, &img);
+        let out = m
+            .run(50_000_000)
+            .unwrap_or_else(|e| panic!("{width}x{height}: {e}"));
+        assert_eq!(out.exit_code, Some(want), "{width}x{height} exit");
+        assert_eq!(m.output_string(), reference.output_string());
+        let st = m.stats();
+        assert!(
+            st.sched.lis > 256 * st.sched.blocks / 2,
+            "{width}x{height}: blocks must be tall ({} LIs over {} blocks)",
+            st.sched.lis,
+            st.sched.blocks
+        );
+    }
+}

@@ -41,37 +41,35 @@ enum FlipKind {
 /// when the block holds no eligible operand.
 pub fn flip_operand_bit(b: &mut Block, rng: &mut Rng64) -> bool {
     let mut candidates: Vec<(usize, usize, FlipKind)> = Vec::new();
-    for (li, row) in b.lis.iter().enumerate() {
-        for (slot, op) in row.slots.iter().enumerate() {
-            let Some(SlotOp::Instr(s)) = op else { continue };
-            match s.d.instr {
-                Instr::Alu { rs1, src2, .. } => {
-                    if matches!(src2, Src2::Imm(_)) {
-                        candidates.push((li, slot, FlipKind::AluImm));
-                    }
-                    if rs1 < 32 {
-                        candidates.push((li, slot, FlipKind::AluRs1));
-                    }
+    for (li, slot, op) in occupied(b) {
+        let SlotOp::Instr(s) = op else { continue };
+        match s.d.instr {
+            Instr::Alu { rs1, src2, .. } => {
+                if matches!(src2, Src2::Imm(_)) {
+                    candidates.push((li, slot, FlipKind::AluImm));
                 }
-                Instr::Sethi { rd, .. } if rd != 0 => {
-                    candidates.push((li, slot, FlipKind::SethiImm));
+                if rs1 < 32 {
+                    candidates.push((li, slot, FlipKind::AluRs1));
                 }
-                Instr::Mem { src2, .. } => {
-                    if matches!(src2, Src2::Imm(_)) {
-                        candidates.push((li, slot, FlipKind::MemImm));
-                    }
-                }
-                Instr::Fpop { rs2, .. } if rs2 < 32 => {
-                    candidates.push((li, slot, FlipKind::FpopRs2));
-                }
-                _ => {}
             }
+            Instr::Sethi { rd, .. } if rd != 0 => {
+                candidates.push((li, slot, FlipKind::SethiImm));
+            }
+            Instr::Mem { src2, .. } => {
+                if matches!(src2, Src2::Imm(_)) {
+                    candidates.push((li, slot, FlipKind::MemImm));
+                }
+            }
+            Instr::Fpop { rs2, .. } if rs2 < 32 => {
+                candidates.push((li, slot, FlipKind::FpopRs2));
+            }
+            _ => {}
         }
     }
     let Some(&(li, slot, kind)) = pick(&candidates, rng) else {
         return false;
     };
-    let Some(SlotOp::Instr(s)) = &mut b.lis[li].slots[slot] else {
+    let Some(SlotOp::Instr(s)) = b.lis[li].get_mut(slot) else {
         unreachable!("candidate slot vanished");
     };
     match (&mut s.d.instr, kind) {
@@ -120,17 +118,15 @@ pub fn corrupt_nba(b: &mut Block, rng: &mut Rng64) -> bool {
 /// mispredicts, which is exactly the paper's failure scenario.
 pub fn invert_branch_tag(b: &mut Block, rng: &mut Rng64) -> bool {
     let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for (li, row) in b.lis.iter().enumerate() {
-        for (slot, op) in row.slots.iter().enumerate() {
-            if op.as_ref().is_some_and(|o| o.tag() > 0) {
-                candidates.push((li, slot));
-            }
+    for (li, slot, op) in occupied(b) {
+        if op.tag() > 0 {
+            candidates.push((li, slot));
         }
     }
     let Some(&(li, slot)) = pick(&candidates, rng) else {
         return false;
     };
-    match b.lis[li].slots[slot].as_mut() {
+    match b.lis[li].get_mut(slot) {
         Some(SlotOp::Instr(s)) => s.tag = 0,
         Some(SlotOp::Copy(c)) => c.tag = 0,
         None => unreachable!("candidate slot vanished"),
@@ -142,18 +138,27 @@ pub fn invert_branch_tag(b: &mut Block, rng: &mut Rng64) -> bool {
 /// commits to its original location (§3.2 split losing its second half).
 pub fn drop_copy(b: &mut Block, rng: &mut Rng64) -> bool {
     let mut candidates: Vec<(usize, usize)> = Vec::new();
-    for (li, row) in b.lis.iter().enumerate() {
-        for (slot, op) in row.slots.iter().enumerate() {
-            if matches!(op, Some(SlotOp::Copy(_))) {
-                candidates.push((li, slot));
-            }
+    for (li, slot, op) in occupied(b) {
+        if matches!(op, SlotOp::Copy(_)) {
+            candidates.push((li, slot));
         }
     }
     let Some(&(li, slot)) = pick(&candidates, rng) else {
         return false;
     };
-    b.lis[li].slots[slot] = None;
+    b.lis[li].take(slot);
     true
+}
+
+/// Every occupied slot as `(li, slot, op)`, row-major and lowest slot
+/// first: the order candidates are drawn in, so a seeded campaign
+/// corrupts the same field whatever the storage layout.
+fn occupied(b: &Block) -> impl Iterator<Item = (usize, usize, &SlotOp)> {
+    b.lis.iter().enumerate().flat_map(|(li, row)| {
+        row.slots()
+            .enumerate()
+            .filter_map(move |(slot, op)| op.map(|op| (li, slot, op)))
+    })
 }
 
 /// Uniform pick; draws from the stream only when non-empty so a barren
@@ -225,7 +230,7 @@ mod tests {
     #[test]
     fn flip_changes_an_operand_and_nothing_else() {
         let mut li = LongInstr::empty(4);
-        li.slots[0] = Some(SlotOp::Instr(sched(alu_imm(1, 2, 100), 0)));
+        li.set(0, SlotOp::Instr(sched(alu_imm(1, 2, 100), 0)));
         let mut b = block(vec![li]);
         let clean = b.clone();
         let mut rng = Rng64::new(5);
@@ -234,7 +239,7 @@ mod tests {
         assert_eq!(b.nba_addr, clean.nba_addr);
         assert_eq!(b.lis[0].len(), 1, "no slot appeared or vanished");
         let (Some(SlotOp::Instr(got)), Some(SlotOp::Instr(was))) =
-            (&b.lis[0].slots[0], &clean.lis[0].slots[0])
+            (b.lis[0].get(0), clean.lis[0].get(0))
         else {
             panic!("slot shape changed");
         };
@@ -251,11 +256,11 @@ mod tests {
     fn flip_preserves_imm13_range() {
         for seed in 0..64 {
             let mut li = LongInstr::empty(1);
-            li.slots[0] = Some(SlotOp::Instr(sched(alu_imm(1, 0, -4096), 0)));
+            li.set(0, SlotOp::Instr(sched(alu_imm(1, 0, -4096), 0)));
             let mut b = block(vec![li]);
             let mut rng = Rng64::new(seed);
             assert!(flip_operand_bit(&mut b, &mut rng));
-            if let Some(SlotOp::Instr(s)) = &b.lis[0].slots[0] {
+            if let Some(SlotOp::Instr(s)) = b.lis[0].get(0) {
                 match s.d.instr {
                     Instr::Alu {
                         src2: Src2::Imm(v), ..
@@ -271,7 +276,7 @@ mod tests {
     fn flip_skips_barren_blocks() {
         // Only a nop (sethi to %g0): nothing eligible.
         let mut li = LongInstr::empty(2);
-        li.slots[0] = Some(SlotOp::Instr(sched(Instr::NOP, 0)));
+        li.set(0, SlotOp::Instr(sched(Instr::NOP, 0)));
         let mut b = block(vec![li]);
         let clean = b.clone();
         let mut rng = Rng64::new(1);
@@ -295,12 +300,12 @@ mod tests {
     #[test]
     fn tag_inversion_zeroes_a_guarded_op() {
         let mut li = LongInstr::empty(4);
-        li.slots[0] = Some(SlotOp::Instr(sched(alu_imm(1, 2, 4), 0)));
-        li.slots[1] = Some(SlotOp::Instr(sched(alu_imm(3, 4, 8), 2)));
+        li.set(0, SlotOp::Instr(sched(alu_imm(1, 2, 4), 0)));
+        li.set(1, SlotOp::Instr(sched(alu_imm(3, 4, 8), 2)));
         let mut b = block(vec![li]);
         let mut rng = Rng64::new(3);
         assert!(invert_branch_tag(&mut b, &mut rng));
-        let Some(SlotOp::Instr(s)) = &b.lis[0].slots[1] else {
+        let Some(SlotOp::Instr(s)) = b.lis[0].get(1) else {
             panic!()
         };
         assert_eq!(s.tag, 0, "the only tagged op lost its guard");
@@ -319,13 +324,13 @@ mod tests {
             orig_seq: 7,
         };
         let mut li = LongInstr::empty(4);
-        li.slots[0] = Some(SlotOp::Instr(sched(alu_imm(1, 2, 4), 0)));
-        li.slots[2] = Some(SlotOp::Copy(copy));
+        li.set(0, SlotOp::Instr(sched(alu_imm(1, 2, 4), 0)));
+        li.set(2, SlotOp::Copy(copy));
         let mut b = block(vec![li]);
         let mut rng = Rng64::new(11);
         assert!(drop_copy(&mut b, &mut rng));
-        assert!(b.lis[0].slots[2].is_none(), "the COPY slot emptied");
-        assert!(b.lis[0].slots[0].is_some(), "the real instr survives");
+        assert!(b.lis[0].get(2).is_none(), "the COPY slot emptied");
+        assert!(b.lis[0].get(0).is_some(), "the real instr survives");
         assert!(!drop_copy(&mut b, &mut rng), "no COPY left to drop");
     }
 
@@ -333,8 +338,8 @@ mod tests {
     fn corruptions_are_seed_reproducible() {
         let build = || {
             let mut li = LongInstr::empty(4);
-            li.slots[0] = Some(SlotOp::Instr(sched(alu_imm(1, 2, 100), 0)));
-            li.slots[1] = Some(SlotOp::Instr(sched(Instr::Sethi { rd: 5, imm22: 7 }, 1)));
+            li.set(0, SlotOp::Instr(sched(alu_imm(1, 2, 100), 0)));
+            li.set(1, SlotOp::Instr(sched(Instr::Sethi { rd: 5, imm22: 7 }, 1)));
             block(vec![li])
         };
         let (mut a, mut b) = (build(), build());

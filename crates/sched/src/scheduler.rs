@@ -319,8 +319,8 @@ impl ElemView {
     /// The candidate instruction and its slot.
     pub(crate) fn candidate_op(&self) -> Option<(&ScheduledInstr, usize)> {
         let slot = self.candidate?;
-        match self.li.slots.get(slot)? {
-            Some(SlotOp::Instr(op)) => Some((op, slot)),
+        match self.li.get(slot)? {
+            SlotOp::Instr(op) => Some((op, slot)),
             _ => None,
         }
     }
@@ -986,13 +986,12 @@ impl Scheduler {
         let lis: Vec<LongInstr> = rows
             .iter()
             .map(|row| {
-                let mut li = LongInstr::empty(self.cfg.width);
-                for s in bits(row.occupied) {
-                    let op = std::mem::replace(&mut arena[row.slots[s] as usize].op, VACANT);
-                    li.slots[s] = Some(op);
+                let mut ops = Vec::with_capacity(row.occupied.count_ones() as usize);
+                for x in row.ops(0) {
+                    ops.push(std::mem::replace(&mut arena[x].op, VACANT));
                 }
-                filled += row.occupied.count_ones() as u64;
-                li
+                filled += ops.len() as u64;
+                LongInstr::new(self.cfg.width, row.occupied, ops)
             })
             .collect();
         arena.clear();
@@ -1026,12 +1025,9 @@ impl Scheduler {
         self.rows[..self.len]
             .iter()
             .map(|row| {
-                let mut li = LongInstr::empty(self.cfg.width);
-                for s in bits(row.occupied) {
-                    li.slots[s] = Some(self.arena[row.slots[s] as usize].op.clone());
-                }
+                let ops = row.ops(0).map(|x| self.arena[x].op.clone()).collect();
                 ElemView {
-                    li,
+                    li: LongInstr::new(self.cfg.width, row.occupied, ops),
                     cur_tag: row.cur_tag,
                     candidate: row.candidate,
                 }
@@ -1043,14 +1039,14 @@ impl Scheduler {
     /// any) names a slot holding an instruction. `None` when the list is
     /// full or the row has the wrong width.
     pub(crate) fn push_view(&mut self, e: ElemView) -> Option<()> {
-        if self.len == self.cfg.height || e.li.slots.len() != self.cfg.width {
+        if self.len == self.cfg.height || e.li.width() != self.cfg.width {
             return None;
         }
         self.push_row();
         let r = self.len - 1;
-        for (s, op) in e.li.slots.into_iter().enumerate() {
+        for (s, op) in e.li.slots().enumerate() {
             if let Some(op) = op {
-                self.arena.push(Entry::new(op));
+                self.arena.push(Entry::new(op.clone()));
                 self.occupy(r, s, self.arena.len() - 1);
             }
         }
@@ -1065,8 +1061,7 @@ impl Scheduler {
         self.view()
             .iter()
             .map(|e| {
-                e.li.slots
-                    .iter()
+                e.li.slots()
                     .map(|s| match s {
                         None => String::new(),
                         Some(SlotOp::Instr(i)) => format!("{}", i.d.instr),

@@ -157,20 +157,18 @@ fn signals_for(
     let installed_above = || {
         above
             .li
-            .slots
-            .iter()
+            .slots()
             .enumerate()
             .filter(move |(slot, _)| Some(*slot) != skip)
-            .filter_map(|(_, o)| o.as_ref())
+            .filter_map(|(_, o)| o)
     };
     let own = || {
         view[i]
             .li
-            .slots
-            .iter()
+            .slots()
             .enumerate()
             .filter(move |(slot, _)| *slot != my_slot)
-            .filter_map(|(_, o)| o.as_ref())
+            .filter_map(|(_, o)| o)
     };
 
     // Installed-instruction comparisons in element i-1 (companion slot
@@ -185,8 +183,7 @@ fn signals_for(
     // Resource signals: free slots in i-1 accepting this class.
     let free = above
         .li
-        .slots
-        .iter()
+        .slots()
         .enumerate()
         .filter(|(slot, o)| {
             o.is_none() && Some(*slot) != skip && cfg.slot_classes[*slot].accepts(class)
@@ -251,7 +248,7 @@ fn latency_dep(
         };
         let e = &view[j];
         let stays = |slot: usize| Some(slot) != e.candidate || res[j] == Some(Resolution::Install);
-        let here = e.li.slots.iter().enumerate().any(|(slot, o)| {
+        let here = e.li.slots().enumerate().any(|(slot, o)| {
             stays(slot) && matches!(o, Some(SlotOp::Instr(op)) if too_close(op, dist))
         });
         let arrived = res[j + 1] == Some(Resolution::MoveUp)

@@ -14,7 +14,7 @@
 //! typed corrupt-snapshot error.
 
 use crate::block::{Block, CopyInstr, LongInstr, RenameCounts, ScheduledInstr, SlotOp};
-use crate::scheduler::{ElemView, SchedConfig, SchedStats, Scheduler};
+use crate::scheduler::{ElemView, SchedConfig, SchedStats, Scheduler, MAX_WIDTH};
 use dtsvliw_isa::encode::{decode, encode};
 use dtsvliw_isa::{ArchState, DynInstr, Fcc, Icc, ResList, Resource};
 use dtsvliw_json::Json;
@@ -330,25 +330,27 @@ fn slotop_from_json(j: &Json) -> Option<SlotOp> {
 
 fn longinstr_to_json(li: &LongInstr) -> Json {
     Json::Arr(
-        li.slots
-            .iter()
-            .map(|s| match s {
-                None => Json::Null,
-                Some(op) => slotop_to_json(op),
-            })
+        li.slots()
+            .map(|s| s.map_or(Json::Null, slotop_to_json))
             .collect(),
     )
 }
 
+/// `None` for a row wider than [`MAX_WIDTH`] (the occupancy mask's
+/// limit) or holding a malformed op.
 fn longinstr_from_json(j: &Json) -> Option<LongInstr> {
-    let mut li = LongInstr { slots: Vec::new() };
-    for s in j.as_arr()? {
-        li.slots.push(match s {
-            Json::Null => None,
-            v => Some(slotop_from_json(v)?),
-        });
+    let slots = j.as_arr()?;
+    if slots.len() > MAX_WIDTH {
+        return None;
     }
-    Some(li)
+    let (mut occupied, mut ops) = (0u64, Vec::new());
+    for (s, v) in slots.iter().enumerate() {
+        if !matches!(v, Json::Null) {
+            occupied |= 1 << s;
+            ops.push(slotop_from_json(v)?);
+        }
+    }
+    Some(LongInstr::new(slots.len(), occupied, ops))
 }
 
 impl RenameCounts {
@@ -383,11 +385,16 @@ pub fn block_to_json(b: &Block) -> Json {
     ])
 }
 
-/// Inverse of [`block_to_json`].
+/// Inverse of [`block_to_json`]. `None` for a block no scheduler can
+/// seal: one without long instructions, or with rows of unequal width.
 pub fn block_from_json(j: &Json) -> Option<Block> {
     let mut lis = Vec::new();
     for li in j.get("lis")?.as_arr()? {
         lis.push(longinstr_from_json(li)?);
+    }
+    let width = lis.first()?.width();
+    if lis.iter().any(|li| li.width() != width) {
+        return None;
     }
     Some(Block {
         tag_addr: u32_of(j, "tag_addr")?,
@@ -479,8 +486,8 @@ impl Scheduler {
                 c => {
                     let slot = usize::try_from(u64_of(c, "slot")?).ok()?;
                     let op = scheduled_from_json(c.get("op")?)?;
-                    match li.slots.get(slot) {
-                        Some(Some(SlotOp::Instr(companion))) if *companion == op => Some(slot),
+                    match li.get(slot) {
+                        Some(SlotOp::Instr(companion)) if *companion == op => Some(slot),
                         _ => return None,
                     }
                 }

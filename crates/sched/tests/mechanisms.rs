@@ -99,6 +99,7 @@ fn typed_slots_constrain_placement() {
         .enumerate()
         .filter(|(_, li)| {
             li.ops()
+                .iter()
                 .any(|o| matches!(o, SlotOp::Instr(i) if i.d.instr.is_load()))
         })
         .map(|(i, _)| i)
@@ -181,6 +182,7 @@ fn multiple_branches_in_one_li_get_increasing_tags() {
         .enumerate()
         .flat_map(|(i, li)| {
             li.ops()
+                .iter()
                 .filter(|o| o.is_branch())
                 .map(move |o| (i, o.tag()))
                 .collect::<Vec<_>>()
@@ -341,6 +343,7 @@ fn multicycle_load_spacing() {
             .iter()
             .position(|li| {
                 li.ops()
+                    .iter()
                     .any(|o| matches!(o, SlotOp::Instr(i) if i.d.seq == seq))
             })
             .unwrap()
@@ -394,6 +397,7 @@ fn multicycle_independent_work_fills_bubbles() {
             .iter()
             .position(|li| {
                 li.ops()
+                    .iter()
                     .any(|o| matches!(o, SlotOp::Instr(i) if i.d.seq == seq))
             })
             .unwrap()
@@ -422,5 +426,5 @@ fn widest_supported_geometry_schedules() {
         s.insert(&alu(seq, 8 + (seq % 20) as u8, 8 + (seq % 7) as u8), 1);
     }
     let b = s.seal(0, 200).expect("a block");
-    assert!(b.lis.iter().all(|li| li.slots.len() == 64));
+    assert!(b.lis.iter().all(|li| li.width() == 64));
 }

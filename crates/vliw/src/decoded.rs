@@ -1,20 +1,20 @@
 //! Pre-decoded VLIW lines: the flat execution form of a cached block.
 //!
 //! A [`Block`](dtsvliw_sched::Block) is the *storage* form of a VLIW
-//! Cache line: rows of optional [`SlotOp`]s whose operands still name
+//! Cache line: rows of densely stored [`SlotOp`]s whose operands still name
 //! visible registers that must be window-resolved and redirected through
 //! the block's `src_renames` on every read. Executing from that form
 //! pays an enum match, a `phys_reg` computation and a linear rename
 //! search per operand per cycle — on every execution of the line.
 //!
-//! [`DecodedLine`] is the *execution* form: produced once when the line
-//! is installed (or re-produced after anything mutates the stored
-//! block), it is a single contiguous slot array in which every operand
+//! [`DecodedLine`] is the *execution* form: produced when the VLIW
+//! Engine first enters the line (and again after anything mutates the
+//! stored block), it is a single contiguous slot array in which every operand
 //! is already resolved to a direct register-file index
 //! ([`IntSrc`]/[`FpSrc`]/[`CcSrc`]), immediates are precomputed
 //! (`sethi`'s `imm22 << 10`, branch targets), and per-row spans carry
 //! the occupancy/width the machine's metrics need without touching the
-//! `Option<SlotOp>` grid.
+//! stored block.
 //!
 //! Decoding is **infallible and semantics-free**: every condition the
 //! engine checks at execution time (missing `ls_order`, bad COPY
@@ -242,7 +242,7 @@ pub struct DecodedRow {
 /// A block lowered to its flat execution form: one contiguous op array
 /// plus per-row spans. Stored alongside the block in the VLIW Cache and
 /// carried (as an [`Arc`]) by the machine's VLIW mode, so decode happens
-/// once per install, not once per execution.
+/// once per installed block that is ever entered, not once per execution.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DecodedLine {
     /// Every occupied slot of the block, rows concatenated in order.
@@ -250,7 +250,7 @@ pub struct DecodedLine {
     /// Row spans into `ops`, one per long instruction.
     pub rows: Vec<DecodedRow>,
     /// Index of the last row (the nba line, §3.4).
-    pub nba_line: u8,
+    pub nba_line: usize,
 }
 
 impl DecodedLine {
@@ -447,7 +447,7 @@ pub fn decode_block_into(block: &Block, mut shell: DecodedLine) -> DecodedLine {
             start,
             end: shell.ops.len() as u32,
             occupancy: (shell.ops.len() as u32 - start) as u8,
-            width: li.slots.len() as u8,
+            width: li.width() as u8,
         });
     }
     shell.nba_line = block.nba_line();
@@ -474,6 +474,12 @@ impl DecodeArena {
     /// Take a recycled shell (or an empty one).
     pub fn take_shell(&mut self) -> DecodedLine {
         self.spare.pop().unwrap_or_default()
+    }
+
+    /// Shells waiting for reuse.
+    #[cfg(test)]
+    pub(crate) fn spare_shells(&self) -> usize {
+        self.spare.len()
     }
 
     /// Return a decoded line to the pool if this was the last reference
@@ -564,12 +570,11 @@ mod tests {
     #[test]
     fn rows_carry_occupancy_and_spans() {
         let mut li0 = LongInstr::empty(4);
-        li0.slots[0] = Some(SlotOp::Instr(sched(
-            Instr::Sethi { rd: 1, imm22: 42 },
+        li0.set(2, SlotOp::Instr(sched(Instr::RdY { rd: 2 }, 0, Vec::new())));
+        li0.set(
             0,
-            Vec::new(),
-        )));
-        li0.slots[2] = Some(SlotOp::Instr(sched(Instr::RdY { rd: 2 }, 0, Vec::new())));
+            SlotOp::Instr(sched(Instr::Sethi { rd: 1, imm22: 42 }, 0, Vec::new())),
+        );
         let b = Block {
             tag_addr: 0x1000,
             entry_cwp: 0,

@@ -197,13 +197,14 @@ _start:
     let st_li = b
         .lis
         .iter()
-        .position(|li| li.ops().any(|o| o.is_memory_writer()))
+        .position(|li| li.ops().iter().any(|o| o.is_memory_writer()))
         .expect("store placed");
     let ld_li = b
         .lis
         .iter()
         .position(|li| {
             li.ops()
+                .iter()
                 .any(|o| matches!(o, dtsvliw_sched::SlotOp::Instr(i) if i.d.instr.is_load()))
         })
         .expect("load placed");
@@ -318,6 +319,7 @@ loop:
         blocks.iter().any(|b| {
             b.lis.iter().any(|li| {
                 li.ops()
+                    .iter()
                     .any(|o| matches!(o, dtsvliw_sched::SlotOp::Copy(_)))
             })
         }),
