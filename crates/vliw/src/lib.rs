@@ -5,7 +5,7 @@
 //!   address of the block's first instruction and carrying a
 //!   next-block-address (nba) store.
 //! * [`decoded`]: the pre-decoded execution form — each cached block is
-//!   lowered once into a flat [`decoded::DecodedLine`] (contiguous slot
+//!   lowered on its first entry into a flat [`decoded::DecodedLine`] (contiguous slot
 //!   array with pre-resolved operand sources) that the engine's hot loop
 //!   dispatches over without re-walking the scheduling metadata.
 //! * [`engine`]: the VLIW Engine (paper §3.5, §3.8, §3.10, §3.11) — a
