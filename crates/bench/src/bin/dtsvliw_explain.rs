@@ -1,7 +1,7 @@
 //! Post-mortem campaign explainer: turn a merged Perfetto campaign
 //! trace (from `dtsvliw_supervise --spans-out`) back into a causal
 //! narrative — per-job attempt chains with their wall time, chaos
-//! strikes, forgiveness — plus a summary table (DESIGN.md §15).
+//! strikes, forgiveness — plus a summary table (DESIGN.md §14).
 //!
 //! ```sh
 //! dtsvliw_supervise --spec jobs.json --spans-out trace.json \

@@ -44,7 +44,6 @@
 //!
 //! Exit codes: 0 all jobs succeeded, 1 some failed, 2 bad usage/spec.
 
-use dtsvliw_bench::supervise::dist::parse_worker_list;
 use dtsvliw_bench::supervise::engine::{
     attempts_json, merge_timeline, report_json, run_campaign, wallclock_json, EngineOptions,
 };
@@ -52,25 +51,16 @@ use dtsvliw_bench::supervise::spec::{parse_campaign, CampaignSpec};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: dtsvliw_supervise <spec.json> [options]
-  --jobs N             local worker slots (default: available cores)
-  --workers LIST       comma-separated dtsvliw_worker endpoints
-                       (host:port,...) to lease jobs to; unreachable
-                       workers are retried with backoff and the
-                       campaign degrades to local slots if every one
-                       stays dark
-  --spawn-window N     max children in flight (default: every slot,
-                       local and remote)
+  --jobs N             worker slots (default: available cores)
+  --spawn-window N     max children in flight (default: every slot)
   --chaos SEED         arm the chaos harness (seeded kills, freezes,
-                       snapshot corruption, heartbeat tears; with
-                       --workers, also network strikes: resets,
-                       half-open sockets, truncated frames, duplicated
-                       results)
+                       snapshot corruption, heartbeat tears)
   --out PATH           write the deterministic campaign report
   --attempts-out PATH  write the attempt-history log
   --wallclock-out PATH write the wall-clock side-channel
   --timeline PATH      write the merged heartbeat timeline (JSONL)
   --spans-out PATH     write the merged campaign trace (Perfetto JSON,
-                       every slot and worker on one normalised clock)
+                       one track per slot on the campaign clock)
   --metrics-addr ADDR  serve Prometheus text /metrics on host:port for
                        the duration of the campaign
   --status-width N     clamp the live status line to N columns
@@ -80,7 +70,6 @@ const USAGE: &str = "usage: dtsvliw_supervise <spec.json> [options]
 struct Args {
     spec_path: PathBuf,
     jobs: usize,
-    remotes: Vec<String>,
     spawn_window: Option<usize>,
     chaos_seed: Option<u64>,
     out: Option<PathBuf>,
@@ -126,7 +115,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         spec_path: PathBuf::new(),
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        remotes: Vec::new(),
         spawn_window: None,
         chaos_seed: None,
         out: None,
@@ -143,15 +131,6 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => args.jobs = positive("--jobs", it.next()),
-            "--workers" => {
-                let Some(list) = it.next() else {
-                    die("--workers needs a host:port,... list");
-                };
-                match parse_worker_list(&list) {
-                    Ok(endpoints) => args.remotes = endpoints,
-                    Err(e) => die(&e),
-                }
-            }
             "--spawn-window" => {
                 args.spawn_window = Some(positive("--spawn-window", it.next()));
             }
@@ -213,7 +192,7 @@ fn main() {
         spawn_window: args.spawn_window,
         chaos_seed: args.chaos_seed,
         quiet: args.quiet,
-        remotes: args.remotes,
+        remotes: Vec::new(),
         metrics_addr: args.metrics_addr.clone(),
         status_width: args.status_width,
     };

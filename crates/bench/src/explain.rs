@@ -1,11 +1,10 @@
-//! The campaign's one reader (DESIGN.md §15).
+//! The campaign's one reader (DESIGN.md §14).
 //!
-//! `dtsvliw_supervise --spans-out` merges every scheduling decision —
-//! on both sides of the wire — into one Perfetto trace. This module
-//! reads that document *back* into a [`CampaignView`]: per-job attempt
-//! chains (what ran where, what killed it, what was forgiven and why,
-//! how long it took), the chaos strikes, fencing rejections, quarantines
-//! and steals that shaped the schedule. The supervise engine reads its
+//! `dtsvliw_supervise --spans-out` merges every scheduling decision into
+//! one Perfetto trace. This module reads that document *back* into a
+//! [`CampaignView`]: per-job attempt chains (what ran where, what killed
+//! it, what was forgiven and why, how long it took), the chaos strikes,
+//! quarantines and steals that shaped the schedule. The supervise engine reads its
 //! own span log through the same view to build the report, attempts and
 //! wall-clock documents and the `/metrics` page, so the trace and every
 //! document tell one story. From the view come the summary table, the
@@ -46,7 +45,7 @@ pub struct AttemptView {
     /// Campaign-clock start and duration, milliseconds.
     pub t_ms: u64,
     pub dur_ms: u64,
-    /// Slot track the attempt ran on (`w0`, `r2:host:port#0`, ...).
+    /// Slot track the attempt ran on (`w0`, `w1`, ...).
     pub track: String,
 }
 
@@ -64,16 +63,9 @@ pub struct CampaignView {
     pub strikes: Vec<(u64, String, String)>,
     /// `(t_ms, job, track)` per work-stealing claim.
     pub steals: Vec<(u64, u64, String)>,
-    /// `(job, reason)` per remote result lease fencing rejected;
-    /// `reason` is `late` or `duplicate`.
-    pub fences: Vec<(u64, String)>,
     /// Older quarantined snapshots the retention cap evicted, summed
     /// over the quarantine spans.
     pub quarantines_evicted: u64,
-    pub reconnects: u64,
-    pub snapshot_ships: u64,
-    /// Lease intervals: `(t_ms, dur_ms, job, track)`.
-    pub leases: Vec<(u64, u64, Option<u64>, String)>,
 }
 
 fn astr(args: &Json, key: &str) -> Option<String> {
@@ -178,19 +170,7 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
                 view.steals
                     .push((t_ms, au64(args, "job").unwrap_or(0), track_of(rec)));
             }
-            Some("fence") => view.fences.push((
-                au64(args, "job").unwrap_or(0),
-                astr(args, "reason").unwrap_or_default(),
-            )),
             Some("quarantine") => view.quarantines_evicted += au64(args, "evicted").unwrap_or(0),
-            Some("reconnect") => view.reconnects += 1,
-            Some("snapshot_ship") => view.snapshot_ships += 1,
-            // Worker-side lease mirrors ride their own track; count
-            // only coordinator-side intervals to avoid doubling.
-            Some("lease") if astr(args, "side").as_deref() != Some("worker") => {
-                view.leases
-                    .push((t_ms, dur_ms, au64(args, "job"), track_of(rec)));
-            }
             _ => {}
         }
     }
@@ -207,7 +187,7 @@ pub fn view_of(events: &[SpanEvent]) -> CampaignView {
 /// count plus every non-forgiven attempt, reduced to `(job, n, outcome)`
 /// where `n` is the attempt's consumed-retry index. Chaos-shaped fields
 /// (timestamps, tracks, the `resumed` flag, forgiven attempts, requeues,
-/// steals, reconnects, strikes) are all projected away, so a chaos storm
+/// steals, strikes) are all projected away, so a chaos storm
 /// and an undisturbed run of the same campaign render byte-identical
 /// text — the cmp gate CI holds them to.
 pub fn canonical(view: &CampaignView) -> String {
@@ -306,10 +286,7 @@ pub fn summary_table(view: &CampaignView) -> String {
         "  attempts        : {} ({outcomes})\n",
         view.attempts.len()
     ));
-    s.push_str(&format!("  leases          : {}\n", view.leases.len()));
     s.push_str(&format!("  steals          : {}\n", view.steals.len()));
-    s.push_str(&format!("  reconnects      : {}\n", view.reconnects));
-    s.push_str(&format!("  snapshot ships  : {}\n", view.snapshot_ships));
     s.push_str(&format!("  chaos strikes   : {}\n", view.strikes.len()));
     s
 }
@@ -362,7 +339,7 @@ pub fn narrate(view: &CampaignView, only_job: Option<u64>) -> String {
                 (_, "success") if a.resumed => "succeeded, resumed from a snapshot".to_string(),
                 (_, "success") => "succeeded".to_string(),
                 (_, out) if a.forgiven => format!(
-                    "ended `{out}` but was forgiven (chaos or a lost worker, not the job's fault)"
+                    "ended `{out}` but was forgiven (chaos or a corrupt snapshot, not the job's fault)"
                 ),
                 (_, out) => format!("ended `{out}` (retry consumed)"),
             };
@@ -534,17 +511,6 @@ mod tests {
             vec![("job".to_string(), Json::U64(1))],
         ));
         events.push(sev(
-            40,
-            SpanKind::Fence,
-            SpanPhase::Instant,
-            0,
-            "w0",
-            vec![
-                ("job".to_string(), Json::U64(1)),
-                ("reason".to_string(), Json::Str("late".to_string())),
-            ],
-        ));
-        events.push(sev(
             44,
             SpanKind::Campaign,
             SpanPhase::End,
@@ -567,7 +533,6 @@ mod tests {
         assert_eq!(view.attempts.len(), 4);
         assert_eq!(view.strikes.len(), 1);
         assert_eq!(view.steals.len(), 1);
-        assert_eq!(view.fences, vec![(1, "late".to_string())]);
         let chains = attempt_chains(&view);
         assert_eq!(chains.len(), 2);
         let (job1, chain1) = &chains[1];
@@ -643,11 +608,11 @@ mod tests {
         let faithful = Json::parse(
             r#"{ "format": "dtsvliw-campaign-attempts", "seed": 9, "jobs": [
               { "id": 0, "name": "job0", "status": "succeeded", "attempts_used": 1,
-                "consumed_retries": 0, "forgiven": 0, "fenced_results": 0, "attempts": [
+                "consumed_retries": 0, "forgiven": 0, "attempts": [
                 { "attempt": 0, "outcome": "success", "detail": null, "resumed": false,
                   "forgiven": false, "backoff_ms": null } ] },
               { "id": 1, "name": "job1", "status": "succeeded", "attempts_used": 3,
-                "consumed_retries": 1, "forgiven": 1, "fenced_results": 1, "attempts": [
+                "consumed_retries": 1, "forgiven": 1, "attempts": [
                 { "attempt": 0, "outcome": "signal", "detail": 9, "resumed": false,
                   "forgiven": true, "backoff_ms": 4 },
                 { "attempt": 1, "outcome": "timeout", "detail": null, "resumed": false,

@@ -1,9 +1,7 @@
 //! The one child babysitter and the one kill policy.
 //!
-//! Engine local slots and `dtsvliw_worker` leases both run their child
-//! through a [`Babysitter`]. Every attempt, local or leased, is judged
-//! by one [`KillPolicy`]; the worker applies it with only the hard
-//! timeout known, as a backstop behind the coordinator's decision.
+//! Every engine slot runs its attempt's child through a [`Babysitter`],
+//! and every attempt is judged by one [`KillPolicy`].
 
 use super::heartbeat::{HeartbeatTail, TailRead};
 use super::outcome::{classify, KillReason, Outcome};
@@ -15,7 +13,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// The deadlines one attempt runs under.
-#[derive(Default)]
 pub struct KillPolicy {
     /// The hard wall-clock limit.
     pub timeout: Duration,
@@ -44,14 +41,6 @@ impl KillPolicy {
                 .as_deref()
                 .filter(|_| requeues < spec.max_requeues)
                 .map(dtsvliw_core::latest_path),
-        }
-    }
-
-    /// The worker's backstop: a lease carries only the hard timeout.
-    pub fn timeout_only(timeout: Duration) -> Self {
-        KillPolicy {
-            timeout,
-            ..KillPolicy::default()
         }
     }
 
@@ -87,14 +76,12 @@ pub struct Babysitter {
 }
 
 impl Babysitter {
-    /// Resolve `argv[0]` (see [`resolve_program`]) and spawn it in `cwd`
-    /// (the caller's own when `None`) with `--resume <resume>` appended
-    /// when set, discarding its stdout when `mute`, tailing `heartbeat`
+    /// Resolve `argv[0]` (see [`resolve_program`]) and spawn it with
+    /// `--resume <resume>` appended when set, discarding its stdout when `mute`, tailing `heartbeat`
     /// when set. A spawn failure is logged and settles as `error 127`,
     /// the shell's "command not found".
     pub fn spawn(
         argv: &[String],
-        cwd: Option<&Path>,
         resume: Option<&Path>,
         mute: bool,
         heartbeat: Option<PathBuf>,
@@ -105,9 +92,6 @@ impl Babysitter {
         cmd.args(&argv[1..]);
         if let Some(snapshot) = resume {
             cmd.arg("--resume").arg(snapshot);
-        }
-        if let Some(dir) = cwd {
-            cmd.current_dir(dir);
         }
         if mute {
             cmd.stdout(Stdio::null());
@@ -220,12 +204,6 @@ mod tests {
                 "elapsed {elapsed} quiet {quiet} requeues {requeues} snapshot {snap}"
             );
         }
-        // The worker's backstop knows only the timeout: no stall, no
-        // requeue, however quiet or late the child is short of it.
-        let backstop = KillPolicy::timeout_only(Duration::from_millis(1000));
-        let ms = Duration::from_millis;
-        assert_eq!(backstop.decide(ms(999), ms(999_999)), None);
-        assert_eq!(backstop.decide(ms(1000), ms(0)), Some(Timeout));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -233,9 +211,7 @@ mod tests {
     fn spawn_failure_settles_as_error_127() {
         let logged = std::cell::RefCell::new(String::new());
         let argv = vec!["/nonexistent/definitely-not-a-binary".to_string()];
-        let got = Babysitter::spawn(&argv, None, None, true, None, |l| {
-            *logged.borrow_mut() = l.into()
-        });
+        let got = Babysitter::spawn(&argv, None, true, None, |l| *logged.borrow_mut() = l.into());
         assert_eq!(got.err(), Some(Outcome::Error(127)));
         assert!(
             logged.borrow().contains("cannot spawn"),
@@ -247,7 +223,7 @@ mod tests {
     #[test]
     fn a_supervisor_kill_takes_precedence_and_drop_reaps() {
         let argv: Vec<String> = ["sh", "-c", "sleep 30"].map(String::from).to_vec();
-        let mut sitter = Babysitter::spawn(&argv, None, None, true, None, |_| {}).unwrap();
+        let mut sitter = Babysitter::spawn(&argv, None, true, None, |_| {}).unwrap();
         assert!(sitter.poll(|_| {}).is_continue());
         sitter.kill(KillReason::Stalled);
         sitter.kill(KillReason::Timeout); // the first reason sticks
@@ -259,7 +235,7 @@ mod tests {
         };
         assert_eq!(outcome, Outcome::Stalled);
 
-        let mut orphan = Babysitter::spawn(&argv, None, None, true, None, |_| {}).unwrap();
+        let mut orphan = Babysitter::spawn(&argv, None, true, None, |_| {}).unwrap();
         assert!(orphan.poll(|_| {}).is_continue());
         let pid = orphan.pid();
         drop(orphan);

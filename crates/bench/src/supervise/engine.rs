@@ -2,14 +2,11 @@
 //!
 //! `run_campaign` fans the spec's jobs across worker threads through
 //! the [`queue`](super::queue) scheduler. Each slot runs one attempt at
-//! a time through one loop, whether the child is local (a
-//! [`Babysitter`]) or leased to a remote worker: it resumes from a
-//! durable snapshot whenever one exists, judges the attempt by one
-//! [`KillPolicy`] (hard timeout, heartbeat stall, soft-deadline
-//! checkpoint-and-requeue), and settles every ending in one place
-//! (`finish_attempt`). Only transport differs: local children are
-//! registered for process chaos; leases carry epochs, frames, shipped
-//! snapshots and results, silence detection and network chaos.
+//! a time: `run_attempt` resumes from a durable snapshot whenever one
+//! exists and spawns the child under a [`Babysitter`], `watch` judges it
+//! by one [`KillPolicy`] (hard timeout, heartbeat stall, soft-deadline
+//! checkpoint-and-requeue), and `finish_attempt` settles every ending in
+//! one place. Every child is registered as a process-chaos target.
 //! Failures the supervisor's
 //! own chaos harness caused — and corrupt snapshots, which are
 //! quarantined and retried fresh — are *forgiven*: they consume no
@@ -31,30 +28,26 @@
 //!   requeue counts, the chaos ledger; never expected to reproduce.
 //!
 //! The campaign span log is the only record of what happened. Every
-//! settled attempt, strike, fencing rejection and quarantine lands there
+//! settled attempt, strike, steal and quarantine lands there
 //! as a span; the documents, [`CampaignResult`] and the `/metrics` page
 //! are all read back out of it through [`crate::explain`], the reader
 //! `dtsvliw_explain` uses on the trace file.
 
 use super::babysit::{Babysitter, KillPolicy};
 use super::backoff;
+use super::canonical_result_digest;
 use super::chaos::{send_signal, ChaosAction, ChaosEngine, FORGIVENESS_CAP};
-use super::dist::{
-    coordinator_connect, proto, Connection, LeaseTable, NetChaos, NetStrike, Settle,
-};
-use super::heartbeat::{complete_records, progress_of, Progress};
+use super::heartbeat::{complete_records, TailRead};
 use super::metrics::{campaign_page, spawn_metrics_server};
-use super::outcome::{KillReason, Outcome};
+use super::outcome::Outcome;
 use super::queue::{Claim, Scheduler};
-use super::spec::{CampaignSpec, JobSpec};
+use super::spec::CampaignSpec;
 use super::status::{BoardSnapshot, StatusSink, WorkerView};
-use super::{canonical_result_digest, fnv1a};
 use crate::explain::{self, CampaignView};
 use dtsvliw_json::Json;
 use dtsvliw_trace::{SpanEvent, SpanKind, SpanLog, SpanPhase};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -63,34 +56,22 @@ use std::time::{Duration, Instant};
 /// evictions counted in the wall-clock ledger.
 pub const QUARANTINE_KEEP: usize = 8;
 
-/// Slot ceiling honoured per remote endpoint, whatever it advertises.
-const MAX_SLOTS_PER_ENDPOINT: usize = 16;
-/// Per-frame write deadline on coordinator connections.
-const WRITE_DEADLINE: Duration = Duration::from_secs(5);
-/// Handshake deadline (probe and slot connects).
-const CONNECT_DEADLINE: Duration = Duration::from_secs(3);
-/// A remote lease whose connection produced no frame at all for this
-/// long is declared lost (worker keepalives come every 500 ms, so this
-/// is ~6 missed keepalives — or a half-open socket).
-const REMOTE_SILENCE_MS: u64 = 3_000;
-/// After a revoke is sent, how long to wait for the ack or result
-/// before writing the connection off.
-const REVOKE_GRACE_MS: u64 = 5_000;
-
 /// How the engine is driven (the bin's command line, in parsed form).
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Worker slots (`--jobs`).
     pub workers: usize,
-    /// In-flight spawn window (back-pressure); defaults to every slot,
-    /// local and remote.
+    /// In-flight spawn window (back-pressure); defaults to every slot.
     pub spawn_window: Option<usize>,
     /// Arm the chaos harness with this seed.
     pub chaos_seed: Option<u64>,
     /// Silence child stdout and per-attempt log lines.
     pub quiet: bool,
-    /// Remote worker endpoints (`--workers host:port,…`), validated by
-    /// [`super::dist::parse_worker_list`].
+    /// Must be empty: campaigns run on this host only, and
+    /// [`run_campaign`] asserts it. The field outlived the cross-host
+    /// tier because the benchmark package (`perfbench/`) builds
+    /// `EngineOptions` by struct literal and changes only together with
+    /// the benchmark; it goes when that literal drops it.
     pub remotes: Vec<String>,
     /// Serve `/metrics` (Prometheus text exposition) on this address
     /// for the campaign's duration.
@@ -127,9 +108,6 @@ pub struct JobResult {
     pub forgiven: u64,
     pub requeues: u64,
     pub wall_ms: u64,
-    /// Late or duplicated remote results rejected by lease-epoch
-    /// fencing (at-most-once accounting). Always 0 for local attempts.
-    pub fenced_results: u64,
     /// Attempts whose heartbeat stream ended in a genuinely torn
     /// (unparseable) final record.
     pub tail_truncated: u64,
@@ -146,15 +124,10 @@ pub struct CampaignResult {
     pub wall_ms: u64,
     /// The chaos action ledger, when `--chaos` was armed.
     pub chaos: Option<Json>,
-    /// The distributed-tier ledger (`--workers`): endpoints, slots,
-    /// fencing counts, the degradation flag, network strikes. `None`
-    /// for local-only campaigns.
-    pub dist: Option<Json>,
     /// Quarantined snapshots evicted by the retention cap.
     pub quarantines_evicted: u64,
-    /// Every campaign span recorded on either side of the wire, with
-    /// worker-local clocks already normalised against lease-grant
-    /// anchors: the ledger everything above was projected from. Feed
+    /// Every campaign span, stamped in milliseconds since the campaign
+    /// started: the ledger everything above was projected from. Feed
     /// to [`dtsvliw_trace::merge_perfetto`].
     pub spans: Vec<SpanEvent>,
 }
@@ -176,8 +149,6 @@ struct JobRun {
     /// Chaos marks against the in-flight attempt, cleared when it ends.
     chaos_killed: bool,
     chaos_frozen: bool,
-    /// A network strike hit the attempt's connection.
-    chaos_net: bool,
 }
 
 struct RunningChild {
@@ -193,13 +164,6 @@ struct EngineState {
     done: usize,
     failed: usize,
     finished_instructions: u64,
-    /// Lease epochs for remote attempts (fencing, at-most-once).
-    leases: LeaseTable,
-    /// Reachability per remote endpoint (index into `opts.remotes`).
-    endpoint_up: Vec<bool>,
-    /// Sticky: every endpoint was down while jobs were outstanding —
-    /// the campaign drained (at least partly) on local slots alone.
-    degraded: bool,
 }
 
 struct Shared<'a> {
@@ -217,7 +181,7 @@ struct Shared<'a> {
     spans: Arc<Mutex<SpanLog>>,
     /// Stable-id allocator for begin/end span pairing.
     span_seq: AtomicU64,
-    /// Track name per slot: `w<i>` local, `r<i>:<endpoint>` remote.
+    /// Track name per slot: `w<i>`.
     slot_names: Vec<String>,
 }
 
@@ -243,8 +207,7 @@ impl Shared<'_> {
     }
 
     /// Record one span event at an explicit campaign timestamp (used
-    /// for begin marks anchored at spawn time, and for normalised
-    /// worker-relayed spans).
+    /// for begin marks anchored at spawn time).
     fn span_at(
         &self,
         t_ms: u64,
@@ -285,12 +248,11 @@ impl Shared<'_> {
 /// True when the attempt's failure is attributable to the chaos
 /// harness: a strike mark is pending and the outcome is one a strike
 /// produces (a kill lands as a signal; a freeze lands as a stall or a
-/// timeout, depending on which detector fires first; a network strike
-/// lands as a stall or timeout when it starved the heartbeat relay).
-fn chaos_caused(outcome: Outcome, killed_mark: bool, frozen_mark: bool, net_mark: bool) -> bool {
+/// timeout, depending on which detector fires first).
+fn chaos_caused(outcome: Outcome, killed_mark: bool, frozen_mark: bool) -> bool {
     match outcome {
         Outcome::Signal(_) => killed_mark,
-        Outcome::Timeout | Outcome::Stalled => killed_mark || frozen_mark || net_mark,
+        Outcome::Timeout | Outcome::Stalled => killed_mark || frozen_mark,
         _ => false,
     }
 }
@@ -357,89 +319,21 @@ fn claim_job(shared: &Shared<'_>, w: usize) -> Option<usize> {
 
 fn worker_loop(shared: &Shared<'_>, w: usize) {
     while let Some(job_idx) = claim_job(shared, w) {
-        run_attempt(shared, w, job_idx, None);
+        run_attempt(shared, w, job_idx);
         shared.cv.notify_all();
     }
 }
 
 // ---------------------------------------------------------------------
-// The attempt loop, shared by local and remote slots
+// The attempt lifecycle: run_attempt -> watch -> finish_attempt
 // ---------------------------------------------------------------------
 
-/// How often a local slot looks at its child.
-const LOCAL_POLL: Duration = Duration::from_millis(4);
+/// How often a slot looks at its child.
+const POLL: Duration = Duration::from_millis(4);
 
-/// How an attempt ended, as its settle needs it.
-struct End {
-    outcome: Outcome,
-    /// The attempt's freshest heartbeat progress.
-    progress: Option<Progress>,
-    /// Torn final heartbeat records.
-    truncated: u64,
-    /// The resume flag a worker reported: it overrides the
-    /// coordinator's when a shipped snapshot failed verification.
-    resumed: Option<bool>,
-    /// The slot's connection is still usable (always, on local slots).
-    alive: bool,
-}
-
-impl End {
-    /// An ending that carries nothing beyond its outcome.
-    fn bare(outcome: Outcome, alive: bool) -> End {
-        End {
-            outcome,
-            progress: None,
-            truncated: 0,
-            resumed: None,
-            alive,
-        }
-    }
-}
-
-/// The connection a remote slot leases its attempts over.
-struct Wire<'c> {
-    conn: &'c mut Connection,
-    net: Option<&'c mut NetChaos>,
-}
-
-/// An attempt's transport: a child on this host, or a lease on a worker
-/// connection. Everything else about an attempt is shared.
-trait Transport {
-    /// Just before the child was spawned or the lease sent.
-    fn started(&self) -> Instant;
-    /// Wait for the next look at the attempt: `Continue` with the
-    /// freshest heartbeat progress while it runs, `Break` once it ended.
-    fn next(&mut self, shared: &Shared<'_>, w: usize) -> ControlFlow<End, Option<Progress>>;
-    /// Kill the attempt for `reason`; a later `next` observes its end.
-    fn kill(&mut self, shared: &Shared<'_>, w: usize, reason: KillReason);
-}
-
-impl Transport for Babysitter {
-    fn started(&self) -> Instant {
-        self.started
-    }
-
-    fn next(&mut self, shared: &Shared<'_>, _: usize) -> ControlFlow<End, Option<Progress>> {
-        std::thread::sleep(LOCAL_POLL);
-        match self.poll(|line| shared.log(&format!("supervise: {line}"))) {
-            ControlFlow::Continue(read) => ControlFlow::Continue(read.progress),
-            ControlFlow::Break((outcome, tail)) => ControlFlow::Break(End {
-                progress: tail.progress,
-                truncated: tail.truncated,
-                ..End::bare(outcome, true)
-            }),
-        }
-    }
-
-    fn kill(&mut self, _: &Shared<'_>, _: usize, reason: KillReason) {
-        Babysitter::kill(self, reason);
-    }
-}
-
-/// Run one attempt of `job_idx` on slot `w` — a local child when `wire`
-/// is `None`, a lease over it otherwise — from the resume decision to
-/// its settle. Returns whether the wire is still usable.
-fn run_attempt(shared: &Shared<'_>, w: usize, job_idx: usize, wire: Option<Wire<'_>>) -> bool {
+/// Run one attempt of `job_idx` on slot `w`, from the resume decision
+/// to its settle.
+fn run_attempt(shared: &Shared<'_>, w: usize, job_idx: usize) {
     let job = &shared.spec.jobs[job_idx];
     // Resume from the latest durable snapshot whenever one exists and
     // the job did not ask for --resume itself — including on the first
@@ -468,73 +362,62 @@ fn run_attempt(shared: &Shared<'_>, w: usize, job_idx: usize, wire: Option<Wire<
         }
     ));
     let policy = KillPolicy::for_job(shared.spec, job, requeues);
-    let remote = wire.is_some();
-    let attempt: Result<Box<dyn Transport + '_>, End> = match wire {
-        None => {
-            start_local(shared, job_idx, snapshot.filter(|_| resumed)).map(|s| Box::new(s) as _)
-        }
-        Some(wire) => Lease::start(shared, w, job_idx, wire, snapshot).map(|l| Box::new(l) as _),
-    };
-    let (end, spawn_time) = match attempt {
-        Err(end) => (end, Instant::now()),
-        Ok(mut attempt) => {
-            shared.state.lock().unwrap().workers[w] = WorkerView {
-                job: Some(job.name.clone()),
-                progress: None,
-                remote,
-            };
-            (watch(shared, w, &policy, &mut *attempt), attempt.started())
-        }
-    };
-
-    let resumed = end.resumed.unwrap_or(resumed);
-    finish_attempt(shared, w, job_idx, &end, resumed, spawn_time);
-    end.alive
+    let ((outcome, tail), spawn_time) =
+        match start_child(shared, job_idx, snapshot.filter(|_| resumed)) {
+            Err(outcome) => ((outcome, TailRead::default()), Instant::now()),
+            Ok(mut sitter) => {
+                shared.state.lock().unwrap().workers[w] = WorkerView {
+                    job: Some(job.name.clone()),
+                    progress: None,
+                };
+                (watch(shared, w, &policy, &mut sitter), sitter.started)
+            }
+        };
+    finish_attempt(shared, w, job_idx, outcome, &tail, resumed, spawn_time);
 }
 
-/// Watch a started attempt until it ends: credit heartbeat progress
-/// to the stall clock and the status board, and kill it when `policy`
-/// says so.
-fn watch(shared: &Shared<'_>, w: usize, policy: &KillPolicy, attempt: &mut dyn Transport) -> End {
-    let started = attempt.started();
+/// Watch a spawned child until it ends: credit heartbeat progress to
+/// the stall clock and the status board, and kill it when `policy`
+/// says so. Returns how it ended and the heartbeat tail's final flush.
+fn watch(
+    shared: &Shared<'_>,
+    w: usize,
+    policy: &KillPolicy,
+    sitter: &mut Babysitter,
+) -> (Outcome, TailRead) {
     let mut last_progress = None;
     let mut last_change = Instant::now();
-    let mut killed = false;
     loop {
-        let progress = match attempt.next(shared, w) {
-            ControlFlow::Continue(p) => p,
-            ControlFlow::Break(end) => break end,
+        std::thread::sleep(POLL);
+        let progress = match sitter.poll(|line| shared.log(&format!("supervise: {line}"))) {
+            ControlFlow::Continue(read) => read.progress,
+            ControlFlow::Break(end) => return end,
         };
         if progress != last_progress {
             last_progress = progress;
             last_change = Instant::now();
             shared.state.lock().unwrap().workers[w].progress = progress;
         }
-        if !killed {
-            if let Some(reason) = policy.decide(started.elapsed(), last_change.elapsed()) {
-                killed = true;
-                attempt.kill(shared, w, reason);
-            }
+        if let Some(reason) = policy.decide(sitter.started.elapsed(), last_change.elapsed()) {
+            sitter.kill(reason);
         }
     }
 }
 
-/// Spawn the attempt's child on this host, resuming from `resume_from`
-/// when set, and register it as a chaos target.
-fn start_local(
+/// Spawn the attempt's child, resuming from `resume_from` when set, and
+/// register it as a chaos target.
+fn start_child(
     shared: &Shared<'_>,
     job_idx: usize,
     resume_from: Option<PathBuf>,
-) -> Result<Babysitter, End> {
+) -> Result<Babysitter, Outcome> {
     let job = &shared.spec.jobs[job_idx];
     let mute = shared.opts.quiet || shared.opts.workers > 1;
     let hb = job.heartbeat.clone();
-    let sitter = Babysitter::spawn(&job.argv, None, resume_from.as_deref(), mute, hb, |line| {
+    let sitter = Babysitter::spawn(&job.argv, resume_from.as_deref(), mute, hb, |line| {
         shared.log(&format!("supervise: {line}"))
-    })
-    .map_err(|outcome| End::bare(outcome, true))?;
-    let mut st = shared.state.lock().unwrap();
-    st.running.push(RunningChild {
+    })?;
+    shared.state.lock().unwrap().running.push(RunningChild {
         pid: sitter.pid(),
         job: job_idx,
     });
@@ -547,12 +430,12 @@ fn finish_attempt(
     shared: &Shared<'_>,
     w: usize,
     job_idx: usize,
-    end: &End,
+    outcome: Outcome,
+    tail: &TailRead,
     resumed: bool,
     spawn_time: Instant,
 ) {
     let job = &shared.spec.jobs[job_idx];
-    let outcome = end.outcome;
     let now_ms = shared.now_ms();
     let wall_ms = spawn_time.elapsed().as_millis() as u64;
     let t_spawn = spawn_time.duration_since(shared.started).as_millis() as u64;
@@ -573,7 +456,7 @@ fn finish_attempt(
         ),
         ("resumed".to_string(), Json::Bool(resumed)),
         ("wall_ms".to_string(), Json::U64(wall_ms)),
-        ("tail_truncated".to_string(), Json::U64(end.truncated)),
+        ("tail_truncated".to_string(), Json::U64(tail.truncated)),
     ];
     if let Some(detail) = outcome.detail() {
         settled.push(("detail".to_string(), Json::I64(detail)));
@@ -611,17 +494,15 @@ fn finish_attempt(
 
     // Credit the attempt's heartbeat as it deregisters, so the
     // aggregate throughput survives job completion.
-    if let (Outcome::Success, Some(p)) = (outcome, end.progress) {
+    if let (Outcome::Success, Some(p)) = (outcome, tail.progress) {
         st.finished_instructions += p.instructions;
     }
     st.running.retain(|r| r.job != job_idx);
     st.workers[w] = WorkerView::default();
     let run = &mut st.runs[job_idx];
-    let (chaos_killed, chaos_frozen, chaos_net) =
-        (run.chaos_killed, run.chaos_frozen, run.chaos_net);
+    let (chaos_killed, chaos_frozen) = (run.chaos_killed, run.chaos_frozen);
     run.chaos_killed = false;
     run.chaos_frozen = false;
-    run.chaos_net = false;
 
     if outcome.is_requeue() {
         // Not a failure, not recorded in the attempts log (requeues are
@@ -643,7 +524,7 @@ fn finish_attempt(
         run.done = Some(true);
         st.done += 1;
         st.sched.finish(job_idx);
-        let bursts = end.progress.map_or(0, |p| p.bursts);
+        let bursts = tail.progress.map_or(0, |p| p.bursts);
         settled.push(("bursts".to_string(), Json::U64(bursts)));
         attempt_span(shared, Some(n), false, settled);
         quota_headroom_sample(shared, st);
@@ -695,12 +576,8 @@ fn finish_attempt(
         }
     }
 
-    // A lost connection is never the job's fault, chaos or not — a real
-    // worker crash must degrade into a clean local retry, exactly like
-    // a corrupt snapshot degrades into a fresh start.
-    let forgivable = outcome == Outcome::CorruptSnapshot
-        || outcome == Outcome::Lost
-        || chaos_caused(outcome, chaos_killed, chaos_frozen, chaos_net);
+    let forgivable =
+        outcome == Outcome::CorruptSnapshot || chaos_caused(outcome, chaos_killed, chaos_frozen);
     let forgiven = forgivable && run.forgiven < FORGIVENESS_CAP;
     // The backoff schedule is keyed by *consumed* retries, not raw
     // attempt count: forgiveness means the failure did not happen, so
@@ -737,515 +614,6 @@ fn finish_attempt(
         st.sched.requeue(job_idx, w, now_ms + delay);
     }
     quota_headroom_sample(shared, st);
-}
-
-// ---------------------------------------------------------------------
-// Remote slots (the distributed tier, DESIGN.md §14)
-// ---------------------------------------------------------------------
-
-/// Record an endpoint's reachability; when the last one goes dark with
-/// jobs still outstanding, latch the degradation flag — the campaign is
-/// draining on local slots alone and the wall-clock ledger must say so.
-fn mark_endpoint(shared: &Shared<'_>, ep_idx: usize, up: bool) {
-    let mut st = shared.state.lock().unwrap();
-    st.endpoint_up[ep_idx] = up;
-    if !up && st.sched.outstanding() > 0 && st.endpoint_up.iter().all(|&u| !u) && !st.degraded {
-        st.degraded = true;
-        drop(st);
-        shared.log("supervise: every remote endpoint unreachable — degrading to local slots");
-    }
-}
-
-/// One remote slot: connect (with seeded backoff on failure), then
-/// claim-and-lease until the campaign drains or the wire dies.
-fn remote_slot_loop(shared: &Shared<'_>, w: usize, ep_idx: usize, endpoint: &str, sub: usize) {
-    let mut net = shared
-        .opts
-        .chaos_seed
-        .map(|seed| NetChaos::new(seed, endpoint, sub));
-    let mut failures: u32 = 0;
-    'outer: loop {
-        if shared.state.lock().unwrap().sched.outstanding() == 0 {
-            break;
-        }
-        let mut conn = match coordinator_connect(endpoint, shared.spec.seed, CONNECT_DEADLINE) {
-            Ok((conn, _slots)) => {
-                mark_endpoint(shared, ep_idx, true);
-                failures = 0;
-                conn
-            }
-            Err(why) => {
-                if failures == 0 {
-                    shared.log(&format!("supervise: r{w} {why}"));
-                }
-                failures = failures.saturating_add(1);
-                shared.span(
-                    SpanKind::Reconnect,
-                    SpanPhase::Instant,
-                    0,
-                    &shared.slot_names[w],
-                    vec![
-                        ("endpoint".to_string(), Json::Str(endpoint.to_string())),
-                        ("failures".to_string(), Json::U64(failures as u64)),
-                    ],
-                );
-                mark_endpoint(shared, ep_idx, false);
-                // Reconnect backoff: the same pure seeded-jitter shape
-                // retries use, keyed by the endpoint and slot so slots
-                // do not thundering-herd one recovering worker.
-                let key = fnv1a(endpoint.as_bytes()) ^ (sub as u64).wrapping_mul(0x9e37);
-                let delay = backoff::delay_ms(shared.spec.seed, key, failures.min(10), 100);
-                let t = Instant::now();
-                while (t.elapsed().as_millis() as u64) < delay {
-                    if shared.state.lock().unwrap().sched.outstanding() == 0 {
-                        break 'outer;
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                continue;
-            }
-        };
-        loop {
-            let Some(job_idx) = claim_job(shared, w) else {
-                let _ = conn.send(&proto::bye(), WRITE_DEADLINE);
-                conn.shutdown();
-                break 'outer;
-            };
-            let wire = Wire {
-                conn: &mut conn,
-                net: net.as_mut(),
-            };
-            let alive = run_attempt(shared, w, job_idx, Some(wire));
-            shared.cv.notify_all();
-            if !alive {
-                conn.shutdown();
-                break;
-            }
-        }
-    }
-}
-
-/// A leased attempt's transport: one lease epoch on a worker
-/// connection.
-struct Lease<'c> {
-    wire: Wire<'c>,
-    job_idx: usize,
-    epoch: u64,
-    /// Id of the lease's begin/end span pair.
-    span: u64,
-    /// Just before the lease was sent.
-    started: Instant,
-    /// Clock-normalisation anchor: the worker stamps its spans in
-    /// milliseconds since it received this lease, and the merge rebases
-    /// them as `t_grant + t_worker` (DESIGN.md §15).
-    t_grant: u64,
-    span_ids: HashMap<u64, u64>,
-    last_frame: Instant,
-    last_draw: Instant,
-    /// The kill decided against the lease, and when to stop waiting
-    /// for the worker to acknowledge it.
-    revoked: Option<(KillReason, Instant)>,
-    half_open_until: Option<Instant>,
-    dup_next_result: bool,
-    /// The job's local heartbeat file was recreated for this attempt.
-    hb_reset: bool,
-    /// The freshest progress relayed so far.
-    progress: Option<Progress>,
-}
-
-impl<'c> Lease<'c> {
-    /// Lease `job_idx` to the connected worker under a fresh epoch,
-    /// shipping `snapshot` inline so the attempt resumes from it.
-    fn start(
-        shared: &Shared<'_>,
-        w: usize,
-        job_idx: usize,
-        wire: Wire<'c>,
-        snapshot: Option<PathBuf>,
-    ) -> Result<Self, End> {
-        let job = &shared.spec.jobs[job_idx];
-        let snap_text = snapshot.and_then(|p| std::fs::read_to_string(p).ok());
-        let epoch = shared.state.lock().unwrap().leases.issue(job_idx);
-        let span = shared.next_span_id();
-        shared.span(
-            SpanKind::Lease,
-            SpanPhase::Begin,
-            span,
-            &shared.slot_names[w],
-            vec![
-                ("job".to_string(), Json::U64(job.id)),
-                ("name".to_string(), Json::Str(job.name.clone())),
-                ("epoch".to_string(), Json::U64(epoch)),
-                ("endpoint".to_string(), Json::Str(wire.conn.peer())),
-            ],
-        );
-        let frame = proto::lease(
-            job_idx as u64,
-            epoch,
-            &job.name,
-            &job.argv,
-            job.timeout_ms,
-            job.heartbeat.as_deref().and_then(Path::to_str),
-            job.snapshot_dir.as_deref().and_then(Path::to_str),
-            job.result.as_deref().and_then(Path::to_str),
-            snap_text.as_deref(),
-        );
-        let started = Instant::now();
-        let mut lease = Lease {
-            wire,
-            job_idx,
-            epoch,
-            span,
-            started,
-            t_grant: shared.now_ms(),
-            span_ids: HashMap::new(),
-            last_frame: started,
-            last_draw: started,
-            revoked: None,
-            half_open_until: None,
-            dup_next_result: false,
-            hb_reset: false,
-            progress: None,
-        };
-        if lease.wire.conn.send(&frame, WRITE_DEADLINE).is_err() {
-            return Err(lease.lost(shared, w));
-        }
-        if let Some(text) = &snap_text {
-            shared.span(
-                SpanKind::SnapshotShip,
-                SpanPhase::Instant,
-                0,
-                &shared.slot_names[w],
-                vec![
-                    ("job".to_string(), Json::U64(job.id)),
-                    ("epoch".to_string(), Json::U64(epoch)),
-                    ("direction".to_string(), Json::Str("outbound".to_string())),
-                    ("bytes".to_string(), Json::U64(text.len() as u64)),
-                ],
-            );
-        }
-        Ok(lease)
-    }
-
-    /// Absorb the worker-relayed span records riding on an `hb` or
-    /// `result` frame: worker-local times (milliseconds since the worker
-    /// received the lease) are rebased onto the lease-grant anchor,
-    /// worker-local span ids are remapped into the coordinator's id
-    /// space, and the track becomes this slot's worker-side track.
-    fn absorb_spans(&mut self, shared: &Shared<'_>, w: usize, frame: &Json) {
-        let Some(spans) = frame.get("spans").and_then(Json::as_arr) else {
-            return;
-        };
-        let track = format!("{}/worker", shared.slot_names[w]);
-        for rec in spans {
-            let Some(mut ev) = SpanEvent::from_json(rec) else {
-                continue;
-            };
-            ev.t_ms = self.t_grant.saturating_add(ev.t_ms);
-            if ev.id != 0 {
-                ev.id = *self
-                    .span_ids
-                    .entry(ev.id)
-                    .or_insert_with(|| shared.next_span_id());
-            }
-            shared.span_at(ev.t_ms, ev.kind, ev.phase, ev.id, &track, ev.args);
-        }
-    }
-
-    /// Settle a `result` frame through the lease table. `None` when it
-    /// was fenced or a duplicate: it belongs to no live attempt, and
-    /// this one keeps pumping. Each rejection is recorded as a fence
-    /// span.
-    fn settle(&mut self, shared: &Shared<'_>, w: usize, frame: &Json) -> Option<End> {
-        let job = &shared.spec.jobs[self.job_idx];
-        let result_epoch = frame
-            .get("epoch")
-            .and_then(Json::as_u64)
-            .unwrap_or(u64::MAX);
-        let settles = if self.dup_next_result { 2 } else { 1 };
-        let mut accepted = false;
-        for _ in 0..settles {
-            let verdict = shared
-                .state
-                .lock()
-                .unwrap()
-                .leases
-                .settle(self.job_idx, result_epoch);
-            let what = match verdict {
-                Settle::Ok => {
-                    accepted = true;
-                    continue;
-                }
-                Settle::Fenced => "late",
-                Settle::Duplicate => "duplicate",
-            };
-            shared.span(
-                SpanKind::Fence,
-                SpanPhase::Instant,
-                0,
-                &shared.slot_names[w],
-                vec![
-                    ("job".to_string(), Json::U64(job.id)),
-                    ("epoch".to_string(), Json::U64(result_epoch)),
-                    ("reason".to_string(), Json::Str(what.to_string())),
-                ],
-            );
-            shared.log(&format!(
-                "supervise: r{w} job `{}`: rejected a {what} result for epoch {result_epoch} (current {})",
-                job.name, self.epoch
-            ));
-        }
-        accepted.then(|| End {
-            progress: self.progress,
-            truncated: frame
-                .get("tail_truncated")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-            resumed: frame.get("resumed").and_then(Json::as_bool),
-            ..End::bare(accept_result(shared, job, frame), true)
-        })
-    }
-
-    /// Network strikes against this very connection (seeded per slot,
-    /// so the storm is reproducible).
-    fn strike(&mut self, shared: &Shared<'_>, w: usize) {
-        let Some(nc) = self.wire.net.as_deref_mut() else {
-            return;
-        };
-        if self.last_draw.elapsed() < Duration::from_millis(50) {
-            return;
-        }
-        self.last_draw = Instant::now();
-        let Some(strike) = nc.draw(6) else {
-            return;
-        };
-        shared.state.lock().unwrap().runs[self.job_idx].chaos_net = true;
-        let strike_label = match strike {
-            NetStrike::Reset => "net-reset",
-            NetStrike::HalfOpen(_) => "net-half-open",
-            NetStrike::Truncate => "net-truncate",
-            NetStrike::DupResult => "net-dup-result",
-        };
-        shared.span(
-            SpanKind::ChaosStrike,
-            SpanPhase::Instant,
-            0,
-            &shared.slot_names[w],
-            vec![
-                ("action".to_string(), Json::Str(strike_label.to_string())),
-                (
-                    "job".to_string(),
-                    Json::U64(shared.spec.jobs[self.job_idx].id),
-                ),
-            ],
-        );
-        match strike {
-            NetStrike::Reset => self.wire.conn.shutdown(),
-            NetStrike::HalfOpen(ms) => {
-                self.half_open_until = Some(Instant::now() + Duration::from_millis(ms));
-            }
-            NetStrike::Truncate => {
-                let _ = self.wire.conn.send_truncated(&proto::bye());
-            }
-            NetStrike::DupResult => self.dup_next_result = true,
-        }
-    }
-
-    /// The wire died or was written off. The attempt settles as the
-    /// kill already decided against it, or else as lost — a loss is
-    /// never the job's fault — with its epoch fenced.
-    fn lost(&mut self, shared: &Shared<'_>, w: usize) -> End {
-        let outcome = match self.revoked {
-            Some((reason, _)) => reason.outcome(),
-            None => {
-                shared.state.lock().unwrap().leases.revoke(self.job_idx);
-                shared.log(&format!(
-                    "supervise: r{w} job `{}`: connection lost, retrying elsewhere",
-                    shared.spec.jobs[self.job_idx].name
-                ));
-                Outcome::Lost
-            }
-        };
-        self.close(shared, w, End::bare(outcome, false))
-    }
-
-    /// Close the lease's span on the way to its settle.
-    fn close(&self, shared: &Shared<'_>, w: usize, end: End) -> End {
-        shared.span(
-            SpanKind::Lease,
-            SpanPhase::End,
-            self.span,
-            &shared.slot_names[w],
-            vec![("conn_alive".to_string(), Json::Bool(end.alive))],
-        );
-        end
-    }
-}
-
-impl Transport for Lease<'_> {
-    fn started(&self) -> Instant {
-        self.started
-    }
-
-    /// Pump the connection once (a 10 ms receive): relayed heartbeat
-    /// progress while the lease runs, its ending once a result or
-    /// revoke acknowledgement settles it or the wire is given up.
-    fn next(&mut self, shared: &Shared<'_>, w: usize) -> ControlFlow<End, Option<Progress>> {
-        self.strike(shared, w);
-        let job = &shared.spec.jobs[self.job_idx];
-        let wire_job = self.job_idx as u64;
-        match self.wire.conn.recv(Duration::from_millis(10)) {
-            Err(_) => return ControlFlow::Break(self.lost(shared, w)),
-            Ok(None) => {}
-            // Half-open: bytes arrive but nothing is processed — and
-            // nothing refreshes the liveness clock, so a long enough
-            // episode trips the silence detector.
-            Ok(Some(_)) if self.half_open_until.is_some_and(|t| Instant::now() < t) => {}
-            Ok(Some(frame)) => {
-                self.last_frame = Instant::now();
-                let ours = proto::job_epoch(&frame) == Some((wire_job, self.epoch));
-                match proto::kind(&frame) {
-                    Some("hb") if ours => {
-                        self.absorb_spans(shared, w, &frame);
-                        let relayed = relay_heartbeat(job, &frame, &mut self.hb_reset);
-                        self.progress = relayed.or(self.progress);
-                    }
-                    Some("snap") if ours => accept_snapshot(shared, w, job, &frame),
-                    Some("revoked") if ours => {
-                        if let Some((reason, _)) = self.revoked {
-                            return ControlFlow::Break(self.close(
-                                shared,
-                                w,
-                                End::bare(reason.outcome(), true),
-                            ));
-                        }
-                    }
-                    Some("result") if frame.get("job").and_then(Json::as_u64) == Some(wire_job) => {
-                        self.absorb_spans(shared, w, &frame);
-                        if let Some(end) = self.settle(shared, w, &frame) {
-                            return ControlFlow::Break(self.close(shared, w, end));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // A revoke the worker never acknowledged writes the connection
-        // off; the epoch is fenced regardless.
-        let unacknowledged = self
-            .revoked
-            .is_some_and(|(_, grace)| Instant::now() >= grace);
-        if unacknowledged || self.last_frame.elapsed() >= Duration::from_millis(REMOTE_SILENCE_MS) {
-            return ControlFlow::Break(self.lost(shared, w));
-        }
-        ControlFlow::Continue(self.progress)
-    }
-
-    /// Revoke the lease for `reason`. Fence first, then tell the
-    /// worker: a result racing the revoke frame loses either way. A
-    /// revoke that cannot be written drops the wire, so the next pump
-    /// finds it dead and settles the attempt as this kill.
-    fn kill(&mut self, shared: &Shared<'_>, _: usize, reason: KillReason) {
-        shared.state.lock().unwrap().leases.revoke(self.job_idx);
-        self.revoked = Some((
-            reason,
-            Instant::now() + Duration::from_millis(REVOKE_GRACE_MS),
-        ));
-        let frame = proto::revoke(self.job_idx as u64, self.epoch);
-        if self.wire.conn.send(&frame, WRITE_DEADLINE).is_err() {
-            self.wire.conn.shutdown();
-        }
-    }
-}
-
-/// Append a relayed `hb` frame's records to the job's local heartbeat
-/// file (recreated on the attempt's first batch, so the tail-reset
-/// semantics match a local retry) and return the freshest progress.
-fn relay_heartbeat(job: &JobSpec, frame: &Json, hb_reset: &mut bool) -> Option<Progress> {
-    let records = frame.get("records").and_then(Json::as_arr)?;
-    if records.is_empty() {
-        return None; // keepalive
-    }
-    if let Some(path) = &job.heartbeat {
-        use std::io::Write;
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let file = if *hb_reset {
-            std::fs::OpenOptions::new().append(true).open(path).ok()
-        } else {
-            *hb_reset = true;
-            std::fs::File::create(path).ok()
-        };
-        if let Some(mut f) = file {
-            for rec in records {
-                let _ = writeln!(f, "{rec}");
-            }
-        }
-    }
-    records.iter().rev().find_map(progress_of)
-}
-
-/// Verify and land a shipped snapshot as the job's local `latest.json`
-/// (temp-then-rename, like the snapshot layer's own writes), so the
-/// next lease — on any host — resumes from it.
-fn accept_snapshot(shared: &Shared<'_>, w: usize, job: &JobSpec, frame: &Json) {
-    let Some(dir) = &job.snapshot_dir else { return };
-    let Some(text) = proto::verified_data(frame) else {
-        shared.log(&format!(
-            "supervise: job `{}`: shipped snapshot failed its checksum, dropped",
-            job.name
-        ));
-        return;
-    };
-    shared.span(
-        SpanKind::SnapshotShip,
-        SpanPhase::Instant,
-        0,
-        &shared.slot_names[w],
-        vec![
-            ("job".to_string(), Json::U64(job.id)),
-            ("direction".to_string(), Json::Str("inbound".to_string())),
-            ("bytes".to_string(), Json::U64(text.len() as u64)),
-        ],
-    );
-    let path = dtsvliw_core::latest_path(dir);
-    let _ = std::fs::create_dir_all(dir);
-    let tmp = path.with_extension("ship-tmp");
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
-}
-
-/// Land an accepted result frame: materialise the declared result file
-/// locally (the merge stage digests local files only) and map the wire
-/// outcome back into the local vocabulary.
-fn accept_result(shared: &Shared<'_>, job: &JobSpec, frame: &Json) -> Outcome {
-    let label = frame.get("outcome").and_then(Json::as_str).unwrap_or("");
-    let detail = frame.get("detail").and_then(Json::as_i64);
-    let Some(outcome) = Outcome::from_label(label, detail) else {
-        shared.log(&format!(
-            "supervise: job `{}`: unknown remote outcome `{label}`, treating as lost",
-            job.name
-        ));
-        return Outcome::Lost;
-    };
-    if let (Some(path), Outcome::Success) = (&job.result, outcome) {
-        match frame.get("result").and_then(Json::as_str) {
-            Some(text) => {
-                if let Some(parent) = path.parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                let _ = std::fs::write(path, text);
-            }
-            // The remote declared the file missing: a stale local copy
-            // from an earlier attempt must not mask that.
-            None => {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-    outcome
 }
 
 // ---------------------------------------------------------------------
@@ -1366,76 +734,30 @@ fn status_loop(shared: &Shared<'_>) {
 // Entry point and the deterministic merge
 // ---------------------------------------------------------------------
 
-/// Probe every `--workers` endpoint once for its advertised slot count
-/// (capped at [`MAX_SLOTS_PER_ENDPOINT`]). An unreachable endpoint
-/// still contributes one retrying slot — it may come back mid-campaign
-/// — so the slot plan is stable whatever the network does. Returns
-/// `(ep_idx, endpoint, sub)` per remote slot.
-fn plan_remote_slots(
-    remotes: &[String],
-    campaign_seed: u64,
-    quiet: bool,
-) -> Vec<(usize, String, usize)> {
-    let mut plan = Vec::new();
-    for (ep_idx, endpoint) in remotes.iter().enumerate() {
-        let slots = match coordinator_connect(endpoint, campaign_seed, CONNECT_DEADLINE) {
-            Ok((mut conn, slots)) => {
-                let _ = conn.send(&proto::bye(), WRITE_DEADLINE);
-                conn.shutdown();
-                let capped = (slots as usize).min(MAX_SLOTS_PER_ENDPOINT);
-                if !quiet {
-                    eprintln!("supervise: worker {endpoint}: {capped} slot(s)");
-                }
-                capped
-            }
-            Err(why) => {
-                if !quiet {
-                    eprintln!("supervise: {why} — keeping 1 retrying slot");
-                }
-                1
-            }
-        };
-        for sub in 0..slots.max(1) {
-            plan.push((ep_idx, endpoint.clone(), sub));
-        }
-    }
-    plan
-}
-
-/// Run the whole campaign: fan the jobs across `opts.workers` local
-/// slots plus any `--workers` remote slots, optionally under chaos, and
-/// merge the results deterministically.
+/// Run the whole campaign: fan the jobs across `opts.workers` slots,
+/// optionally under chaos, and merge the results deterministically.
 pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult {
+    assert!(
+        opts.remotes.is_empty(),
+        "EngineOptions.remotes must be empty: the cross-host worker tier was removed, \
+         and every campaign runs on local slots"
+    );
     let workers = opts.workers.max(1);
-    let remote_plan = plan_remote_slots(&opts.remotes, spec.seed, opts.quiet);
-    let total_slots = workers + remote_plan.len();
-    let spawn_window = opts.spawn_window.unwrap_or(total_slots).max(1);
+    let spawn_window = opts.spawn_window.unwrap_or(workers).max(1);
     let tenants: Vec<Option<&str>> = spec.jobs.iter().map(|j| j.tenant.as_deref()).collect();
-    // One span track per slot: local slots are `w<i>`, remote slots name
-    // their endpoint so a merged trace reads across hosts.
-    let slot_names: Vec<String> = (0..workers)
-        .map(|w| format!("w{w}"))
-        .chain(
-            remote_plan
-                .iter()
-                .enumerate()
-                .map(|(i, (_, endpoint, sub))| format!("r{}:{endpoint}#{sub}", workers + i)),
-        )
-        .collect();
+    // One span track per slot.
+    let slot_names: Vec<String> = (0..workers).map(|w| format!("w{w}")).collect();
     let shared = Shared {
         spec,
         opts,
         state: Mutex::new(EngineState {
-            sched: Scheduler::new(&tenants, &spec.quotas, total_slots, spawn_window),
+            sched: Scheduler::new(&tenants, &spec.quotas, workers, spawn_window),
             runs: spec.jobs.iter().map(|_| JobRun::default()).collect(),
             running: Vec::new(),
-            workers: vec![WorkerView::default(); total_slots],
+            workers: vec![WorkerView::default(); workers],
             done: 0,
             failed: 0,
             finished_instructions: 0,
-            leases: LeaseTable::new(spec.jobs.len()),
-            endpoint_up: vec![true; opts.remotes.len()],
-            degraded: false,
         }),
         cv: Condvar::new(),
         sink: Mutex::new(StatusSink::new(!opts.quiet, opts.status_width)),
@@ -1453,7 +775,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         "campaign",
         vec![
             ("jobs".to_string(), Json::U64(spec.jobs.len() as u64)),
-            ("workers".to_string(), Json::U64(total_slots as u64)),
+            ("workers".to_string(), Json::U64(workers as u64)),
             ("seed".to_string(), Json::U64(spec.seed)),
         ],
     );
@@ -1483,7 +805,6 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
     });
 
     let shared_ref = &shared;
-    let remote_plan_ref = &remote_plan;
     std::thread::scope(|scope| {
         let chaos_handle = opts
             .chaos_seed
@@ -1492,20 +813,8 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         let worker_handles: Vec<_> = (0..workers)
             .map(|w| scope.spawn(move || worker_loop(shared_ref, w)))
             .collect();
-        let remote_handles: Vec<_> = remote_plan_ref
-            .iter()
-            .enumerate()
-            .map(|(i, (ep_idx, endpoint, sub))| {
-                let w = workers + i;
-                let (ep_idx, sub) = (*ep_idx, *sub);
-                scope.spawn(move || remote_slot_loop(shared_ref, w, ep_idx, endpoint, sub))
-            })
-            .collect();
         for h in worker_handles {
             h.join().expect("worker thread panicked");
-        }
-        for h in remote_handles {
-            h.join().expect("remote slot thread panicked");
         }
         shared_ref.over.store(true, Ordering::Relaxed);
         status_handle.join().expect("status thread panicked");
@@ -1538,7 +847,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
     // The merge: every figure below is read back out of the span log.
     let spans = std::mem::take(&mut *shared.spans.lock().unwrap()).into_events();
     let view = explain::view_of(&spans);
-    let mut by_id: Vec<&JobSpec> = spec.jobs.iter().collect();
+    let mut by_id: Vec<_> = spec.jobs.iter().collect();
     by_id.sort_by_key(|j| j.id);
     let names: Vec<(u64, String)> = by_id.iter().map(|j| (j.id, j.name.clone())).collect();
     let mut jobs = job_results(&view, &names);
@@ -1553,53 +862,19 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
             );
         }
     }
-    // A strike ledger: the total under `total`, then the strikes per
-    // `(key, action)`, counted off the trace.
-    let strikes = |total: &str, kinds: [(&str, &str); 4]| {
+    // The chaos ledger: the strike total, then the strikes per action,
+    // counted off the trace.
+    let chaos = opts.chaos_seed.map(|_| {
+        let kinds = [
+            ("kills", "kill"),
+            ("freezes", "freeze"),
+            ("snapshot_corruptions", "corrupt-snapshot"),
+            ("heartbeat_tears", "tear-heartbeat"),
+        ];
         let count = |action: &str| view.strikes.iter().filter(|(_, a, _)| a == action).count();
         let counts = kinds.map(|(key, action)| (key, Json::U64(count(action) as u64)));
         let sum = kinds.iter().map(|(_, action)| count(action) as u64).sum();
-        Json::obj(std::iter::once((total, Json::U64(sum))).chain(counts))
-    };
-    let chaos = opts.chaos_seed.map(|_| {
-        strikes(
-            "actions",
-            [
-                ("kills", "kill"),
-                ("freezes", "freeze"),
-                ("snapshot_corruptions", "corrupt-snapshot"),
-                ("heartbeat_tears", "tear-heartbeat"),
-            ],
-        )
-    });
-    let fences = |reason: &str| view.fences.iter().filter(|(_, r)| r == reason).count() as u64;
-    let degraded = shared.state.lock().unwrap().degraded;
-    let dist = (!opts.remotes.is_empty()).then(|| {
-        Json::obj([
-            (
-                "endpoints",
-                Json::Arr(opts.remotes.iter().map(|e| Json::Str(e.clone())).collect()),
-            ),
-            ("remote_slots", Json::U64(remote_plan.len() as u64)),
-            ("degraded", Json::Bool(degraded)),
-            ("fenced_results", Json::U64(fences("late"))),
-            ("duplicate_results", Json::U64(fences("duplicate"))),
-            (
-                "net_chaos",
-                match opts.chaos_seed {
-                    Some(_) => strikes(
-                        "strikes",
-                        [
-                            ("resets", "net-reset"),
-                            ("half_opens", "net-half-open"),
-                            ("truncated_frames", "net-truncate"),
-                            ("duplicated_results", "net-dup-result"),
-                        ],
-                    ),
-                    None => Json::Null,
-                },
-            ),
-        ])
+        Json::obj(std::iter::once(("actions", Json::U64(sum))).chain(counts))
     });
     let succeeded = jobs.iter().filter(|j| j.succeeded).count() as u64;
     let failed = jobs.len() as u64 - succeeded;
@@ -1607,10 +882,9 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         jobs,
         succeeded,
         failed,
-        workers: total_slots,
+        workers,
         wall_ms: shared.started.elapsed().as_millis() as u64,
         chaos,
-        dist,
         quarantines_evicted: view.quarantines_evicted,
         spans,
     }
@@ -1649,7 +923,6 @@ pub fn job_results(view: &CampaignView, jobs: &[(u64, String)]) -> Vec<JobResult
                 forgiven: attempts.iter().filter(|a| a.forgiven).count() as u64,
                 requeues: chain.iter().filter(|a| a.outcome == "requeued").count() as u64,
                 wall_ms: chain.iter().map(|a| a.wall_ms).sum(),
-                fenced_results: view.fences.iter().filter(|(j, _)| j == id).count() as u64,
                 tail_truncated: chain.iter().map(|a| a.tail_truncated).sum(),
                 attempts,
             }
@@ -1737,7 +1010,6 @@ pub fn attempts_json(seed: u64, jobs: &[JobResult]) -> Json {
                 ("attempts_used", Json::U64(j.attempts.len() as u64)),
                 ("consumed_retries", Json::U64(j.consumed_retries as u64)),
                 ("forgiven", Json::U64(j.forgiven)),
-                ("fenced_results", Json::U64(j.fenced_results)),
                 ("attempts", Json::Arr(attempts)),
             ])
         })
@@ -1774,7 +1046,6 @@ pub fn wallclock_json(result: &CampaignResult) -> Json {
         ("workers", Json::U64(result.workers as u64)),
         ("wall_ms", Json::U64(result.wall_ms)),
         ("chaos", result.chaos.clone().unwrap_or(Json::Null)),
-        ("dist", result.dist.clone().unwrap_or(Json::Null)),
         (
             "quarantine_evictions",
             Json::U64(result.quarantines_evicted),
@@ -1792,7 +1063,7 @@ pub fn wallclock_json(result: &CampaignResult) -> Json {
 /// augmented with its job name. Torn trailing records are skipped
 /// (heartbeat.rs). Returns the rendered text and the record count.
 pub fn merge_timeline(spec: &CampaignSpec) -> (String, u64) {
-    let mut by_id: Vec<&super::spec::JobSpec> = spec.jobs.iter().collect();
+    let mut by_id: Vec<_> = spec.jobs.iter().collect();
     by_id.sort_by_key(|j| j.id);
     let mut merged = String::new();
     let mut records = 0u64;
@@ -1835,7 +1106,6 @@ mod tests {
                 forgiven: 0,
                 requeues: id, // wall-clock shaped: must not reach the report
                 wall_ms: 1000 + id,
-                fenced_results: 0,
                 tail_truncated: 0,
             })
             .collect();
@@ -1846,7 +1116,6 @@ mod tests {
             workers: 8,
             wall_ms: 12345,
             chaos: None,
-            dist: None,
             quarantines_evicted: 0,
             spans: Vec::new(),
         }
@@ -1883,22 +1152,16 @@ mod tests {
 
     #[test]
     fn chaos_caused_matrix() {
-        assert!(chaos_caused(Outcome::Signal(9), true, false, false));
-        assert!(!chaos_caused(Outcome::Signal(9), false, true, true));
-        assert!(chaos_caused(Outcome::Stalled, false, true, false));
-        assert!(chaos_caused(Outcome::Timeout, false, true, false));
-        assert!(chaos_caused(Outcome::Timeout, true, false, false));
-        // A network strike starves the relay: stalls and timeouts it
-        // caused are chaos's fault, a clean error never is.
-        assert!(chaos_caused(Outcome::Stalled, false, false, true));
-        assert!(chaos_caused(Outcome::Timeout, false, false, true));
-        assert!(!chaos_caused(Outcome::Error(1), true, true, true));
-        assert!(!chaos_caused(Outcome::Watchdog, true, true, true));
+        assert!(chaos_caused(Outcome::Signal(9), true, false));
+        assert!(!chaos_caused(Outcome::Signal(9), false, true));
+        assert!(chaos_caused(Outcome::Stalled, false, true));
+        assert!(chaos_caused(Outcome::Timeout, false, true));
+        assert!(chaos_caused(Outcome::Timeout, true, false));
+        assert!(!chaos_caused(Outcome::Stalled, false, false));
+        assert!(!chaos_caused(Outcome::Error(1), true, true));
+        assert!(!chaos_caused(Outcome::Watchdog, true, true));
         // Corrupt snapshots are forgiven unconditionally, not via marks.
-        assert!(!chaos_caused(Outcome::CorruptSnapshot, false, false, false));
-        // Lost is forgiven unconditionally too (worker crash or
-        // partition is never the job's fault), not via marks.
-        assert!(!chaos_caused(Outcome::Lost, false, false, false));
+        assert!(!chaos_caused(Outcome::CorruptSnapshot, false, false));
     }
 
     #[test]

@@ -22,10 +22,8 @@ pub struct Progress {
     pub bursts: u64,
 }
 
-/// Extract the progress fields from one heartbeat record. Public so
-/// the distributed tier can read progress out of relayed `hb` frames
-/// with the same rules the local tailer uses.
-pub fn progress_of(j: &Json) -> Option<Progress> {
+/// Extract the progress fields from one heartbeat record.
+fn progress_of(j: &Json) -> Option<Progress> {
     Some(Progress {
         cycle: j.get("cycle").and_then(Json::as_u64)?,
         instructions: j.get("instructions").and_then(Json::as_u64)?,

@@ -1,28 +1,26 @@
 //! Pull-based `/metrics` text exposition for campaigns.
 //!
-//! Both the coordinator (`dtsvliw_supervise --metrics-addr`) and the
-//! worker daemon (`dtsvliw_worker --metrics-addr`) expose counters in
-//! the Prometheus text format over a deliberately tiny hand-rolled
-//! HTTP/1.1 responder — one nonblocking accept loop, no routing beyond
-//! "any GET gets the whole page", no dependencies. The page is rendered
-//! on demand by the scrape: the coordinator folds its campaign span log
-//! (the campaign's only ledger) through [`crate::explain::view_of`]; the
-//! worker keeps a few relaxed atomics.
+//! `dtsvliw_supervise --metrics-addr` exposes counters in the
+//! Prometheus text format over a deliberately tiny hand-rolled HTTP/1.1
+//! responder — one nonblocking accept loop, no routing beyond "any GET
+//! gets the whole page", no dependencies. The page is rendered on
+//! demand by the scrape, which folds the campaign span log (the
+//! campaign's only ledger) through [`crate::explain::view_of`].
 //!
-//! Name conventions (DESIGN.md §15): everything is prefixed
+//! Name conventions (DESIGN.md §14): everything is prefixed
 //! `dtsvliw_`, counters end `_total`, the one label in use is
 //! `outcome` on attempt counts.
 
 use crate::explain::{AttemptView, CampaignView};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Attempt outcome classes, one `dtsvliw_attempts_total` series each.
-pub const OUTCOME_CLASSES: [&str; 9] = [
+pub const OUTCOME_CLASSES: [&str; 8] = [
     "success",
     "error",
     "signal",
@@ -30,22 +28,15 @@ pub const OUTCOME_CLASSES: [&str; 9] = [
     "stalled",
     "requeued",
     "watchdog",
-    "lost",
     "corrupt-snapshot",
 ];
 
-/// The coordinator's `/metrics` page, folded from the campaign's span
-/// log as it stands: `spans` events so far, read back as `view`.
+/// The `/metrics` page, folded from the campaign's span log as it
+/// stands: `spans` events so far, read back as `view`.
 pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
     let count =
         |hit: &dyn Fn(&AttemptView) -> bool| view.attempts.iter().filter(|a| hit(a)).count() as u64;
     let sum = |of: &dyn Fn(&AttemptView) -> u64| view.attempts.iter().map(of).sum::<u64>();
-    let fences = |reason: &str| view.fences.iter().filter(|(_, r)| r == reason).count() as u64;
-    let net_strikes = view
-        .strikes
-        .iter()
-        .filter(|(_, action, _)| action.starts_with("net-"))
-        .count() as u64;
     let mut s = String::with_capacity(2048);
     s.push_str("# TYPE dtsvliw_attempts_total counter\n");
     for class in OUTCOME_CLASSES {
@@ -54,11 +45,8 @@ pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
             count(&|a| a.outcome == class)
         ));
     }
-    let plain: [(&str, u64); 15] = [
+    let plain: [(&str, u64); 10] = [
         ("dtsvliw_steals_total", view.steals.len() as u64),
-        ("dtsvliw_leases_issued_total", view.leases.len() as u64),
-        ("dtsvliw_fenced_results_total", fences("late")),
-        ("dtsvliw_duplicate_results_total", fences("duplicate")),
         (
             "dtsvliw_backoffs_scheduled_total",
             count(&|a| a.backoff_ms.is_some()),
@@ -68,12 +56,7 @@ pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
             sum(&|a| a.backoff_ms.unwrap_or(0)),
         ),
         ("dtsvliw_bursts_total", sum(&|a| a.bursts)),
-        ("dtsvliw_reconnects_total", view.reconnects),
-        (
-            "dtsvliw_chaos_strikes_total",
-            view.strikes.len() as u64 - net_strikes,
-        ),
-        ("dtsvliw_net_strikes_total", net_strikes),
+        ("dtsvliw_chaos_strikes_total", view.strikes.len() as u64),
         (
             "dtsvliw_requeues_total",
             count(&|a| a.outcome == "requeued"),
@@ -90,58 +73,6 @@ pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
         s.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
     }
     s
-}
-
-/// The worker daemon's counter registry — the worker-side view of the
-/// same campaign (leases it executed, what it relayed back).
-#[derive(Debug, Default)]
-pub struct WorkerCounters {
-    /// Leases accepted from coordinators.
-    pub leases_accepted: AtomicU64,
-    /// Result frames sent back.
-    pub results_sent: AtomicU64,
-    /// Revocations obeyed (child killed on coordinator request).
-    pub revoked: AtomicU64,
-    /// Heartbeat relay frames sent (keepalives included).
-    pub hb_frames: AtomicU64,
-    /// Snapshot shipments sent.
-    pub snapshots_shipped: AtomicU64,
-    /// Relay tails whose final line was torn mid-write.
-    pub tail_truncated: AtomicU64,
-    /// Span events relayed to coordinators.
-    pub spans_relayed: AtomicU64,
-}
-
-impl WorkerCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prometheus text exposition, worker flavour (`dtsvliw_worker_`
-    /// prefix so one Prometheus can scrape both sides unambiguously).
-    pub fn render(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let plain: [(&str, &AtomicU64); 7] = [
-            (
-                "dtsvliw_worker_leases_accepted_total",
-                &self.leases_accepted,
-            ),
-            ("dtsvliw_worker_results_sent_total", &self.results_sent),
-            ("dtsvliw_worker_revoked_total", &self.revoked),
-            ("dtsvliw_worker_hb_frames_total", &self.hb_frames),
-            (
-                "dtsvliw_worker_snapshots_shipped_total",
-                &self.snapshots_shipped,
-            ),
-            ("dtsvliw_worker_tail_truncated_total", &self.tail_truncated),
-            ("dtsvliw_worker_spans_relayed_total", &self.spans_relayed),
-        ];
-        let mut s = String::with_capacity(1024);
-        for (name, c) in plain {
-            s.push_str(&format!("# TYPE {name} counter\n{name} {}\n", g(c)));
-        }
-        s
-    }
 }
 
 /// Serve `body()` as `text/plain` to every HTTP GET on `addr` until
@@ -269,43 +200,13 @@ mod tests {
         ));
         let job1 = [("job", Json::U64(1))];
         log.push(ev(SpanKind::Steal, SpanPhase::Instant, 0, "w1", &job1));
-        log.push(ev(SpanKind::Lease, SpanPhase::Begin, 7, "r1:h#0", &job1));
-        log.push(ev(SpanKind::Lease, SpanPhase::End, 7, "r1:h#0", &[]));
-        log.push(ev(SpanKind::Lease, SpanPhase::Begin, 8, "r1:h#0", &job1));
-        // A lease the worker relayed is its mirror, not another lease.
-        let worker = [("side", Json::Str("worker".into()))];
-        log.push(ev(
-            SpanKind::Lease,
-            SpanPhase::Begin,
-            9,
-            "r1:h#0/worker",
-            &worker,
-        ));
-        log.push(ev(
-            SpanKind::Lease,
-            SpanPhase::End,
-            9,
-            "r1:h#0/worker",
-            &worker,
-        ));
-        for reason in ["late", "duplicate"] {
-            let args = [("job", Json::U64(1)), ("reason", Json::Str(reason.into()))];
-            log.push(ev(SpanKind::Fence, SpanPhase::Instant, 0, "r1:h#0", &args));
-        }
-        log.push(ev(
-            SpanKind::Reconnect,
-            SpanPhase::Instant,
-            0,
-            "r1:h#0",
-            &[],
-        ));
-        for (track, action) in [("chaos", "kill"), ("r1:h#0", "net-reset")] {
+        for action in ["kill", "freeze"] {
             let args = [("action", Json::Str(action.into()))];
             log.push(ev(
                 SpanKind::ChaosStrike,
                 SpanPhase::Instant,
                 0,
-                track,
+                "chaos",
                 &args,
             ));
         }
@@ -324,15 +225,10 @@ mod tests {
             .collect();
         for (name, n) in [
             ("steals", 1),
-            ("leases_issued", 2),
-            ("fenced_results", 1),
-            ("duplicate_results", 1),
             ("backoffs_scheduled", 1),
             ("backoff_ms", 30),
             ("bursts", 12),
-            ("reconnects", 1),
-            ("chaos_strikes", 1),
-            ("net_strikes", 1),
+            ("chaos_strikes", 2),
             ("requeues", 1),
             ("tail_truncated", 1),
             ("jobs_done", 2),
@@ -364,7 +260,6 @@ mod tests {
             Outcome::CorruptSnapshot,
             Outcome::Signal(9),
             Outcome::Error(1),
-            Outcome::Lost,
         ];
         for o in all {
             assert!(OUTCOME_CLASSES.contains(&o.label()), "{}", o.label());
@@ -372,29 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_registry_renders() {
-        let w = WorkerCounters::new();
-        w.leases_accepted.fetch_add(4, Ordering::Relaxed);
-        let page = w.render();
-        assert!(
-            page.contains("dtsvliw_worker_leases_accepted_total 4"),
-            "{page}"
-        );
-        assert!(
-            page.contains("dtsvliw_worker_spans_relayed_total 0"),
-            "{page}"
-        );
-    }
-
-    #[test]
     fn http_server_answers_a_get_and_stops() {
-        let counters = Arc::new(WorkerCounters::new());
-        counters.leases_accepted.fetch_add(7, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
-        let body_src = Arc::clone(&counters);
         let (addr, handle) = spawn_metrics_server(
             "127.0.0.1:0",
-            Arc::new(move || body_src.render()),
+            Arc::new(|| "# TYPE dtsvliw_spans_total counter\ndtsvliw_spans_total 7\n".to_string()),
             Arc::clone(&stop),
         )
         .expect("bind");
@@ -406,10 +283,7 @@ mod tests {
         sock.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("text/plain"), "{response}");
-        assert!(
-            response.contains("dtsvliw_worker_leases_accepted_total 7"),
-            "{response}"
-        );
+        assert!(response.contains("dtsvliw_spans_total 7"), "{response}");
 
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();

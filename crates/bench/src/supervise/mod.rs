@@ -18,9 +18,9 @@
 //!   `stalled`, `requeued`, `watchdog`, `corrupt-snapshot`, `signal`,
 //!   `error`);
 //! * [`babysit`] — the one child babysitter (spawn, `try_wait`,
-//!   heartbeat tail, kill-precedence classification) shared by local
-//!   slots and `dtsvliw_worker`, and the one kill policy every attempt
-//!   runs under;
+//!   heartbeat tail, kill-precedence classification) every slot runs
+//!   its child through, and the one kill policy every attempt runs
+//!   under;
 //! * [`backoff`] — interleaving-independent retry jitter, keyed by
 //!   (campaign seed, job id, attempt);
 //! * [`heartbeat`] — torn-line-safe incremental JSONL tailing;
@@ -31,17 +31,13 @@
 //! * [`engine`] — worker threads, the attempt loop, the campaign span
 //!   log, and the deterministic merge: report / attempts-log /
 //!   wall-clock side-channel documents projected from that log;
-//! * [`metrics`] — the `/metrics` pages (the coordinator's folded from
-//!   the span log) and the hand-rolled Prometheus text-exposition
-//!   endpoint (DESIGN.md §15);
-//! * [`dist`] — the distributed tier (DESIGN.md §14): the TCP/JSONL
-//!   lease protocol behind `--workers` and the `dtsvliw_worker`
-//!   binary, with lease-epoch fencing and network chaos strikes.
+//! * [`metrics`] — the `/metrics` page, folded from the span log, and
+//!   the hand-rolled Prometheus text-exposition endpoint (DESIGN.md
+//!   §14).
 
 pub mod babysit;
 pub mod backoff;
 pub mod chaos;
-pub mod dist;
 pub mod engine;
 pub mod heartbeat;
 pub mod metrics;
@@ -51,7 +47,7 @@ pub mod spec;
 pub mod status;
 
 pub use engine::{run_campaign, CampaignResult, EngineOptions, JobResult};
-pub use metrics::{campaign_page, spawn_metrics_server, WorkerCounters, OUTCOME_CLASSES};
+pub use metrics::{campaign_page, spawn_metrics_server, OUTCOME_CLASSES};
 pub use outcome::Outcome;
 pub use spec::{parse_campaign, CampaignSpec, JobSpec, SpecError};
 

@@ -59,10 +59,6 @@ pub enum Outcome {
     Signal(i32),
     /// Any other nonzero exit.
     Error(i32),
-    /// A remote attempt whose connection died (worker crash, network
-    /// partition, chaos reset) before a result could settle. Never the
-    /// job's fault: always forgivable, like a corrupt snapshot.
-    Lost,
 }
 
 impl Outcome {
@@ -76,14 +72,12 @@ impl Outcome {
             Outcome::CorruptSnapshot => "corrupt-snapshot",
             Outcome::Signal(_) => "signal",
             Outcome::Error(_) => "error",
-            Outcome::Lost => "lost",
         }
     }
 
-    /// Parse a wire label back into an outcome (`detail` carries the
-    /// signal or exit code when the label needs one). `None` for labels
-    /// this build does not know — the peer speaks a newer protocol than
-    /// its hello admitted, and the caller treats the result as lost.
+    /// Parse a label back into an outcome, as the span log spells it
+    /// (`detail` carries the signal or exit code when the label needs
+    /// one). `None` for labels this build does not know.
     pub fn from_label(label: &str, detail: Option<i64>) -> Option<Outcome> {
         Some(match label {
             "success" => Outcome::Success,
@@ -94,13 +88,12 @@ impl Outcome {
             "corrupt-snapshot" => Outcome::CorruptSnapshot,
             "signal" => Outcome::Signal(detail.unwrap_or(0) as i32),
             "error" => Outcome::Error(detail.unwrap_or(-1) as i32),
-            "lost" => Outcome::Lost,
             _ => return None,
         })
     }
 
-    /// The signal number or exit code the outcome carries, as the wire
-    /// and the attempts log spell it.
+    /// The signal number or exit code the outcome carries, as the span
+    /// log and the attempts log spell it.
     pub fn detail(&self) -> Option<i64> {
         match *self {
             Outcome::Signal(sig) => Some(sig as i64),
@@ -197,7 +190,6 @@ mod tests {
             Outcome::CorruptSnapshot,
             Outcome::Signal(9),
             Outcome::Error(1),
-            Outcome::Lost,
         ];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
@@ -217,7 +209,6 @@ mod tests {
             Outcome::CorruptSnapshot,
             Outcome::Signal(9),
             Outcome::Error(7),
-            Outcome::Lost,
         ];
         for o in all {
             let detail = match o {

@@ -185,11 +185,6 @@ impl Scheduler {
         self.shards.iter().map(VecDeque::len).collect()
     }
 
-    /// Jobs not yet terminal (queued + running).
-    pub fn outstanding(&self) -> usize {
-        self.outstanding
-    }
-
     /// Children currently admitted.
     pub fn running(&self) -> usize {
         self.running
@@ -300,7 +295,7 @@ mod tests {
         s.requeue(0, 0, 100);
         assert_eq!(s.claim(0, 0), Claim::Run(1));
         s.finish(1);
-        assert_eq!(s.outstanding(), 1);
+        assert_eq!(s.outstanding, 1);
         assert_eq!(s.claim(0, 50), Claim::Wait, "job 0 deferred, not done");
         assert_eq!(s.claim(0, 100), Claim::Run(0));
         s.finish(0);

@@ -20,8 +20,6 @@ pub struct WorkerView {
     pub job: Option<String>,
     /// Freshest heartbeat progress for the running attempt.
     pub progress: Option<Progress>,
-    /// A remote slot (leased over the wire), rendered `r<i>`.
-    pub remote: bool,
 }
 
 /// A point-in-time snapshot of the campaign for rendering.
@@ -78,13 +76,12 @@ pub fn render(s: &BoardSnapshot, elapsed_s: f64) -> String {
         s.done, s.total, s.failed
     );
     for (i, w) in s.workers.iter().enumerate() {
-        let tag = if w.remote { 'r' } else { 'w' };
         match (&w.job, w.progress) {
             (Some(job), Some(p)) => {
-                line.push_str(&format!(" {tag}{i} {job}@{}", compact_cycles(p.cycle)));
+                line.push_str(&format!(" w{i} {job}@{}", compact_cycles(p.cycle)));
             }
-            (Some(job), None) => line.push_str(&format!(" {tag}{i} {job}")),
-            (None, _) => line.push_str(&format!(" {tag}{i} idle")),
+            (Some(job), None) => line.push_str(&format!(" w{i} {job}")),
+            (None, _) => line.push_str(&format!(" w{i} idle")),
         }
     }
     line.push_str(&format!(" | {rate:.1}M instr/s"));
@@ -199,12 +196,10 @@ mod tests {
                         instructions: 20_000_000,
                         bursts: 0,
                     }),
-                    remote: false,
                 },
                 WorkerView {
                     job: Some("go".into()),
                     progress: None,
-                    remote: false,
                 },
                 WorkerView::default(),
             ],
@@ -239,16 +234,6 @@ mod tests {
         s.done = 0;
         assert!(shard_etas(&s, 5.0).is_none());
         assert!(render(&s, 5.0).contains("eta --"));
-    }
-
-    #[test]
-    fn remote_slots_render_with_their_own_tag() {
-        let mut s = snapshot();
-        s.workers[1].remote = true;
-        let line = render(&s, 10.0);
-        assert!(line.contains("w0 gcc"), "{line}");
-        assert!(line.contains("r1 go"), "{line}");
-        assert!(line.contains("w2 idle"), "{line}");
     }
 
     #[test]

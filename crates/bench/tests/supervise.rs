@@ -622,7 +622,6 @@ fn metrics_endpoint_answers_mid_campaign() {
     for family in [
         "dtsvliw_attempts_total",
         "dtsvliw_steals_total",
-        "dtsvliw_leases_issued_total",
         "dtsvliw_spans_total",
         "dtsvliw_chaos_strikes_total",
     ] {
@@ -670,34 +669,20 @@ fn simulator_perfetto_capture_validates() {
     assert!(events > 0, "capture must carry events");
 }
 
+/// Campaigns run on local slots only: a script that still passes the
+/// old `--workers` list must fail loudly, not quietly run local-only.
 #[test]
-fn malformed_worker_lists_are_rejected_naming_the_entry() {
-    let dir = scratch("badworkers");
-    let spec = r#"{ "jobs": [ { "name": "x", "argv": ["sh", "-c", "exit 0"] } ] }"#;
-    std::fs::write(dir.join("spec.json"), spec).expect("write spec");
-    let cases = [
-        ("nocolon", "`nocolon`"),
-        (":7801", "`:7801`"),
-        ("host:port", "`host:port`"),
-        ("host:0", "`host:0`"),
-        ("host:99999", "`host:99999`"),
-        ("a:1,b:2,a:1", "`a:1`"),
-    ];
-    for (list, offender) in cases {
-        let out = Command::new(SUPERVISE)
-            .current_dir(&dir)
-            .args(["spec.json", "--workers", list, "--quiet"])
-            .output()
-            .expect("run dtsvliw_supervise");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "--workers {list} must exit 2:\n{stderr}"
-        );
-        assert!(
-            stderr.contains(offender),
-            "--workers {list} rejection must name {offender}:\n{stderr}"
-        );
-    }
+fn workers_flag_is_rejected_as_unknown() {
+    let dir = scratch("workersflag");
+    let run = supervise(
+        &dir,
+        r#"{ "jobs": [ { "name": "x", "argv": ["sh", "-c", "exit 0"] } ] }"#,
+        &["--workers", "a:1", "--quiet"],
+    );
+    assert_eq!(run.code, 2, "--workers must exit 2:\n{}", run.stderr);
+    assert!(
+        run.stderr.contains("unknown flag `--workers`"),
+        "the rejection must name the flag:\n{}",
+        run.stderr
+    );
 }

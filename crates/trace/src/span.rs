@@ -1,58 +1,42 @@
 //! Campaign spans: typed begin/end intervals with stable ids, recorded
-//! on either side of the coordinator/worker wire and merged into one
-//! Perfetto-compatible trace (DESIGN.md §15).
+//! by the campaign supervisor and merged into one Perfetto-compatible
+//! trace (DESIGN.md §14).
 //!
 //! The simulator's own trace events ([`crate::TraceEvent`]) live on the
 //! *cycle* timeline of one machine; campaign spans live on the
-//! *wall-clock millisecond* timeline of a whole distributed campaign.
-//! Worker-side spans are recorded against the worker's local monotonic
-//! clock (milliseconds since it received the lease) and normalised by
-//! the coordinator against the lease-grant anchor:
-//! `t_coord = t_grant + t_worker`.
+//! *wall-clock millisecond* timeline of a whole campaign, stamped in
+//! milliseconds since it started.
 //!
 //! [`merge_perfetto`] turns a span log into the full wall-clock trace
-//! (one track per slot/endpoint, counter tracks derived from lease
-//! begin/end pairs and chaos-strike instants), loadable at
+//! (one track per slot, a counter track derived from chaos-strike
+//! instants), loadable at
 //! <https://ui.perfetto.dev>. The campaign tier reads every document it
 //! writes back out of that trace (`dtsvliw_bench::explain`).
 
 use dtsvliw_json::Json;
 
 /// What a span describes. Every kind has a stable lower-case label used
-/// on the wire, in the JSONL log, and as the Perfetto event name.
+/// in the JSONL log and as the Perfetto event name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// The whole campaign, begin to drain.
     Campaign,
-    /// One attempt of one job (local babysit or remote lease).
+    /// One attempt of one job, spawn to settle.
     JobAttempt,
-    /// A lease's wire lifetime (issue to settle), coordinator side —
-    /// or the worker-observed child execution when `side=worker`.
-    Lease,
     /// A work-stealing claim took a job from a sibling shard.
     Steal,
-    /// A remote slot's connect attempt failed and is backing off.
-    Reconnect,
-    /// A snapshot crossed the wire (shipment or inbound landing).
-    SnapshotShip,
-    /// A chaos-harness strike (process or network).
+    /// A chaos-harness strike.
     ChaosStrike,
-    /// Lease fencing rejected a late or duplicated remote result.
-    Fence,
     /// A corrupt snapshot was quarantined.
     Quarantine,
 }
 
 /// Every kind, in a stable order (useful for exhaustive summaries).
-pub const SPAN_KINDS: [SpanKind; 9] = [
+pub const SPAN_KINDS: [SpanKind; 5] = [
     SpanKind::Campaign,
     SpanKind::JobAttempt,
-    SpanKind::Lease,
     SpanKind::Steal,
-    SpanKind::Reconnect,
-    SpanKind::SnapshotShip,
     SpanKind::ChaosStrike,
-    SpanKind::Fence,
     SpanKind::Quarantine,
 ];
 
@@ -62,17 +46,13 @@ impl SpanKind {
         match self {
             SpanKind::Campaign => "campaign",
             SpanKind::JobAttempt => "job_attempt",
-            SpanKind::Lease => "lease",
             SpanKind::Steal => "steal",
-            SpanKind::Reconnect => "reconnect",
-            SpanKind::SnapshotShip => "snapshot_ship",
             SpanKind::ChaosStrike => "chaos_strike",
-            SpanKind::Fence => "fence",
             SpanKind::Quarantine => "quarantine",
         }
     }
 
-    /// Parse a label back (wire/JSONL direction).
+    /// Parse a label back (JSONL direction).
     pub fn from_label(s: &str) -> Option<SpanKind> {
         SPAN_KINDS.iter().copied().find(|k| k.label() == s)
     }
@@ -118,17 +98,16 @@ impl SpanPhase {
 /// in campaign milliseconds on a named track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent {
-    /// Milliseconds since the campaign (or, worker-side, the lease)
-    /// started.
+    /// Milliseconds since the campaign started.
     pub t_ms: u64,
     pub kind: SpanKind,
     pub phase: SpanPhase,
     /// Stable id pairing a [`SpanPhase::Begin`] with its
     /// [`SpanPhase::End`]; 0 for instants/counters that pair nothing.
     pub id: u64,
-    /// Track (slot or endpoint) the span belongs to.
+    /// Track (slot, `campaign` or `chaos`) the span belongs to.
     pub track: String,
-    /// Free-form payload (job id, outcome, endpoint, ...).
+    /// Free-form payload (job id, outcome, ...).
     pub args: Vec<(String, Json)>,
 }
 
@@ -146,7 +125,7 @@ impl SpanEvent {
     }
 
     /// Parse one JSONL record back; `None` for anything malformed (the
-    /// reader must survive torn relay batches).
+    /// reader must survive a torn log).
     pub fn from_json(j: &Json) -> Option<SpanEvent> {
         Some(SpanEvent {
             t_ms: j.get("t")?.as_u64()?,
@@ -266,9 +245,8 @@ fn meta_record(name: &str, tid: Option<u64>, value: &str) -> Json {
 /// Merge a span log into one Chrome trace-event document (array form,
 /// the same shape [`crate::PerfettoSink`] writes): `ph:"X"` complete
 /// events for begin/end pairs, `ph:"i"` instants, `ph:"C"` counters.
-/// One thread per distinct track (first-appearance order); three
-/// derived counter tracks ride along — leases in flight (from lease
-/// begin/end pairs), cumulative chaos strikes, and any explicit
+/// One thread per distinct track (first-appearance order); counter
+/// tracks ride along — cumulative chaos strikes, and any explicit
 /// [`SpanPhase::Counter`] samples. Events are emitted in nondecreasing
 /// timestamp order, so per-track monotonicity holds by construction.
 pub fn merge_perfetto(events: &[SpanEvent]) -> Json {
@@ -284,32 +262,15 @@ pub fn merge_perfetto(events: &[SpanEvent]) -> Json {
     // Pair begins with their ends by (kind, id).
     let mut out: Vec<(u64, Json)> = Vec::new();
     let mut open: Vec<(SpanKind, u64, &SpanEvent)> = Vec::new();
-    let mut leases_in_flight: i64 = 0;
     let mut strikes: u64 = 0;
     for ev in events {
         match ev.phase {
-            SpanPhase::Begin => {
-                open.push((ev.kind, ev.id, ev));
-                if ev.kind == SpanKind::Lease {
-                    leases_in_flight += 1;
-                    out.push((
-                        ev.t_ms,
-                        counter_sample("leases in flight", ev.t_ms, leases_in_flight.max(0) as u64),
-                    ));
-                }
-            }
+            SpanPhase::Begin => open.push((ev.kind, ev.id, ev)),
             SpanPhase::End => {
                 let begun = open
                     .iter()
                     .rposition(|(k, id, _)| *k == ev.kind && *id == ev.id)
                     .map(|i| open.remove(i).2);
-                if ev.kind == SpanKind::Lease {
-                    leases_in_flight -= 1;
-                    out.push((
-                        ev.t_ms,
-                        counter_sample("leases in flight", ev.t_ms, leases_in_flight.max(0) as u64),
-                    ));
-                }
                 let (start, mut args) = match begun {
                     Some(b) => (b.t_ms.min(ev.t_ms), b.args.clone()),
                     None => (ev.t_ms, Vec::new()),
@@ -559,13 +520,13 @@ mod tests {
         let mut log = SpanLog::new();
         log.record(
             5,
-            SpanKind::Lease,
+            SpanKind::JobAttempt,
             SpanPhase::Begin,
             7,
-            "r1:host:1",
+            "w1",
             vec![("job".to_string(), Json::U64(3))],
         );
-        log.record(9, SpanKind::Lease, SpanPhase::End, 7, "r1:host:1", vec![]);
+        log.record(9, SpanKind::JobAttempt, SpanPhase::End, 7, "w1", vec![]);
         let text = log.to_jsonl();
         let back = parse_jsonl(&text);
         assert_eq!(back, log.events());
@@ -587,10 +548,10 @@ mod tests {
             ),
             ev(
                 2,
-                SpanKind::Lease,
+                SpanKind::JobAttempt,
                 SpanPhase::Begin,
                 1,
-                "r1:h",
+                "w1",
                 vec![("job".to_string(), Json::U64(0))],
             ),
             ev(
@@ -601,7 +562,7 @@ mod tests {
                 "w0",
                 vec![("job".to_string(), Json::U64(1))],
             ),
-            ev(8, SpanKind::Lease, SpanPhase::End, 1, "r1:h", vec![]),
+            ev(8, SpanKind::JobAttempt, SpanPhase::End, 1, "w1", vec![]),
             ev(
                 10,
                 SpanKind::Campaign,
@@ -613,31 +574,24 @@ mod tests {
         ];
         let doc = merge_perfetto(&events);
         let n = validate_perfetto(&doc).expect("valid merged doc");
-        assert!(n >= 4, "{n}");
+        assert_eq!(n, 3, "campaign and attempt spans plus the steal instant");
         let arr = doc.as_arr().unwrap();
         let xs: Vec<&Json> = arr
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
             .collect();
-        assert_eq!(xs.len(), 2); // campaign + lease
-        let lease = xs
+        assert_eq!(xs.len(), 2); // campaign + attempt
+        let attempt = xs
             .iter()
             .find(|e| {
                 e.get("args")
                     .and_then(|a| a.get("kind"))
                     .and_then(Json::as_str)
-                    == Some("lease")
+                    == Some("job_attempt")
             })
-            .expect("lease X event");
-        assert_eq!(lease.get("ts").and_then(Json::as_u64), Some(2000));
-        assert_eq!(lease.get("dur").and_then(Json::as_u64), Some(6000));
-        // The derived leases-in-flight counter sampled at begin and end.
-        let counters: Vec<&Json> = arr
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("leases in flight"))
-            .collect();
-        assert_eq!(counters.len(), 2);
+            .expect("attempt X event");
+        assert_eq!(attempt.get("ts").and_then(Json::as_u64), Some(2000));
+        assert_eq!(attempt.get("dur").and_then(Json::as_u64), Some(6000));
         // Thread-name metadata for every distinct track.
         let names: Vec<&str> = arr
             .iter()
@@ -649,7 +603,7 @@ mod tests {
                     .and_then(Json::as_str)
             })
             .collect();
-        assert!(names.contains(&"campaign") && names.contains(&"w0") && names.contains(&"r1:h"));
+        assert!(names.contains(&"campaign") && names.contains(&"w0") && names.contains(&"w1"));
     }
 
     #[test]

@@ -456,8 +456,10 @@ impl VliwCache {
 
     /// Rebuild from [`VliwCache::snapshot_json`] output and the geometry
     /// the cache ran with; `None` on structural mismatch (including a
-    /// line count that does not match the geometry, a malformed block
-    /// and a block stored outside the set its tag maps to).
+    /// line count that does not match the geometry, a malformed block,
+    /// a block stored outside the set its tag maps to and a block no
+    /// Scheduler Unit of this geometry could seal: rows other than
+    /// `width` slots wide, or more than `height` of them).
     pub fn from_snapshot_json(config: VliwCacheConfig, j: &Json) -> Option<VliwCache> {
         let mut c = VliwCache::new(config);
         let lines = j.get("lines")?.as_arr()?;
@@ -470,10 +472,11 @@ impl VliwCache {
                 Json::Null => None,
                 bj => Some(Arc::new(block_from_json(bj)?)),
             };
-            if block
-                .as_ref()
-                .is_some_and(|b| c.set_of(b.tag_addr) != i / ways)
-            {
+            if block.as_ref().is_some_and(|b| {
+                c.set_of(b.tag_addr) != i / ways
+                    || b.lis[0].width() != config.width as usize
+                    || b.lis.len() > config.height as usize
+            }) {
                 return None;
             }
             let slot = &mut c.lines[i];
@@ -796,6 +799,21 @@ mod tests {
         assert!(restore(config, &ragged).is_none());
         let wide = format!("\"lis\":[[{}]]", vec!["null"; 65].join(","));
         assert!(restore(config, &edit(&text, ROW, &wide)).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_a_block_of_another_geometry() {
+        let (config, text) = two_set_snapshot();
+        let rows = |n: usize, width: usize| {
+            let row = format!("[{}]", vec!["null"; width].join(","));
+            format!("\"lis\":[{}]", vec![row; n].join(","))
+        };
+        // `height` rows of `width` slots fit the 4x4 cache.
+        assert!(restore(config, &edit(&text, ROW, &rows(4, 4))).is_some());
+        // 9-slot rows, or 9 long instructions, do not.
+        assert!(restore(config, &edit(&text, ROW, &rows(1, 9))).is_none());
+        assert!(restore(config, &edit(&text, ROW, &rows(9, 4))).is_none());
+        assert!(restore(config, &edit(&text, ROW, &rows(5, 4))).is_none());
     }
 
     #[test]
