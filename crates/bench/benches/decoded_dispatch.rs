@@ -5,9 +5,11 @@
 //! line — a dispatch regression shows up here even when workload-level
 //! throughput hides it behind the oracle's floor.
 //!
-//! Dependency-free manual harness (`harness = false`), same timing
-//! scheme as `benches/simulator.rs`: warm-up call, best of 5 samples,
-//! determinism assert on the returned check value.
+//! Dependency-free manual harness (`harness = false`): warm-up call,
+//! best of 15 samples, determinism assert on the returned check value.
+//! Identical builds drift by up to 2x between runs on a small shared
+//! host; the best of 15 and the ns-per-op column are what make a
+//! dispatch change readable through that.
 
 use dtsvliw_asm::Image;
 use dtsvliw_isa::insn::{Instr, Src2};
@@ -21,7 +23,7 @@ use dtsvliw_vliw::{decode_block, LiResult, VliwEngine};
 use dtsvliw_workloads::{by_name, Scale};
 use std::time::Instant;
 
-const SAMPLES: usize = 5;
+const SAMPLES: usize = 15;
 
 fn bench(name: &str, elements: u64, mut f: impl FnMut() -> u64) {
     let check = f(); // warm-up
@@ -34,7 +36,13 @@ fn bench(name: &str, elements: u64, mut f: impl FnMut() -> u64) {
         best = best.min(dt);
     }
     let rate = elements as f64 / best / 1e6;
-    println!("{name:<34}{:>10.3} ms{:>10.2} M elem/s", best * 1e3, rate);
+    let ns = best * 1e9 / elements as f64;
+    println!(
+        "{name:<34}{:>10.3} ms{:>10.2} M ops/s{:>8.2} ns/op",
+        best * 1e3,
+        rate,
+        ns
+    );
 }
 
 /// A fully-occupied synthetic block: `height` rows of `width`
@@ -166,7 +174,10 @@ impl Rig {
 }
 
 fn main() {
-    println!("{:<34}{:>13}{:>18}", "benchmark", "best", "throughput");
+    println!(
+        "{:<34}{:>13}{:>18}{:>14}",
+        "benchmark", "best", "throughput", "per op"
+    );
     const ITERS: u64 = 20_000;
 
     // Pure dispatch ceiling: synthetic all-ALU decoded lines.

@@ -124,8 +124,8 @@ impl Babysitter {
         }
     }
 
-    /// Look at the child once: `Continue` with the heartbeat records
-    /// appended since the last look while it runs, `Break` with how it
+    /// Look at the child once: `Continue` with the freshest heartbeat
+    /// progress while it runs, `Break` with how it
     /// ended and the tail's final flush once it exited. A failed
     /// `try_wait` is logged, kills the child and settles as `error -1`.
     pub fn poll(&mut self, log: impl Fn(&str)) -> ControlFlow<(Outcome, TailRead), TailRead> {

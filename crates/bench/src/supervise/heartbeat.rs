@@ -34,9 +34,6 @@ fn progress_of(j: &Json) -> Option<Progress> {
 /// What one read of a [`HeartbeatTail`] produced.
 #[derive(Debug, Default, PartialEq)]
 pub struct TailRead {
-    /// The complete, well-formed records this read consumed, in file
-    /// order; across reads each record comes back exactly once.
-    pub records: Vec<Json>,
     /// The freshest progress the stream has carried so far.
     pub progress: Option<Progress>,
     /// Torn final records: only [`HeartbeatTail::finish`] counts them.
@@ -61,19 +58,21 @@ impl HeartbeatTail {
         }
     }
 
-    /// Consume any new complete lines: their records, and the freshest
-    /// progress seen so far. A record mid-write waits for the next poll
-    /// rather than being parsed half-torn.
+    /// Consume any new complete lines and return the freshest progress
+    /// seen so far. New lines are parsed newest first, stopping at the
+    /// first record that carries progress. A record mid-write waits for
+    /// the next poll rather than being parsed half-torn.
     pub fn poll(&mut self) -> TailRead {
-        let mut records = Vec::new();
         if let Some(buf) = self.unread() {
             let complete = buf.rfind('\n').map_or(0, |p| p + 1);
             self.offset += complete as u64;
-            records = complete_records(&buf[..complete]);
-            self.last = records.iter().rev().find_map(progress_of).or(self.last);
+            let newest = buf[..complete]
+                .lines()
+                .rev()
+                .find_map(|line| progress_of(&Json::parse(line).ok()?));
+            self.last = newest.or(self.last);
         }
         TailRead {
-            records,
             progress: self.last,
             truncated: 0,
         }
@@ -82,9 +81,8 @@ impl HeartbeatTail {
     /// Final flush once the child is dead: consume any remaining
     /// complete lines, then give the torn tail — a record the dead
     /// child never newline-terminated — one last parse. A tail that
-    /// parses whole is a real record and is returned (and its progress
-    /// credited); one that does not is counted as truncated, never an
-    /// error.
+    /// parses whole is a real record and its progress is credited; one
+    /// that does not is counted as truncated, never an error.
     pub fn finish(&mut self) -> TailRead {
         let mut read = self.poll();
         if let Some(rest) = self.unread() {
@@ -93,7 +91,6 @@ impl HeartbeatTail {
                 Ok(rec @ Json::Obj(_)) => {
                     self.last = progress_of(&rec).or(self.last);
                     read.progress = self.last;
-                    read.records.push(rec);
                 }
                 _ => read.truncated = u64::from(!rest.trim().is_empty()),
             }
@@ -296,30 +293,25 @@ mod tests {
         (dir, path)
     }
 
-    fn seqs(read: &TailRead) -> Vec<u64> {
-        read.records
-            .iter()
-            .map(|r| r.get("seq").and_then(Json::as_u64).unwrap())
-            .collect()
+    fn cycle(read: &TailRead) -> Option<u64> {
+        read.progress.map(|p| p.cycle)
     }
 
     #[test]
-    fn each_complete_record_comes_back_once_and_in_order() {
+    fn progress_follows_the_newest_complete_record() {
         let (dir, path) = hb_file("once");
         let mut f = std::fs::File::create(&path).unwrap();
         let mut tail = HeartbeatTail::new(path);
         write!(f, "{}{}", record(0, 100), record(1, 200)).unwrap();
         f.flush().unwrap();
-        let read = tail.poll();
-        assert_eq!(seqs(&read), [0, 1]);
-        assert_eq!(read.progress.map(|p| p.cycle), Some(200));
-        // Nothing new: no records, the progress stays.
-        let read = tail.poll();
-        assert_eq!(seqs(&read), [] as [u64; 0]);
-        assert_eq!(read.progress.map(|p| p.cycle), Some(200));
+        assert_eq!(cycle(&tail.poll()), Some(200), "the newer record wins");
+        // Nothing new: the progress stays.
+        assert_eq!(cycle(&tail.poll()), Some(200));
         write!(f, "{}", record(2, 300)).unwrap();
         f.flush().unwrap();
-        assert_eq!(seqs(&tail.poll()), [2]);
+        let read = tail.poll();
+        assert_eq!(cycle(&read), Some(300));
+        assert_eq!(read.truncated, 0, "poll never counts truncation");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -330,12 +322,14 @@ mod tests {
         let mut tail = HeartbeatTail::new(path);
         write!(f, "{}{{\"seq\": 1, \"cyc", record(0, 100)).unwrap();
         f.flush().unwrap();
-        assert_eq!(seqs(&tail.poll()), [0]);
-        assert_eq!(seqs(&tail.poll()), [] as [u64; 0], "the torn line waits");
+        assert_eq!(cycle(&tail.poll()), Some(100));
+        let read = tail.poll();
+        assert_eq!(cycle(&read), Some(100), "the torn line waits");
+        assert_eq!(read.truncated, 0);
         writeln!(f, "le\": 200, \"instructions\": 400}}").unwrap();
         f.flush().unwrap();
         let read = tail.poll();
-        assert_eq!(seqs(&read), [1], "the completed line comes back whole");
+        assert_eq!(cycle(&read), Some(200), "the completed line is read whole");
         assert_eq!(read.truncated, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -343,13 +337,14 @@ mod tests {
     #[test]
     fn garbage_lines_are_dropped_from_the_records() {
         let (dir, path) = hb_file("garbage");
+        // Garbage after the last good record must not hide it.
         std::fs::write(
             &path,
-            format!("{}###torn###\n42\n[1]\n{}", record(0, 100), record(1, 200)),
+            format!("{}{}###torn###\n42\n[1]\n", record(0, 100), record(1, 200)),
         )
         .unwrap();
         let mut tail = HeartbeatTail::new(path);
-        assert_eq!(seqs(&tail.poll()), [0, 1]);
+        assert_eq!(cycle(&tail.poll()), Some(200));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -358,18 +353,18 @@ mod tests {
         let (dir, path) = hb_file("reread");
         std::fs::write(&path, format!("{}{}", record(0, 100), record(1, 900))).unwrap();
         let mut tail = HeartbeatTail::new(path.clone());
-        assert_eq!(seqs(&tail.poll()), [0, 1]);
+        assert_eq!(cycle(&tail.poll()), Some(900));
         // A retry recreates the file: shorter, so every record in it is
-        // new to the tail.
+        // new to the tail, and older progress is forgotten.
         std::fs::write(&path, record(7, 50)).unwrap();
-        let read = tail.poll();
-        assert_eq!(seqs(&read), [7]);
-        assert_eq!(read.progress.map(|p| p.cycle), Some(50));
+        assert_eq!(cycle(&tail.poll()), Some(50));
+        std::fs::write(&path, "").unwrap();
+        assert_eq!(cycle(&tail.poll()), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn finish_returns_a_whole_tail_as_a_record_and_counts_a_torn_one() {
+    fn finish_credits_a_whole_tail_and_counts_a_torn_one() {
         let (dir, path) = hb_file("finrec");
         std::fs::write(
             &path,
@@ -380,17 +375,19 @@ mod tests {
         )
         .unwrap();
         let mut tail = HeartbeatTail::new(path.clone());
-        assert_eq!(seqs(&tail.poll()), [0]);
+        assert_eq!(cycle(&tail.poll()), Some(100));
         let read = tail.finish();
-        assert_eq!(seqs(&read), [1], "the un-newlined record is returned");
         assert_eq!(
-            (read.truncated, read.progress.map(|p| p.cycle)),
-            (0, Some(300))
+            (read.truncated, cycle(&read)),
+            (0, Some(300)),
+            "the un-newlined record is credited"
         );
+        // A second flush finds nothing new and keeps the progress.
+        assert_eq!(tail.finish(), read);
 
         std::fs::write(&path, format!("{}{{\"seq\": 1, \"cyc", record(0, 100))).unwrap();
         let read = HeartbeatTail::new(path).finish();
-        assert_eq!(seqs(&read), [0], "complete records still come back");
+        assert_eq!(cycle(&read), Some(100), "complete records still count");
         assert_eq!(read.truncated, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

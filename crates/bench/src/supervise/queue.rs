@@ -184,11 +184,6 @@ impl Scheduler {
     pub fn shard_depths(&self) -> Vec<usize> {
         self.shards.iter().map(VecDeque::len).collect()
     }
-
-    /// Children currently admitted.
-    pub fn running(&self) -> usize {
-        self.running
-    }
 }
 
 #[cfg(test)]

@@ -50,6 +50,7 @@ fn logic_icc(r: u32) -> Icc {
 /// top, the second operand is added if the low bit of `%y` is set, and
 /// `%y` shifts right one with the old low bit of `rs1` entering at the
 /// top.
+#[inline]
 pub fn exec_alu(op: AluOp, a: u32, b: u32, icc: Icc, y: u32) -> AluResult {
     match op {
         AluOp::Add => {

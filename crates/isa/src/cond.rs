@@ -94,6 +94,7 @@ impl Cond {
     }
 
     /// Evaluate the predicate against the integer condition codes.
+    #[inline]
     pub fn eval(self, icc: Icc) -> bool {
         use Cond::*;
         let Icc { n, z, v, c } = icc;
@@ -207,6 +208,7 @@ impl FCond {
     }
 
     /// Evaluate against an `fcc` value.
+    #[inline]
     pub fn eval(self, fcc: Fcc) -> bool {
         use FCond::*;
         match self {

@@ -12,8 +12,9 @@ use crate::regs::{phys_reg, NUM_PHYS_INT, NWINDOWS};
 /// The complete SPARC ISA state of the simulated machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchState {
-    /// Physical integer register file (globals + windowed).
-    pub int: Vec<u32>,
+    /// Physical integer register file (globals + windowed). Fixed-size,
+    /// so cloning a state (a block-entry checkpoint) never allocates.
+    pub int: [u32; NUM_PHYS_INT],
     /// FP registers as raw bit patterns.
     pub fp: [u32; 32],
     /// Integer condition codes.
@@ -39,7 +40,7 @@ impl ArchState {
     /// Fresh state with every register zero, started at `entry`.
     pub fn new(entry: u32) -> Self {
         ArchState {
-            int: vec![0; NUM_PHYS_INT],
+            int: [0; NUM_PHYS_INT],
             fp: [0; 32],
             icc: Icc::default(),
             fcc: Fcc::default(),

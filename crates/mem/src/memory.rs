@@ -3,12 +3,21 @@
 use dtsvliw_isa::encode::decode;
 use dtsvliw_isa::Instr;
 use dtsvliw_json::Json;
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 const PAGE_WORDS: usize = PAGE_SIZE / 4;
+
+/// The page table splits a 20-bit page number into a 12-bit directory
+/// index and an 8-bit leaf index: one leaf maps 1 MB of address space.
+const LEAF_BITS: u32 = 8;
+const LEAF_SLOTS: usize = 1 << LEAF_BITS;
+const DIR_SHIFT: u32 = PAGE_SHIFT + LEAF_BITS;
+
+/// One leaf of the page table: for each page it covers, `1 +` the
+/// page's index into `Memory::pages`, or 0 when the page is absent.
+type Leaf = [u32; LEAF_SLOTS];
 
 /// One resident page: its bytes plus, once code has been fetched from
 /// it, the decoded form of each word (`None` until that word is fetched,
@@ -23,15 +32,23 @@ struct Page {
 /// A sparse 32-bit byte-addressable memory. Unwritten bytes read as 0.
 /// Multi-byte accesses are big-endian, as on SPARC.
 ///
+/// Pages are found through a two-level page table. The directory grows
+/// only as far as the highest megabyte written, and each leaf is
+/// allocated the first time a page under it is written. A lookup is
+/// two indexed loads; nothing is hashed.
+///
 /// Instruction fetch goes through [`Memory::fetch`], which decodes each
 /// static instruction word once and keeps it beside the page's bytes
 /// until a write to that word drops it.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    /// Page number → index into `pages`. Pages are never removed, so an
+    /// Page-table directory, indexed by the top bits of the page number.
+    dir: Vec<Option<Box<Leaf>>>,
+    /// Resident pages in creation order. Pages are never removed, so an
     /// index stays valid for the memory's lifetime (and in its clones).
-    index: HashMap<u32, u32>,
     pages: Vec<Page>,
+    /// Page number of each entry of `pages`, for walks in page order.
+    nums: Vec<u32>,
     /// The page the last fetch hit, as `(page number, index)`; the page
     /// number is `u32::MAX` (never a real page) until the first fetch.
     fetch_page: (u32, u32),
@@ -40,8 +57,9 @@ pub struct Memory {
 impl Default for Memory {
     fn default() -> Self {
         Memory {
-            index: HashMap::new(),
+            dir: Vec::new(),
             pages: Vec::new(),
+            nums: Vec::new(),
             fetch_page: (u32::MAX, 0),
         }
     }
@@ -51,12 +69,7 @@ impl Memory {
     /// First byte address at which two memories differ, if any. An
     /// all-zero page is equivalent to an absent one.
     pub fn first_difference(&self, other: &Memory) -> Option<u32> {
-        let mut pages: Vec<u32> = self
-            .index
-            .keys()
-            .chain(other.index.keys())
-            .copied()
-            .collect();
+        let mut pages: Vec<u32> = self.nums.iter().chain(&other.nums).copied().collect();
         pages.sort_unstable();
         pages.dedup();
         const ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
@@ -78,11 +91,36 @@ impl Memory {
         Memory::default()
     }
 
+    /// Index into `pages` of the page holding `addr`, if resident.
+    #[inline]
+    fn page_index(&self, addr: u32) -> Option<usize> {
+        let leaf = self.dir.get((addr >> DIR_SHIFT) as usize)?.as_deref()?;
+        let slot = leaf[(addr >> PAGE_SHIFT) as usize & (LEAF_SLOTS - 1)];
+        (slot as usize).checked_sub(1)
+    }
+
     #[inline]
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.index
-            .get(&(addr >> PAGE_SHIFT))
-            .map(|&i| &self.pages[i as usize].bytes)
+        self.page_index(addr).map(|i| &self.pages[i].bytes)
+    }
+
+    /// Create the zero-filled page holding `addr` (and its page-table
+    /// leaf, if absent) and return its index.
+    #[cold]
+    fn insert_page(&mut self, addr: u32) -> usize {
+        let d = (addr >> DIR_SHIFT) as usize;
+        if self.dir.len() <= d {
+            self.dir.resize_with(d + 1, || None);
+        }
+        let leaf = self.dir[d].get_or_insert_with(|| Box::new([0; LEAF_SLOTS]));
+        self.pages.push(Page {
+            bytes: [0; PAGE_SIZE],
+            decoded: Vec::new(),
+        });
+        self.nums.push(addr >> PAGE_SHIFT);
+        let i = self.pages.len() - 1;
+        leaf[(addr >> PAGE_SHIFT) as usize & (LEAF_SLOTS - 1)] = i as u32 + 1;
+        i
     }
 
     /// The single write path: the `len` bytes at `addr`, which must lie
@@ -91,15 +129,11 @@ impl Memory {
     /// on the next fetch.
     #[inline]
     fn page_mut(&mut self, addr: u32, len: usize) -> &mut [u8] {
-        let pages = &mut self.pages;
-        let i = *self.index.entry(addr >> PAGE_SHIFT).or_insert_with(|| {
-            pages.push(Page {
-                bytes: [0; PAGE_SIZE],
-                decoded: Vec::new(),
-            });
-            (pages.len() - 1) as u32
-        });
-        let page = &mut self.pages[i as usize];
+        let i = match self.page_index(addr) {
+            Some(i) => i,
+            None => self.insert_page(addr),
+        };
+        let page = &mut self.pages[i];
         let off = (addr & PAGE_MASK) as usize;
         if !page.decoded.is_empty() {
             page.decoded[off / 4..(off + len).div_ceil(4)].fill(None);
@@ -138,8 +172,8 @@ impl Memory {
     fn fetch_cached(&mut self, pc: u32) -> Instr {
         let num = pc >> PAGE_SHIFT;
         if num != self.fetch_page.0 {
-            match self.index.get(&num) {
-                Some(&i) => self.fetch_page = (num, i),
+            match self.page_index(pc) {
+                Some(i) => self.fetch_page = (num, i as u32),
                 None => return decode(0),
             }
         }
@@ -184,6 +218,12 @@ impl Memory {
     /// enforces alignment traps).
     #[inline]
     pub fn read_u16(&self, addr: u32) -> u16 {
+        if addr & PAGE_MASK < PAGE_MASK {
+            let o = (addr & PAGE_MASK) as usize;
+            return self
+                .page(addr)
+                .map_or(0, |p| u16::from_be_bytes([p[o], p[o + 1]]));
+        }
         (self.read_u8(addr) as u16) << 8 | self.read_u8(addr.wrapping_add(1)) as u16
     }
 
@@ -239,7 +279,7 @@ impl Memory {
 
     /// Number of resident pages (diagnostics).
     pub fn resident_pages(&self) -> usize {
-        self.index.len()
+        self.pages.len()
     }
 
     /// Serialise the memory image for a machine snapshot: a sorted array
@@ -247,7 +287,7 @@ impl Memory {
     /// they are semantically absent (see [`Memory::first_difference`]) —
     /// so the encoding is canonical regardless of write history.
     pub fn snapshot_json(&self) -> Json {
-        let mut nums: Vec<u32> = self.index.keys().copied().collect();
+        let mut nums = self.nums.clone();
         nums.sort_unstable();
         let pages = nums
             .into_iter()
@@ -358,6 +398,75 @@ mod tests {
         assert_eq!(m.first_difference(&back), None);
         assert_eq!(back.read_u32(0x1000), 0xdead_beef);
         assert_eq!(back.read_u8(0xffff_fffe), 7);
+    }
+
+    /// Page numbers a snapshot lists, in its order.
+    fn snapshot_pages(m: &Memory) -> Vec<u64> {
+        let j = m.snapshot_json();
+        j.as_arr()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_arr().unwrap()[0].as_u64().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn first_and_last_pages_map_like_any_other() {
+        let mut m = Memory::new();
+        m.write_u32(0, 0x0102_0304);
+        m.write_u32(0xffff_fffc, 0xa1b2_c3d4);
+        assert_eq!(m.read_u32(0), 0x0102_0304);
+        assert_eq!(m.read_u16(2), 0x0304);
+        assert_eq!(m.read_u32(0xffff_fffc), 0xa1b2_c3d4);
+        assert_eq!(m.read_u16(0xffff_fffe), 0xc3d4);
+        assert_eq!(m.read_u8(0xffff_ffff), 0xd4);
+        assert_eq!(m.read_u32(0xffe0_0000), 0, "a sibling page stays absent");
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(snapshot_pages(&m), [0, 0xfffff]);
+    }
+
+    #[test]
+    fn a_word_write_wraps_from_the_top_of_memory_to_page_zero() {
+        let mut m = Memory::new();
+        m.write_u32(0xffff_fffe, 0x1122_3344);
+        assert_eq!(m.read_u32(0xffff_fffe), 0x1122_3344);
+        assert_eq!(m.read_u16(0xffff_ffff), 0x2233, "halfword across the wrap");
+        assert_eq!(m.read_u16(0xffff_fffe), 0x1122);
+        assert_eq!(m.read_u16(0), 0x3344);
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(snapshot_pages(&m), [0, 0xfffff]);
+    }
+
+    #[test]
+    fn snapshots_list_pages_in_address_order_whatever_the_creation_order() {
+        let mut m = Memory::new();
+        for addr in [0x0050_0000, 0xfff0_0000, 0x1000, 0x0040_3000, 0x0050_1000] {
+            m.write_u8(addr, 1);
+        }
+        assert_eq!(snapshot_pages(&m), [0x1, 0x403, 0x500, 0x501, 0xfff00]);
+        let back = Memory::from_snapshot_json(&m.snapshot_json()).unwrap();
+        assert_eq!(back.snapshot_json(), m.snapshot_json());
+        assert_eq!(back.first_difference(&m), None);
+    }
+
+    #[test]
+    fn first_difference_spans_disjoint_page_sets() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u8(0x0090_0010, 1);
+        b.write_u8(0x0010_0020, 2);
+        b.write_u8(0x00a0_0000, 3);
+        assert_eq!(a.first_difference(&b), Some(0x0010_0020));
+        assert_eq!(b.first_difference(&a), Some(0x0010_0020));
+        // Only all-zero pages on either side: no difference.
+        let mut c = Memory::new();
+        let mut d = Memory::new();
+        c.write_u32(0x1000, 0);
+        d.write_u32(0xffff_f000, 0);
+        assert_eq!(c.first_difference(&d), None);
+        assert_eq!(c.first_difference(&Memory::new()), None);
+        d.write_u8(0xffff_f003, 9);
+        assert_eq!(c.first_difference(&d), Some(0xffff_f003));
     }
 
     // Decoded-fetch invalidation. `A` and `B` decode to different

@@ -36,8 +36,7 @@ pub use ring::FlightRecorder;
 pub use sample::{SamplingProfiler, DEFAULT_SAMPLE_PERIOD};
 pub use sink::{sink_to_writer, EventSink, JsonlSink, PerfettoSink, TextSink, TraceFormat};
 pub use span::{
-    merge_perfetto, parse_jsonl as parse_span_jsonl, validate_perfetto, SpanEvent, SpanKind,
-    SpanLog, SpanPhase, SPAN_KINDS,
+    merge_perfetto, validate_perfetto, SpanEvent, SpanKind, SpanLog, SpanPhase, SPAN_KINDS,
 };
 pub use telemetry::{BurstDelta, Heartbeat, HeartbeatRecord, Telemetry};
 

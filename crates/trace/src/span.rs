@@ -16,7 +16,7 @@
 use dtsvliw_json::Json;
 
 /// What a span describes. Every kind has a stable lower-case label used
-/// in the JSONL log and as the Perfetto event name.
+/// as the Perfetto event name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// The whole campaign, begin to drain.
@@ -52,7 +52,7 @@ impl SpanKind {
         }
     }
 
-    /// Parse a label back (JSONL direction).
+    /// Parse a label back.
     pub fn from_label(s: &str) -> Option<SpanKind> {
         SPAN_KINDS.iter().copied().find(|k| k.label() == s)
     }
@@ -72,7 +72,7 @@ pub enum SpanPhase {
 }
 
 impl SpanPhase {
-    /// The Perfetto-style phase letter used in the JSONL form.
+    /// The Perfetto-style phase letter.
     pub fn label(self) -> &'static str {
         match self {
             SpanPhase::Begin => "B",
@@ -112,34 +112,6 @@ pub struct SpanEvent {
 }
 
 impl SpanEvent {
-    /// One JSONL line: `{"t":…,"kind":…,"ph":…,"id":…,"track":…,"args":{…}}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("t", Json::U64(self.t_ms)),
-            ("kind", Json::Str(self.kind.label().to_string())),
-            ("ph", Json::Str(self.phase.label().to_string())),
-            ("id", Json::U64(self.id)),
-            ("track", Json::Str(self.track.clone())),
-            ("args", Json::Obj(self.args.clone())),
-        ])
-    }
-
-    /// Parse one JSONL record back; `None` for anything malformed (the
-    /// reader must survive a torn log).
-    pub fn from_json(j: &Json) -> Option<SpanEvent> {
-        Some(SpanEvent {
-            t_ms: j.get("t")?.as_u64()?,
-            kind: SpanKind::from_label(j.get("kind")?.as_str()?)?,
-            phase: SpanPhase::from_label(j.get("ph")?.as_str()?)?,
-            id: j.get("id")?.as_u64()?,
-            track: j.get("track")?.as_str()?.to_string(),
-            args: match j.get("args") {
-                Some(Json::Obj(pairs)) => pairs.clone(),
-                _ => Vec::new(),
-            },
-        })
-    }
-
     /// Look up one argument.
     pub fn arg(&self, key: &str) -> Option<&Json> {
         self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -199,27 +171,6 @@ impl SpanLog {
     pub fn into_events(self) -> Vec<SpanEvent> {
         self.events
     }
-
-    /// The whole log as JSONL text.
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for ev in &self.events {
-            s.push_str(&ev.to_json().to_string());
-            s.push('\n');
-        }
-        s
-    }
-}
-
-/// Parse a JSONL span log; malformed or torn lines are skipped, never
-/// an error (the same defensive posture as heartbeat tailing).
-pub fn parse_jsonl(text: &str) -> Vec<SpanEvent> {
-    let complete = text.rfind('\n').map_or(0, |p| p + 1);
-    text[..complete]
-        .lines()
-        .filter_map(|line| Json::parse(line).ok())
-        .filter_map(|j| SpanEvent::from_json(&j))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -513,26 +464,6 @@ mod tests {
         ] {
             assert_eq!(SpanPhase::from_label(p.label()), Some(p));
         }
-    }
-
-    #[test]
-    fn jsonl_round_trip_and_torn_tolerance() {
-        let mut log = SpanLog::new();
-        log.record(
-            5,
-            SpanKind::JobAttempt,
-            SpanPhase::Begin,
-            7,
-            "w1",
-            vec![("job".to_string(), Json::U64(3))],
-        );
-        log.record(9, SpanKind::JobAttempt, SpanPhase::End, 7, "w1", vec![]);
-        let text = log.to_jsonl();
-        let back = parse_jsonl(&text);
-        assert_eq!(back, log.events());
-        // A torn final line and garbage lines are skipped, not errors.
-        let dirty = format!("{text}###garbage###\n{{\"t\": 1, \"kin");
-        assert_eq!(parse_jsonl(&dirty).len(), 2);
     }
 
     #[test]

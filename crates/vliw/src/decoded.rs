@@ -14,7 +14,7 @@
 //! ([`IntSrc`]/[`FpSrc`]/[`CcSrc`]), immediates are precomputed
 //! (`sethi`'s `imm22 << 10`, branch targets), and per-row spans carry
 //! the occupancy/width the machine's metrics need without touching the
-//! stored block.
+//! stored block, plus flags naming the engine phases each row can reach.
 //!
 //! Decoding is **infallible and semantics-free**: every condition the
 //! engine checks at execution time (missing `ls_order`, bad COPY
@@ -237,6 +237,61 @@ pub struct DecodedRow {
     pub occupancy: u8,
     /// Total slots, occupied or not (the profiler's width column).
     pub width: u8,
+    /// What the row's ops can do, as [`DecodedRow::BRANCH`] and the
+    /// other flag bits: the engine skips every per-cycle phase whose
+    /// flag is clear.
+    pub flags: u8,
+}
+
+impl DecodedRow {
+    /// A conditional branch or `jmpl`: the branch-tag cutoff may fire.
+    pub const BRANCH: u8 = 1;
+    /// A load: it reaches the data cache before tags resolve.
+    pub const LOAD: u8 = 2;
+    /// A load, a real store or a COPY that commits a split store: an
+    /// access the aliasing detector checks (§3.10).
+    pub const ALIAS_CHECKED: u8 = 4;
+    /// A COPY left behind by a split (§3.9).
+    pub const COPY: u8 = 8;
+    /// A memory access (misaligned at run time) or a non-schedulable
+    /// instruction: the row can raise a runtime fault.
+    pub const CAN_FAULT: u8 = 16;
+
+    /// True when any of the `flags` bits is set.
+    #[inline]
+    pub fn has(&self, flags: u8) -> bool {
+        self.flags & flags != 0
+    }
+}
+
+/// The [`DecodedRow`] flag bits one op contributes to its row.
+fn row_flags(op: &DecodedOp) -> u8 {
+    match &op.kind {
+        DecodedKind::Bicc { .. } | DecodedKind::FBfcc { .. } | DecodedKind::Jmpl { .. } => {
+            DecodedRow::BRANCH
+        }
+        DecodedKind::Load { .. } => {
+            DecodedRow::LOAD | DecodedRow::ALIAS_CHECKED | DecodedRow::CAN_FAULT
+        }
+        DecodedKind::Store { membuf: None, .. } => {
+            DecodedRow::ALIAS_CHECKED | DecodedRow::CAN_FAULT
+        }
+        DecodedKind::Store {
+            membuf: Some(_), ..
+        }
+        | DecodedKind::Fault => DecodedRow::CAN_FAULT,
+        DecodedKind::Copy { pairs } => {
+            if pairs
+                .iter()
+                .any(|(from, _)| matches!(from, Resource::MemRen(_)))
+            {
+                DecodedRow::COPY | DecodedRow::ALIAS_CHECKED
+            } else {
+                DecodedRow::COPY
+            }
+        }
+        _ => 0,
+    }
 }
 
 /// A block lowered to its flat execution form: one contiguous op array
@@ -440,14 +495,18 @@ pub fn decode_block_into(block: &Block, mut shell: DecodedLine) -> DecodedLine {
     shell.rows.reserve(block.lis.len());
     for li in &block.lis {
         let start = shell.ops.len() as u32;
+        let mut flags = 0;
         for op in li.ops() {
-            shell.ops.push(decode_slot(op));
+            let op = decode_slot(op);
+            flags |= row_flags(&op);
+            shell.ops.push(op);
         }
         shell.rows.push(DecodedRow {
             start,
             end: shell.ops.len() as u32,
             occupancy: (shell.ops.len() as u32 - start) as u8,
             width: li.width() as u8,
+            flags,
         });
     }
     shell.nba_line = block.nba_line();
@@ -602,5 +661,90 @@ mod tests {
         arena.recycle(Arc::new(decode_block(&b)));
         let again = decode_block_into(&b, arena.take_shell());
         assert_eq!(d, again);
+    }
+
+    #[test]
+    fn row_flags_name_the_phases_each_row_needs() {
+        let mem = |op, writes: Vec<Resource>| {
+            let mut s = sched(
+                Instr::Mem {
+                    op,
+                    rd: 9,
+                    rs1: 8,
+                    src2: Src2::Imm(0),
+                },
+                0,
+                Vec::new(),
+            );
+            s.ls_order = Some(1);
+            for w in writes {
+                s.writes.push(w);
+            }
+            SlotOp::Instr(s)
+        };
+        let copy = |from| {
+            SlotOp::Copy(CopyInstr {
+                pairs: vec![(from, Resource::Int(9))],
+                tag: 1,
+                ls_order: Some(2),
+                cross: false,
+                orig_seq: 3,
+            })
+        };
+        let jmpl = Instr::Jmpl {
+            rd: 0,
+            rs1: 31,
+            src2: Src2::Imm(8),
+        };
+        let rows = [
+            (
+                vec![SlotOp::Instr(sched(Instr::RdY { rd: 2 }, 0, Vec::new()))],
+                0,
+            ),
+            (
+                vec![SlotOp::Instr(sched(jmpl, 0, Vec::new()))],
+                DecodedRow::BRANCH,
+            ),
+            (
+                vec![mem(MemOp::Ld, Vec::new())],
+                DecodedRow::LOAD | DecodedRow::ALIAS_CHECKED | DecodedRow::CAN_FAULT,
+            ),
+            (
+                vec![mem(MemOp::St, Vec::new())],
+                DecodedRow::ALIAS_CHECKED | DecodedRow::CAN_FAULT,
+            ),
+            (
+                vec![mem(MemOp::St, vec![Resource::MemRen(0)])],
+                DecodedRow::CAN_FAULT,
+            ),
+            (vec![copy(Resource::IntRen(0))], DecodedRow::COPY),
+            (
+                vec![copy(Resource::MemRen(0))],
+                DecodedRow::COPY | DecodedRow::ALIAS_CHECKED,
+            ),
+            (
+                vec![SlotOp::Instr(sched(Instr::Trap { code: 0 }, 0, Vec::new()))],
+                DecodedRow::CAN_FAULT,
+            ),
+        ];
+        for (ops, want) in rows {
+            let mut li = LongInstr::empty(4);
+            for (i, op) in ops.into_iter().enumerate() {
+                li.set(i, op);
+            }
+            let b = Block {
+                tag_addr: 0x1000,
+                entry_cwp: 0,
+                entry_resident: 1,
+                window_sensitive: false,
+                lis: vec![li],
+                nba_addr: 0x2000,
+                renames: RenameCounts::default(),
+                first_seq: 0,
+                trace_len: 1,
+            };
+            let d = decode_block(&b);
+            assert_eq!(d.rows[0].flags, want, "{:?}", d.ops[0].kind);
+        }
     }
 }

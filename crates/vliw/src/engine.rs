@@ -15,7 +15,8 @@
 //! overwritten data.
 
 use crate::decoded::{
-    decode_block, CcSrc, DecodedKind, DecodedLine, DecodedOp, FpSrc, IntSrc, Src2D, StoreData,
+    decode_block, CcSrc, DecodedKind, DecodedLine, DecodedOp, DecodedRow, FpSrc, IntSrc, Src2D,
+    StoreData,
 };
 use dtsvliw_isa::alu::{exec_alu, exec_fp};
 use dtsvliw_isa::cond::{Fcc, Icc};
@@ -271,45 +272,171 @@ struct MemBufEntry {
     value: u32,
 }
 
-/// Per-op computed effects, applied only if the op's tag is valid.
+/// The renaming files and the memory renaming buffer: the engine state
+/// ops read through pre-resolved operands and COPYs commit into.
 #[derive(Debug, Clone, Default)]
+struct RenameFiles {
+    int: Vec<u32>,
+    fp: Vec<u32>,
+    icc: Vec<Icc>,
+    fcc: Vec<Fcc>,
+    membuf: Vec<MemBufEntry>,
+}
+
+impl RenameFiles {
+    #[inline]
+    fn int_of(&self, state: &ArchState, s: IntSrc) -> u32 {
+        match s {
+            IntSrc::Zero => 0,
+            IntSrc::Phys(p) => state.int[p as usize],
+            IntSrc::Ren(k) => self.int[k as usize],
+        }
+    }
+
+    #[inline]
+    fn src2_of(&self, state: &ArchState, b: Src2D) -> u32 {
+        match b {
+            Src2D::Reg(r) => self.int_of(state, r),
+            Src2D::Imm(v) => v,
+        }
+    }
+
+    #[inline]
+    fn icc_of(&self, state: &ArchState, s: CcSrc) -> Icc {
+        match s {
+            CcSrc::Arch => state.icc,
+            CcSrc::Ren(k) => self.icc[k as usize],
+        }
+    }
+
+    #[inline]
+    fn fcc_of(&self, state: &ArchState, s: CcSrc) -> Fcc {
+        match s {
+            CcSrc::Arch => state.fcc,
+            CcSrc::Ren(k) => self.fcc[k as usize],
+        }
+    }
+
+    #[inline]
+    fn fp_of(&self, state: &ArchState, s: FpSrc) -> u32 {
+        match s {
+            FpSrc::Arch(f) => state.fp[f as usize],
+            FpSrc::Ren(k) => self.fp[k as usize],
+        }
+    }
+
+    /// Apply one committed COPY: `vals` holds the value each pair read
+    /// at compute time. Integer and FP pairs land in pair order, then
+    /// the last `icc` pair, then the last `fcc` pair.
+    fn commit_copy(
+        &mut self,
+        pairs: &[(Resource, Resource)],
+        vals: &[u32],
+        state: &mut ArchState,
+    ) -> Result<(), EngineError> {
+        for (&(from, to), &v) in pairs.iter().zip(vals) {
+            if matches!(from, Resource::IntRen(_) | Resource::FpRen(_)) {
+                match to {
+                    Resource::Int(p) => state.int[p as usize] = v,
+                    Resource::Fp(f) => state.fp[f as usize] = v,
+                    Resource::IntRen(k) => self.int[k as usize] = v,
+                    Resource::FpRen(k) => self.fp[k as usize] = v,
+                    other => return Err(EngineError::BadCopyTarget(other)),
+                }
+            }
+        }
+        let last = |class: fn(&Resource) -> bool| {
+            pairs
+                .iter()
+                .zip(vals)
+                .rev()
+                .find(|((from, _), _)| class(from))
+                .map(|(&(_, to), &v)| (to, v as u8))
+        };
+        if let Some((to, bits)) = last(|r| matches!(r, Resource::IccRen(_))) {
+            match to {
+                Resource::Icc => state.icc = Icc::from_bits(bits),
+                Resource::IccRen(k) => self.icc[k as usize] = Icc::from_bits(bits),
+                other => return Err(EngineError::BadCopyTarget(other)),
+            }
+        }
+        if let Some((to, bits)) = last(|r| matches!(r, Resource::FccRen(_))) {
+            match to {
+                Resource::Fcc => state.fcc = Fcc::from_bits(bits),
+                Resource::FccRen(k) => self.fcc[k as usize] = Fcc::from_bits(bits),
+                other => return Err(EngineError::BadCopyTarget(other)),
+            }
+        }
+        Ok(())
+    }
+}
+
+// `Effect::fx` bits: what an op did while computing.
+
+/// A runtime fault (misaligned access, non-schedulable instruction).
+const FX_FAULT: u8 = 1;
+/// A load issued at `addr`: a data-cache access and a load-list entry.
+const FX_LOAD: u8 = 2;
+/// A memory write of `data` at `addr` on commit: a data-cache access
+/// and a store-list entry.
+const FX_STORE: u8 = 4;
+/// A split store staged into the memory renaming buffer on commit.
+const FX_MEMBUF: u8 = 8;
+/// A branch that left its recorded direction for `target`.
+const FX_MISS: u8 = 16;
+/// A window shift (`save`/`restore`) on commit.
+const FX_CWP: u8 = 32;
+/// A COPY whose values start at `copies` in the shared copy buffer.
+const FX_COPY: u8 = 64;
+
+/// What one op computed against start-of-cycle state: results only.
+/// Everything static about the op (tag, write-back list, COPY routing,
+/// window shift, renaming-buffer slot) is read from its [`DecodedOp`]
+/// at commit.
+#[derive(Debug, Clone, Copy)]
 struct Effect {
-    tag: u8,
-    int_res: Option<u32>,
-    fp_res: Option<u32>,
-    icc_res: Option<Icc>,
-    fcc_res: Option<Fcc>,
-    y_res: Option<u32>,
-    cwp_res: Option<(u8, i8)>,
-    /// Real store: (runtime address, size, value).
-    mem_write: Option<(u32, u8, u32)>,
-    /// Renamed store: (buffer id, runtime address, size, value).
-    membuf_write: Option<(u32, u32, u8, u32)>,
-    /// Aliasing-detection record: (is-writer, entry, cross bit).
-    ls_check: Option<(bool, LsEntry, bool)>,
-    /// Address for data-cache timing (loads always; stores on commit).
-    dcache: Option<u32>,
-    /// Branch evaluation: (matched recorded direction, actual target).
-    branch: Option<(bool, u32)>,
-    /// Copy pairs to apply verbatim (COPY ops).
-    copy_regs: Vec<(Resource, u32)>,
-    copy_icc: Option<(Resource, Icc)>,
-    copy_fcc: Option<(Resource, Fcc)>,
-    /// Runtime fault discovered during compute (misaligned access).
-    fault: bool,
-    is_load: bool,
-    writes: dtsvliw_isa::ResList,
+    int: Option<u32>,
+    fp: Option<u32>,
+    y: Option<u32>,
+    icc: Option<Icc>,
+    fcc: Option<Fcc>,
+    /// Memory access (`FX_LOAD`, `FX_STORE`, `FX_MEMBUF`): runtime
+    /// address, size, load/store order and store data.
+    addr: u32,
+    size: u8,
+    order: u16,
+    data: u32,
+    /// Actual target of a branch (`FX_MISS`).
+    target: u32,
+    /// First value of a COPY in the shared copy buffer (`FX_COPY`).
+    copies: u32,
+    fx: u8,
 }
 
 impl Effect {
-    /// Clear for reuse, keeping the `copy_regs` allocation.
-    fn reset(&mut self) {
-        let copy_regs = std::mem::take(&mut self.copy_regs);
-        *self = Effect {
-            copy_regs,
-            ..Effect::default()
-        };
-        self.copy_regs.clear();
+    const NONE: Effect = Effect {
+        int: None,
+        fp: None,
+        y: None,
+        icc: None,
+        fcc: None,
+        addr: 0,
+        size: 0,
+        order: 0,
+        data: 0,
+        target: 0,
+        copies: 0,
+        fx: 0,
+    };
+
+    /// The aliasing-detector entry of a load or store.
+    #[inline]
+    fn ls_entry(&self) -> LsEntry {
+        LsEntry {
+            addr: self.addr,
+            size: self.size,
+            order: self.order,
+        }
     }
 }
 
@@ -320,8 +447,8 @@ impl Effect {
 #[derive(Clone, Default)]
 struct ExecScratch {
     effects: Vec<Effect>,
-    branches: Vec<(u8, bool, u32)>,
-    live: Vec<(bool, LsEntry, bool)>,
+    /// The values every COPY of the cycle read, in op and pair order.
+    copies: Vec<u32>,
 }
 
 impl std::fmt::Debug for ExecScratch {
@@ -334,11 +461,7 @@ impl std::fmt::Debug for ExecScratch {
 #[derive(Debug, Clone, Default)]
 pub struct VliwEngine {
     scheme: StoreScheme,
-    ren_int: Vec<u32>,
-    ren_fp: Vec<u32>,
-    ren_icc: Vec<Icc>,
-    ren_fcc: Vec<Fcc>,
-    membuf: Vec<MemBufEntry>,
+    ren: RenameFiles,
     shadow: Option<ArchState>,
     recovery: Vec<(u32, u8, u32)>,
     /// StoreBuffer scheme: (order, addr, size, value) staged stores.
@@ -353,6 +476,222 @@ pub struct VliwEngine {
     scratch: ExecScratch,
 }
 
+/// Read `size` bytes at `addr`, merging any staged store bytes in
+/// staging order over the Data Cache contents (StoreBuffer loads "use
+/// the last data stored in the list on a list hit").
+fn load_merged(staged: &[(u16, u32, u8, u32)], mem: &Memory, addr: u32, size: u8) -> u32 {
+    let mut bytes = [0u8; 4];
+    for (i, b) in bytes.iter_mut().enumerate().take(size as usize) {
+        *b = mem.read_u8(addr.wrapping_add(i as u32));
+    }
+    for &(_, sa, ss, sv) in staged {
+        let sb = sv.to_be_bytes();
+        for k in 0..ss as u32 {
+            let byte_addr = sa.wrapping_add(k);
+            let off = byte_addr.wrapping_sub(addr);
+            if off < size as u32 {
+                bytes[off as usize] = sb[(4 - ss as usize) + k as usize];
+            }
+        }
+    }
+    let mut v = 0u32;
+    for b in bytes.iter().take(size as usize) {
+        v = v << 8 | *b as u32;
+    }
+    v
+}
+
+/// Compute one op against start-of-cycle state. `staged` is the data
+/// store list under the StoreBuffer scheme (loads snoop it) and `None`
+/// under Checkpoint. COPY values are appended to `copies`.
+#[inline]
+fn compute(
+    ren: &RenameFiles,
+    staged: Option<&[(u16, u32, u8, u32)]>,
+    op: &DecodedOp,
+    state: &ArchState,
+    mem: &Memory,
+    copies: &mut Vec<u32>,
+) -> Result<Effect, EngineError> {
+    let mut e = Effect::NONE;
+    match &op.kind {
+        DecodedKind::Alu {
+            op: aop,
+            cc,
+            a,
+            b,
+            icc,
+        } => {
+            let r = exec_alu(
+                *aop,
+                ren.int_of(state, *a),
+                ren.src2_of(state, *b),
+                ren.icc_of(state, *icc),
+                state.y,
+            );
+            e.int = Some(r.value);
+            if *cc {
+                e.icc = Some(r.icc);
+            }
+            if *aop == AluOp::MulScc {
+                e.y = Some(r.y);
+            }
+        }
+        DecodedKind::SetInt { value } => e.int = Some(*value),
+        DecodedKind::Load { op: mop, a, b } => {
+            let addr = ren.int_of(state, *a).wrapping_add(ren.src2_of(state, *b));
+            let size = mop.size();
+            if !addr.is_multiple_of(size as u32) {
+                e.fx = FX_FAULT;
+                return Ok(e);
+            }
+            let raw = match staged {
+                None => mem.read(addr, size),
+                Some(staged) => load_merged(staged, mem, addr, size),
+            };
+            let value = match mop {
+                MemOp::Ldsb => raw as u8 as i8 as i32 as u32,
+                MemOp::Ldsh => raw as u16 as i16 as i32 as u32,
+                _ => raw,
+            };
+            if mop.is_fp() {
+                e.fp = Some(value);
+            } else {
+                e.int = Some(value);
+            }
+            e.order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
+            e.addr = addr;
+            e.size = size;
+            e.fx = FX_LOAD;
+        }
+        DecodedKind::Store {
+            a,
+            b,
+            data,
+            size,
+            membuf,
+        } => {
+            let addr = ren.int_of(state, *a).wrapping_add(ren.src2_of(state, *b));
+            if !addr.is_multiple_of(*size as u32) {
+                e.fx = FX_FAULT;
+                return Ok(e);
+            }
+            e.data = match data {
+                StoreData::Int(s) => ren.int_of(state, *s),
+                StoreData::Fp(s) => ren.fp_of(state, *s),
+            };
+            e.addr = addr;
+            e.size = *size;
+            if membuf.is_some() {
+                // Split store: stage in the memory renaming buffer; the
+                // COPY commits it (§3.9).
+                e.fx = FX_MEMBUF;
+            } else {
+                e.order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
+                e.fx = FX_STORE;
+            }
+        }
+        DecodedKind::Bicc {
+            cond,
+            cc,
+            recorded,
+            target,
+            fall,
+        } => {
+            let taken = cond.eval(ren.icc_of(state, *cc));
+            let actual = if taken {
+                target.expect("bicc has a static target")
+            } else {
+                *fall
+            };
+            if Some(taken) != *recorded {
+                e.target = actual;
+                e.fx = FX_MISS;
+            }
+        }
+        DecodedKind::FBfcc {
+            cond,
+            cc,
+            recorded,
+            target,
+            fall,
+        } => {
+            let taken = cond.eval(ren.fcc_of(state, *cc));
+            let actual = if taken {
+                target.expect("fbfcc has a static target")
+            } else {
+                *fall
+            };
+            if Some(taken) != *recorded {
+                e.target = actual;
+                e.fx = FX_MISS;
+            }
+        }
+        DecodedKind::Jmpl {
+            a,
+            b,
+            link,
+            recorded,
+        } => {
+            let target = ren.int_of(state, *a).wrapping_add(ren.src2_of(state, *b));
+            e.int = Some(*link);
+            if *recorded != Some(target) {
+                e.target = target;
+                e.fx = FX_MISS;
+            }
+        }
+        DecodedKind::SaveRestore { a, b, .. } => {
+            e.int = Some(ren.int_of(state, *a).wrapping_add(ren.src2_of(state, *b)));
+            e.fx = FX_CWP;
+        }
+        DecodedKind::Fpop { op: fop, a, b, cc } => {
+            let r = exec_fp(
+                *fop,
+                ren.fp_of(state, *a),
+                ren.fp_of(state, *b),
+                ren.fcc_of(state, *cc),
+            );
+            if *fop == FpOp::FCmps {
+                e.fcc = Some(r.fcc);
+            } else {
+                e.fp = Some(r.value);
+            }
+        }
+        DecodedKind::RdY => e.int = Some(state.y),
+        DecodedKind::WrY { a, b } => {
+            e.y = Some(ren.int_of(state, *a) ^ ren.src2_of(state, *b));
+        }
+        // Non-schedulable instructions never pass the Scheduler Unit,
+        // but a corrupted block could present one; treat it as a
+        // runtime fault (rollback) rather than a panic.
+        DecodedKind::Fault => e.fx = FX_FAULT,
+        DecodedKind::Copy { pairs } => {
+            e.copies = copies.len() as u32;
+            e.fx = FX_COPY;
+            for (from, _) in pairs {
+                let v = match from {
+                    Resource::IntRen(k) => ren.int[*k as usize],
+                    Resource::FpRen(k) => ren.fp[*k as usize],
+                    Resource::IccRen(k) => ren.icc[*k as usize].to_bits() as u32,
+                    Resource::FccRen(k) => ren.fcc[*k as usize] as u32,
+                    Resource::MemRen(k) => {
+                        let b = ren.membuf[*k as usize];
+                        e.addr = b.addr;
+                        e.size = b.size;
+                        e.data = b.value;
+                        e.order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
+                        e.fx |= FX_STORE;
+                        0
+                    }
+                    other => return Err(EngineError::BadCopySource(*other)),
+                };
+                copies.push(v);
+            }
+        }
+    }
+    Ok(e)
+}
+
 impl VliwEngine {
     /// A fresh engine using the checkpoint store scheme.
     pub fn new() -> Self {
@@ -365,31 +704,6 @@ impl VliwEngine {
             scheme,
             ..VliwEngine::default()
         }
-    }
-
-    /// Read `size` bytes at `addr`, merging any staged store bytes in
-    /// staging order over the Data Cache contents (StoreBuffer loads
-    /// "use the last data stored in the list on a list hit").
-    fn load_merged(&self, mem: &Memory, addr: u32, size: u8) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate().take(size as usize) {
-            *b = mem.read_u8(addr.wrapping_add(i as u32));
-        }
-        for &(_, sa, ss, sv) in &self.data_stores {
-            let sb = sv.to_be_bytes();
-            for k in 0..ss as u32 {
-                let byte_addr = sa.wrapping_add(k);
-                let off = byte_addr.wrapping_sub(addr);
-                if off < size as u32 {
-                    bytes[off as usize] = sb[(4 - ss as usize) + k as usize];
-                }
-            }
-        }
-        let mut v = 0u32;
-        for b in bytes.iter().take(size as usize) {
-            v = v << 8 | *b as u32;
-        }
-        v
     }
 
     /// Statistics so far.
@@ -419,7 +733,8 @@ impl VliwEngine {
     }
 
     /// Take the checkpoint for `block` (§3.11) and size the renaming
-    /// files it needs.
+    /// files it needs. The shadow copy is a flat copy of the state: it
+    /// never allocates.
     pub fn begin_block(&mut self, block: &Block, state: &ArchState) {
         debug_assert!(self.shadow.is_none(), "commit or roll back first");
         self.shadow = Some(state.clone());
@@ -428,20 +743,21 @@ impl VliwEngine {
         self.load_list.clear();
         self.store_list.clear();
         let r = block.renames;
-        if self.ren_int.len() < r.int as usize {
-            self.ren_int.resize(r.int as usize, 0);
+        let ren = &mut self.ren;
+        if ren.int.len() < r.int as usize {
+            ren.int.resize(r.int as usize, 0);
         }
-        if self.ren_fp.len() < r.fp as usize {
-            self.ren_fp.resize(r.fp as usize, 0);
+        if ren.fp.len() < r.fp as usize {
+            ren.fp.resize(r.fp as usize, 0);
         }
-        if self.ren_icc.len() < r.flag as usize {
-            self.ren_icc.resize(r.flag as usize, Icc::default());
+        if ren.icc.len() < r.flag as usize {
+            ren.icc.resize(r.flag as usize, Icc::default());
         }
-        if self.ren_fcc.len() < r.flag as usize {
-            self.ren_fcc.resize(r.flag as usize, Fcc::default());
+        if ren.fcc.len() < r.flag as usize {
+            ren.fcc.resize(r.flag as usize, Fcc::default());
         }
-        if self.membuf.len() < r.mem as usize {
-            self.membuf.resize(r.mem as usize, MemBufEntry::default());
+        if ren.membuf.len() < r.mem as usize {
+            ren.membuf.resize(r.mem as usize, MemBufEntry::default());
         }
     }
 
@@ -484,243 +800,19 @@ impl VliwEngine {
         Ok(())
     }
 
-    // -------------------------------------------------------------
-    // Operand access (sources pre-resolved at decode time)
-    // -------------------------------------------------------------
-
-    #[inline]
-    fn int_of(&self, state: &ArchState, s: IntSrc) -> u32 {
-        match s {
-            IntSrc::Zero => 0,
-            IntSrc::Phys(p) => state.int[p as usize],
-            IntSrc::Ren(k) => self.ren_int[k as usize],
-        }
-    }
-
-    #[inline]
-    fn src2_of(&self, state: &ArchState, b: Src2D) -> u32 {
-        match b {
-            Src2D::Reg(r) => self.int_of(state, r),
-            Src2D::Imm(v) => v,
-        }
-    }
-
-    #[inline]
-    fn icc_of(&self, state: &ArchState, s: CcSrc) -> Icc {
-        match s {
-            CcSrc::Arch => state.icc,
-            CcSrc::Ren(k) => self.ren_icc[k as usize],
-        }
-    }
-
-    #[inline]
-    fn fcc_of(&self, state: &ArchState, s: CcSrc) -> Fcc {
-        match s {
-            CcSrc::Arch => state.fcc,
-            CcSrc::Ren(k) => self.ren_fcc[k as usize],
-        }
-    }
-
-    #[inline]
-    fn fp_of(&self, state: &ArchState, s: FpSrc) -> u32 {
-        match s {
-            FpSrc::Arch(f) => state.fp[f as usize],
-            FpSrc::Ren(k) => self.ren_fp[k as usize],
-        }
-    }
-
-    // -------------------------------------------------------------
-    // Compute phase
-    // -------------------------------------------------------------
-
-    fn compute_decoded(
-        &self,
-        op: &DecodedOp,
-        e: &mut Effect,
-        state: &ArchState,
-        mem: &Memory,
-    ) -> Result<(), EngineError> {
-        e.tag = op.tag;
-        e.writes = op.writes;
-        match &op.kind {
-            DecodedKind::Alu {
-                op: aop,
-                cc,
-                a,
-                b,
-                icc,
-            } => {
-                let r = exec_alu(
-                    *aop,
-                    self.int_of(state, *a),
-                    self.src2_of(state, *b),
-                    self.icc_of(state, *icc),
-                    state.y,
-                );
-                e.int_res = Some(r.value);
-                if *cc {
-                    e.icc_res = Some(r.icc);
-                }
-                if *aop == AluOp::MulScc {
-                    e.y_res = Some(r.y);
-                }
-            }
-            DecodedKind::SetInt { value } => e.int_res = Some(*value),
-            DecodedKind::Load { op: mop, a, b } => {
-                let addr = self.int_of(state, *a).wrapping_add(self.src2_of(state, *b));
-                let size = mop.size();
-                if !addr.is_multiple_of(size as u32) {
-                    e.fault = true;
-                    return Ok(());
-                }
-                e.is_load = true;
-                e.dcache = Some(addr);
-                let raw = match self.scheme {
-                    StoreScheme::Checkpoint => mem.read(addr, size),
-                    StoreScheme::StoreBuffer => self.load_merged(mem, addr, size),
-                };
-                let value = match mop {
-                    MemOp::Ldsb => raw as u8 as i8 as i32 as u32,
-                    MemOp::Ldsh => raw as u16 as i16 as i32 as u32,
-                    _ => raw,
-                };
-                if mop.is_fp() {
-                    e.fp_res = Some(value);
-                } else {
-                    e.int_res = Some(value);
-                }
-                let order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
-                e.ls_check = Some((false, LsEntry { addr, size, order }, op.cross));
-            }
-            DecodedKind::Store {
-                a,
-                b,
-                data,
-                size,
-                membuf,
-            } => {
-                let addr = self.int_of(state, *a).wrapping_add(self.src2_of(state, *b));
-                let size = *size;
-                if !addr.is_multiple_of(size as u32) {
-                    e.fault = true;
-                    return Ok(());
-                }
-                let data = match data {
-                    StoreData::Int(s) => self.int_of(state, *s),
-                    StoreData::Fp(s) => self.fp_of(state, *s),
-                };
-                if let Some(k) = membuf {
-                    // Split store: stage in the memory renaming buffer;
-                    // the COPY commits it (§3.9).
-                    e.membuf_write = Some((*k, addr, size, data));
-                } else {
-                    e.mem_write = Some((addr, size, data));
-                    e.dcache = Some(addr);
-                    let order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
-                    e.ls_check = Some((true, LsEntry { addr, size, order }, op.cross));
-                }
-            }
-            DecodedKind::Bicc {
-                cond,
-                cc,
-                recorded,
-                target,
-                fall,
-            } => {
-                let taken = cond.eval(self.icc_of(state, *cc));
-                let matched = Some(taken) == *recorded;
-                let actual = if taken {
-                    target.expect("bicc has a static target")
-                } else {
-                    *fall
-                };
-                e.branch = Some((matched, actual));
-            }
-            DecodedKind::FBfcc {
-                cond,
-                cc,
-                recorded,
-                target,
-                fall,
-            } => {
-                let taken = cond.eval(self.fcc_of(state, *cc));
-                let matched = Some(taken) == *recorded;
-                let actual = if taken {
-                    target.expect("fbfcc has a static target")
-                } else {
-                    *fall
-                };
-                e.branch = Some((matched, actual));
-            }
-            DecodedKind::Jmpl {
-                a,
-                b,
-                link,
-                recorded,
-            } => {
-                let target = self.int_of(state, *a).wrapping_add(self.src2_of(state, *b));
-                e.int_res = Some(*link);
-                e.branch = Some((*recorded == Some(target), target));
-            }
-            DecodedKind::SaveRestore {
-                a,
-                b,
-                cwp_after,
-                delta,
-            } => {
-                let v = self.int_of(state, *a).wrapping_add(self.src2_of(state, *b));
-                e.int_res = Some(v);
-                e.cwp_res = Some((*cwp_after, *delta));
-            }
-            DecodedKind::Fpop { op: fop, a, b, cc } => {
-                let r = exec_fp(
-                    *fop,
-                    self.fp_of(state, *a),
-                    self.fp_of(state, *b),
-                    self.fcc_of(state, *cc),
-                );
-                if *fop == FpOp::FCmps {
-                    e.fcc_res = Some(r.fcc);
-                } else {
-                    e.fp_res = Some(r.value);
-                }
-            }
-            DecodedKind::RdY => e.int_res = Some(state.y),
-            DecodedKind::WrY { a, b } => {
-                e.y_res = Some(self.int_of(state, *a) ^ self.src2_of(state, *b));
-            }
-            // Non-schedulable instructions never pass the Scheduler
-            // Unit, but a corrupted block could present one; treat it
-            // as a runtime fault (rollback) rather than a panic.
-            DecodedKind::Fault => e.fault = true,
-            DecodedKind::Copy { pairs } => {
-                for (from, to) in pairs {
-                    match from {
-                        Resource::IntRen(k) => e.copy_regs.push((*to, self.ren_int[*k as usize])),
-                        Resource::FpRen(k) => e.copy_regs.push((*to, self.ren_fp[*k as usize])),
-                        Resource::IccRen(k) => e.copy_icc = Some((*to, self.ren_icc[*k as usize])),
-                        Resource::FccRen(k) => e.copy_fcc = Some((*to, self.ren_fcc[*k as usize])),
-                        Resource::MemRen(k) => {
-                            let b = self.membuf[*k as usize];
-                            e.mem_write = Some((b.addr, b.size, b.value));
-                            e.dcache = Some(b.addr);
-                            let order = op.ls_order.ok_or(EngineError::MissingLsOrder)?;
-                            e.ls_check = Some((
-                                true,
-                                LsEntry {
-                                    addr: b.addr,
-                                    size: b.size,
-                                    order,
-                                },
-                                op.cross,
-                            ));
-                        }
-                        other => return Err(EngineError::BadCopySource(*other)),
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// Roll the block back for an exception raised this cycle.
+    fn raise(
+        &mut self,
+        aliasing: bool,
+        state: &mut ArchState,
+        mem: &mut Memory,
+    ) -> Result<LiExec, EngineError> {
+        self.rollback(state, mem)?;
+        Ok(LiExec {
+            result: LiResult::Exception { aliasing },
+            committed: 0,
+            annulled: 0,
+        })
     }
 
     // -------------------------------------------------------------
@@ -755,11 +847,14 @@ impl VliwEngine {
 
     /// Execute long instruction `li` of the pre-decoded line `dec`
     /// against the shared machine state. Data-cache access addresses are
-    /// appended (in issue order) to the caller's reusable `dcache`
-    /// buffer, which is cleared first — the hot loop allocates nothing.
-    /// `Err` means the block itself is structurally corrupt (see
-    /// [`EngineError`]); the machine state may have been partially
-    /// written and the caller must roll back and requarantine.
+    /// appended (loads in op order, then stores in commit order) to the
+    /// caller's reusable `dcache` buffer, which is cleared first — the
+    /// hot loop allocates nothing. `Err` means the block itself is
+    /// structurally corrupt (see [`EngineError`]); the machine state may
+    /// have been partially written and the caller must roll back and
+    /// requarantine.
+    ///
+    /// Every phase a row's [`DecodedRow`] flags rule out is skipped.
     pub fn exec_li_decoded(
         &mut self,
         dec: &DecodedLine,
@@ -768,77 +863,60 @@ impl VliwEngine {
         mem: &mut Memory,
         dcache: &mut Vec<u32>,
     ) -> Result<LiExec, EngineError> {
-        // The scratch buffers live on the engine but borrow nothing from
-        // it, so take them out for the duration of the cycle.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = self.exec_li_scratch(dec, li, state, mem, dcache, &mut scratch);
-        self.scratch = scratch;
-        r
-    }
-
-    fn exec_li_scratch(
-        &mut self,
-        dec: &DecodedLine,
-        li: usize,
-        state: &mut ArchState,
-        mem: &mut Memory,
-        dcache_accesses: &mut Vec<u32>,
-        scratch: &mut ExecScratch,
-    ) -> Result<LiExec, EngineError> {
         debug_assert!(self.shadow.is_some(), "begin_block first");
-        let ops = dec.row_ops(li);
+        let row = dec.rows[li];
+        let ops = &dec.ops[row.start as usize..row.end as usize];
         self.stats.lis += 1;
-        dcache_accesses.clear();
+        dcache.clear();
 
         // Phase 1: compute every op against start-of-cycle state.
         let n = ops.len();
-        if scratch.effects.len() < n {
-            scratch.effects.resize_with(n, Effect::default);
+        if self.scratch.effects.len() < n {
+            self.scratch.effects.resize(n, Effect::NONE);
         }
-        for (op, e) in ops.iter().zip(scratch.effects.iter_mut()) {
-            e.reset();
-            self.compute_decoded(op, e, state, mem)?;
+        if row.has(DecodedRow::COPY) {
+            self.scratch.copies.clear();
         }
-        let effects = &scratch.effects[..n];
+        let staged = (self.scheme == StoreScheme::StoreBuffer).then_some(&self.data_stores[..]);
+        let effects = &mut self.scratch.effects[..n];
+        for (op, e) in ops.iter().zip(effects.iter_mut()) {
+            *e = compute(&self.ren, staged, op, state, mem, &mut self.scratch.copies)?;
+        }
+        let effects = &self.scratch.effects[..n];
 
-        // Resolve branch tags: the first branch (in tag order) that left
-        // the recorded direction annuls every op with a greater tag.
-        scratch.branches.clear();
-        scratch.branches.extend(
-            effects
-                .iter()
-                .filter_map(|e| e.branch.map(|(m, t)| (e.tag, m, t))),
-        );
-        scratch.branches.sort_by_key(|b| b.0);
-        let cutoff = scratch
-            .branches
-            .iter()
-            .find(|(_, matched, _)| !matched)
-            .map(|&(t, _, tgt)| (t, tgt));
-        let valid = |e: &Effect| cutoff.is_none_or(|(t, _)| e.tag <= t);
-
-        let mut committed = 0u32;
-        let mut annulled = 0u32;
-
-        // Loads access the data cache whether or not they commit (the
-        // hardware issues them before tags resolve).
-        for e in effects {
-            if e.is_load {
-                if let Some(a) = e.dcache {
-                    dcache_accesses.push(a);
+        // Resolve branch tags: the mismatched branch with the smallest
+        // tag (the first in slot order on a tie) annuls every op with a
+        // greater tag.
+        let mut cutoff: Option<(u8, u32)> = None;
+        if row.has(DecodedRow::BRANCH) {
+            for (op, e) in ops.iter().zip(effects) {
+                if e.fx & FX_MISS != 0 && cutoff.is_none_or(|(t, _)| op.tag < t) {
+                    cutoff = Some((op.tag, e.target));
                 }
             }
         }
+        let last_valid = cutoff.map_or(u8::MAX, |(t, _)| t);
+        let live = || {
+            ops.iter()
+                .zip(effects)
+                .filter(move |(op, _)| op.tag <= last_valid)
+        };
+
+        // Loads access the data cache whether or not they commit (the
+        // hardware issues them before tags resolve).
+        if row.has(DecodedRow::LOAD) {
+            dcache.extend(
+                effects
+                    .iter()
+                    .filter(|e| e.fx & FX_LOAD != 0)
+                    .map(|e| e.addr),
+            );
+        }
 
         // Runtime faults on valid ops roll the whole block back.
-        if effects.iter().any(|e| e.fault && valid(e)) {
+        if row.has(DecodedRow::CAN_FAULT) && live().any(|(_, e)| e.fx & FX_FAULT != 0) {
             self.stats.other_exceptions += 1;
-            self.rollback(state, mem)?;
-            return Ok(LiExec {
-                result: LiResult::Exception { aliasing: false },
-                committed: 0,
-                annulled: 0,
-            });
+            return self.raise(false, state, mem);
         }
 
         // Armed §3.11 fault: the checkpoint-recovery store list loses
@@ -857,182 +935,165 @@ impl VliwEngine {
             let drop = self.recovery.len().div_ceil(2);
             self.recovery.drain(..drop);
             self.stats.other_exceptions += 1;
-            self.rollback(state, mem)?;
-            return Ok(LiExec {
-                result: LiResult::Exception { aliasing: true },
-                committed: 0,
-                annulled: 0,
-            });
+            return self.raise(true, state, mem);
         }
 
         // Phase 2a: aliasing checks for the valid memory ops (§3.10),
         // before anything commits.
-        scratch.live.clear();
-        scratch.live.extend(
-            effects
-                .iter()
-                .filter(|e| valid(e))
-                .filter_map(|e| e.ls_check),
-        );
-        let live = &scratch.live;
-        let mut alias = false;
-        for &(is_writer, entry, _) in live {
-            if is_writer {
-                // vs the other memory ops of this long instruction
-                for &(w2, e2, _) in live {
-                    if w2
-                        && (e2.addr, e2.order) != (entry.addr, entry.order)
-                        && overlaps(&entry, &e2)
-                    {
-                        alias = true; // two stores to one location in one LI
-                    }
+        if row.has(DecodedRow::ALIAS_CHECKED) {
+            let checked = || {
+                live()
+                    .map(|(_, e)| e)
+                    .filter(|e| e.fx & (FX_LOAD | FX_STORE) != 0)
+            };
+            let mut alias = false;
+            for e in checked() {
+                let entry = e.ls_entry();
+                if e.fx & FX_STORE != 0 {
+                    // vs the other stores of this long instruction: two
+                    // stores to one location in one LI.
+                    alias |= checked().any(|e2| {
+                        e2.fx & FX_STORE != 0
+                            && (e2.addr, e2.order) != (entry.addr, entry.order)
+                            && overlaps(&entry, &e2.ls_entry())
+                    });
+                    // vs both lists: an older store executing after a
+                    // younger access is an inversion.
+                    alias |= self
+                        .load_list
+                        .iter()
+                        .chain(self.store_list.iter())
+                        .any(|e2| overlaps(&entry, e2) && entry.order < e2.order);
+                } else {
+                    // load vs same-LI stores: an older store in the same
+                    // long instruction means the load missed its value.
+                    alias |= checked().any(|e2| {
+                        e2.fx & FX_STORE != 0
+                            && overlaps(&entry, &e2.ls_entry())
+                            && entry.order > e2.order
+                    });
+                    // load vs store list: a younger store already executed.
+                    alias |= self
+                        .store_list
+                        .iter()
+                        .any(|e2| overlaps(&entry, e2) && entry.order < e2.order);
                 }
-                // vs both lists: an older store executing after a
-                // younger access is an inversion.
-                alias |= self
-                    .load_list
-                    .iter()
-                    .chain(self.store_list.iter())
-                    .any(|e2| overlaps(&entry, e2) && entry.order < e2.order);
-            } else {
-                // load vs same-LI stores: an older store in the same
-                // long instruction means the load missed its value.
-                for &(w2, e2, _) in live {
-                    if w2 && overlaps(&entry, &e2) && entry.order > e2.order {
-                        alias = true;
-                    }
-                }
-                // load vs store list: a younger store already executed.
-                alias |= self
-                    .store_list
-                    .iter()
-                    .any(|e2| overlaps(&entry, e2) && entry.order < e2.order);
             }
-        }
-        if alias && self.faults.suppress_alias {
-            // Armed §3.10 fault: the detector misses — the inverted
-            // memory ops commit below as if no alias existed.
-            self.faults.suppress_alias = false;
-            self.stats.alias_suppressed += 1;
-            alias = false;
-        }
-        if alias {
-            self.stats.alias_exceptions += 1;
-            self.rollback(state, mem)?;
-            return Ok(LiExec {
-                result: LiResult::Exception { aliasing: true },
-                committed: 0,
-                annulled: 0,
-            });
+            if alias && self.faults.suppress_alias {
+                // Armed §3.10 fault: the detector misses — the inverted
+                // memory ops commit below as if no alias existed.
+                self.faults.suppress_alias = false;
+                self.stats.alias_suppressed += 1;
+                alias = false;
+            }
+            if alias {
+                self.stats.alias_exceptions += 1;
+                return self.raise(true, state, mem);
+            }
         }
 
         // Phase 2b: commit.
-        for e in effects {
-            if !valid(e) {
-                annulled += 1;
+        let effects = &self.scratch.effects[..n];
+        let mut committed = 0u32;
+        for (op, e) in ops.iter().zip(effects) {
+            if op.tag > last_valid {
                 continue;
             }
             committed += 1;
             let missing = |w: &Resource| EngineError::MissingWriteBack(*w);
-            for w in e.writes.iter() {
+            for w in op.writes.iter() {
                 match w {
-                    Resource::Int(p) => state.int[*p as usize] = e.int_res.ok_or(missing(w))?,
-                    Resource::IntRen(k) => {
-                        self.ren_int[*k as usize] = e.int_res.ok_or(missing(w))?
-                    }
-                    Resource::Fp(f) => state.fp[*f as usize] = e.fp_res.ok_or(missing(w))?,
-                    Resource::FpRen(k) => self.ren_fp[*k as usize] = e.fp_res.ok_or(missing(w))?,
-                    Resource::Icc => state.icc = e.icc_res.ok_or(missing(w))?,
-                    Resource::IccRen(k) => {
-                        self.ren_icc[*k as usize] = e.icc_res.ok_or(missing(w))?
-                    }
-                    Resource::Fcc => state.fcc = e.fcc_res.ok_or(missing(w))?,
-                    Resource::FccRen(k) => {
-                        self.ren_fcc[*k as usize] = e.fcc_res.ok_or(missing(w))?
-                    }
-                    Resource::Y => state.y = e.y_res.ok_or(missing(w))?,
+                    Resource::Int(p) => state.int[*p as usize] = e.int.ok_or(missing(w))?,
+                    Resource::IntRen(k) => self.ren.int[*k as usize] = e.int.ok_or(missing(w))?,
+                    Resource::Fp(f) => state.fp[*f as usize] = e.fp.ok_or(missing(w))?,
+                    Resource::FpRen(k) => self.ren.fp[*k as usize] = e.fp.ok_or(missing(w))?,
+                    Resource::Icc => state.icc = e.icc.ok_or(missing(w))?,
+                    Resource::IccRen(k) => self.ren.icc[*k as usize] = e.icc.ok_or(missing(w))?,
+                    Resource::Fcc => state.fcc = e.fcc.ok_or(missing(w))?,
+                    Resource::FccRen(k) => self.ren.fcc[*k as usize] = e.fcc.ok_or(missing(w))?,
+                    Resource::Y => state.y = e.y.ok_or(missing(w))?,
                     Resource::Cwp | Resource::Mem { .. } | Resource::MemRen(_) => {}
                 }
             }
-            for (to, v) in &e.copy_regs {
-                match to {
-                    Resource::Int(p) => state.int[*p as usize] = *v,
-                    Resource::Fp(f) => state.fp[*f as usize] = *v,
-                    Resource::IntRen(k) => self.ren_int[*k as usize] = *v,
-                    Resource::FpRen(k) => self.ren_fp[*k as usize] = *v,
-                    other => return Err(EngineError::BadCopyTarget(*other)),
+            if e.fx & (FX_STORE | FX_LOAD | FX_MEMBUF | FX_CWP | FX_COPY) == 0 {
+                continue;
+            }
+            if e.fx & FX_COPY != 0 {
+                if let DecodedKind::Copy { pairs } = &op.kind {
+                    let start = e.copies as usize;
+                    let vals = &self.scratch.copies[start..start + pairs.len()];
+                    self.ren.commit_copy(pairs, vals, state)?;
                 }
             }
-            if let Some((to, v)) = e.copy_icc {
-                match to {
-                    Resource::Icc => state.icc = v,
-                    Resource::IccRen(k) => self.ren_icc[k as usize] = v,
-                    other => return Err(EngineError::BadCopyTarget(other)),
+            if e.fx & FX_CWP != 0 {
+                if let DecodedKind::SaveRestore {
+                    cwp_after, delta, ..
+                } = op.kind
+                {
+                    state.cwp = cwp_after;
+                    state.resident = (state.resident as i16 + delta as i16) as u8;
                 }
             }
-            if let Some((to, v)) = e.copy_fcc {
-                match to {
-                    Resource::Fcc => state.fcc = v,
-                    Resource::FccRen(k) => self.ren_fcc[k as usize] = v,
-                    other => return Err(EngineError::BadCopyTarget(other)),
+            if e.fx & FX_MEMBUF != 0 {
+                if let DecodedKind::Store {
+                    membuf: Some(k), ..
+                } = op.kind
+                {
+                    self.ren.membuf[k as usize] = MemBufEntry {
+                        addr: e.addr,
+                        size: e.size,
+                        value: e.data,
+                    };
                 }
             }
-            if let Some((cwp, delta)) = e.cwp_res {
-                state.cwp = cwp;
-                state.resident = (state.resident as i16 + delta as i16) as u8;
-            }
-            if let Some((k, addr, size, value)) = e.membuf_write {
-                self.membuf[k as usize] = MemBufEntry { addr, size, value };
-            }
-            if let Some((addr, size, value)) = e.mem_write {
+            if e.fx & FX_STORE != 0 {
                 match self.scheme {
                     StoreScheme::Checkpoint => {
                         // Log overwritten data for checkpoint recovery
                         // (§3.11).
-                        self.recovery.push((addr, size, mem.read(addr, size)));
+                        self.recovery
+                            .push((e.addr, e.size, mem.read(e.addr, e.size)));
                         self.stats.max_recovery_list =
                             self.stats.max_recovery_list.max(self.recovery.len() as u32);
-                        mem.write(addr, size, value);
+                        mem.write(e.addr, e.size, e.data);
                     }
                     StoreScheme::StoreBuffer => {
                         // Stage; memory is written in program order at
                         // block commit.
-                        let order = e.ls_check.map(|(_, l, _)| l.order).unwrap_or(0);
-                        self.data_stores.push((order, addr, size, value));
+                        self.data_stores.push((e.order, e.addr, e.size, e.data));
                         self.stats.max_data_store_list = self
                             .stats
                             .max_data_store_list
                             .max(self.data_stores.len() as u32);
                     }
                 }
-                dcache_accesses.push(addr);
+                dcache.push(e.addr);
             }
-            if let Some((is_writer, entry, cross)) = e.ls_check {
-                if cross {
-                    let list = if is_writer {
-                        &mut self.store_list
-                    } else {
-                        &mut self.load_list
-                    };
-                    if self
-                        .faults
-                        .alias_list_cap
-                        .is_some_and(|cap| list.len() as u32 >= cap)
-                    {
-                        // Armed §3.10 fault: the associative list is
-                        // full; the entry is lost and the detector goes
-                        // blind to this access.
-                        self.stats.ls_list_dropped += 1;
-                    } else {
-                        list.push(entry);
-                    }
-                    self.stats.max_load_list =
-                        self.stats.max_load_list.max(self.load_list.len() as u32);
-                    self.stats.max_store_list =
-                        self.stats.max_store_list.max(self.store_list.len() as u32);
+            if e.fx & (FX_LOAD | FX_STORE) != 0 && op.cross {
+                let list = if e.fx & FX_STORE != 0 {
+                    &mut self.store_list
+                } else {
+                    &mut self.load_list
+                };
+                if self
+                    .faults
+                    .alias_list_cap
+                    .is_some_and(|cap| list.len() as u32 >= cap)
+                {
+                    // Armed §3.10 fault: the associative list is full;
+                    // the entry is lost and the detector goes blind to
+                    // this access.
+                    self.stats.ls_list_dropped += 1;
+                } else {
+                    list.push(e.ls_entry());
                 }
+                self.stats.max_load_list =
+                    self.stats.max_load_list.max(self.load_list.len() as u32);
+                self.stats.max_store_list =
+                    self.stats.max_store_list.max(self.store_list.len() as u32);
             }
         }
+        let annulled = n as u32 - committed;
         self.stats.committed += committed as u64;
         self.stats.annulled += annulled as u64;
 
@@ -1082,16 +1143,17 @@ impl VliwEngine {
         Json::obj([
             (
                 "ren_int",
-                Json::Arr(self.ren_int.iter().map(|v| Json::U64(*v as u64)).collect()),
+                Json::Arr(self.ren.int.iter().map(|v| Json::U64(*v as u64)).collect()),
             ),
             (
                 "ren_fp",
-                Json::Arr(self.ren_fp.iter().map(|v| Json::U64(*v as u64)).collect()),
+                Json::Arr(self.ren.fp.iter().map(|v| Json::U64(*v as u64)).collect()),
             ),
             (
                 "ren_icc",
                 Json::Arr(
-                    self.ren_icc
+                    self.ren
+                        .icc
                         .iter()
                         .map(|c| Json::U64(c.to_bits() as u64))
                         .collect(),
@@ -1099,12 +1161,13 @@ impl VliwEngine {
             ),
             (
                 "ren_fcc",
-                Json::Arr(self.ren_fcc.iter().map(|c| Json::U64(*c as u64)).collect()),
+                Json::Arr(self.ren.fcc.iter().map(|c| Json::U64(*c as u64)).collect()),
             ),
             (
                 "membuf",
                 Json::Arr(
-                    self.membuf
+                    self.ren
+                        .membuf
                         .iter()
                         .map(|b| {
                             Json::arr([
@@ -1206,36 +1269,38 @@ impl VliwEngine {
         let fj = j.get("faults")?;
         Some(VliwEngine {
             scheme,
-            ren_int: vec_u32("ren_int")?,
-            ren_fp: vec_u32("ren_fp")?,
-            ren_icc: j
-                .get("ren_icc")?
-                .as_arr()?
-                .iter()
-                .map(|b| Some(Icc::from_bits(j_u8(b)?)))
-                .collect::<Option<_>>()?,
-            ren_fcc: j
-                .get("ren_fcc")?
-                .as_arr()?
-                .iter()
-                .map(|b| Some(Fcc::from_bits(j_u8(b)?)))
-                .collect::<Option<_>>()?,
-            membuf: j
-                .get("membuf")?
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    let e = e.as_arr()?;
-                    if e.len() != 3 {
-                        return None;
-                    }
-                    Some(MemBufEntry {
-                        addr: j_u32(&e[0])?,
-                        size: j_u8(&e[1])?,
-                        value: j_u32(&e[2])?,
+            ren: RenameFiles {
+                int: vec_u32("ren_int")?,
+                fp: vec_u32("ren_fp")?,
+                icc: j
+                    .get("ren_icc")?
+                    .as_arr()?
+                    .iter()
+                    .map(|b| Some(Icc::from_bits(j_u8(b)?)))
+                    .collect::<Option<_>>()?,
+                fcc: j
+                    .get("ren_fcc")?
+                    .as_arr()?
+                    .iter()
+                    .map(|b| Some(Fcc::from_bits(j_u8(b)?)))
+                    .collect::<Option<_>>()?,
+                membuf: j
+                    .get("membuf")?
+                    .as_arr()?
+                    .iter()
+                    .map(|e| {
+                        let e = e.as_arr()?;
+                        if e.len() != 3 {
+                            return None;
+                        }
+                        Some(MemBufEntry {
+                            addr: j_u32(&e[0])?,
+                            size: j_u8(&e[1])?,
+                            value: j_u32(&e[2])?,
+                        })
                     })
-                })
-                .collect::<Option<_>>()?,
+                    .collect::<Option<_>>()?,
+            },
             shadow: match j.get("shadow")? {
                 Json::Null => None,
                 sj => Some(dtsvliw_sched::snapshot::arch_state_from_json(sj)?),
@@ -1300,15 +1365,17 @@ mod tests {
     #[test]
     fn snapshot_round_trip_is_exact() {
         let mut e = VliwEngine::with_scheme(StoreScheme::StoreBuffer);
-        e.ren_int = vec![1, 2, 3];
-        e.ren_fp = vec![7];
-        e.ren_icc = vec![Icc::from_bits(0b1010)];
-        e.ren_fcc = vec![Fcc::Lt, Fcc::Uo];
-        e.membuf = vec![MemBufEntry {
-            addr: 0x100,
-            size: 4,
-            value: 42,
-        }];
+        e.ren = RenameFiles {
+            int: vec![1, 2, 3],
+            fp: vec![7],
+            icc: vec![Icc::from_bits(0b1010)],
+            fcc: vec![Fcc::Lt, Fcc::Uo],
+            membuf: vec![MemBufEntry {
+                addr: 0x100,
+                size: 4,
+                value: 42,
+            }],
+        };
         e.shadow = Some(ArchState::new(0x4000));
         e.recovery = vec![(0x200, 4, 9), (0x204, 2, 8)];
         e.data_stores = vec![(3, 0x300, 4, 77)];
@@ -1360,6 +1427,187 @@ mod tests {
             )
             .is_none());
         }
+    }
+
+    use dtsvliw_isa::cond::Cond;
+    use dtsvliw_isa::insn::{Instr, Src2};
+    use dtsvliw_isa::{phys_reg, DynInstr, ResList};
+    use dtsvliw_sched::block::RenameCounts;
+    use dtsvliw_sched::{LongInstr, ScheduledInstr, SlotOp};
+
+    /// A scheduled op at `pc` with branch tag `tag`, recorded direction
+    /// `taken` and the given write-backs.
+    fn slot(instr: Instr, pc: u32, tag: u8, taken: Option<bool>, writes: &[Resource]) -> SlotOp {
+        let mut w = ResList::default();
+        for r in writes {
+            w.push(*r);
+        }
+        SlotOp::Instr(ScheduledInstr {
+            d: DynInstr {
+                seq: pc as u64,
+                pc,
+                instr,
+                cwp_before: 0,
+                cwp_after: 0,
+                eff_addr: None,
+                taken,
+                target: None,
+                delay_is_nop: true,
+            },
+            reads: ResList::default(),
+            writes: w,
+            tag,
+            ls_order: None,
+            cross: false,
+            src_renames: Vec::new(),
+        })
+    }
+
+    /// `mov imm, %rd` as a scheduled op.
+    fn mov(rd: u8, imm: i32, pc: u32, tag: u8) -> SlotOp {
+        let alu = Instr::Alu {
+            op: AluOp::Or,
+            cc: false,
+            rd,
+            rs1: 0,
+            src2: Src2::Imm(imm),
+        };
+        slot(alu, pc, tag, None, &[Resource::Int(phys_reg(0, rd))])
+    }
+
+    /// `be` recorded as taken; with zeroed condition codes it falls
+    /// through instead.
+    fn be_taken(pc: u32, tag: u8) -> SlotOp {
+        let be = Instr::Bicc {
+            cond: Cond::E,
+            disp22: 0x10,
+        };
+        slot(be, pc, tag, Some(true), &[])
+    }
+
+    fn block_of(rows: Vec<Vec<SlotOp>>) -> Block {
+        let lis = rows
+            .into_iter()
+            .map(|ops| {
+                let mut li = LongInstr::empty(4);
+                for (i, op) in ops.into_iter().enumerate() {
+                    li.set(i, op);
+                }
+                li
+            })
+            .collect();
+        Block {
+            tag_addr: 0x1000,
+            entry_cwp: 0,
+            entry_resident: 1,
+            window_sensitive: false,
+            lis,
+            nba_addr: 0x2000,
+            renames: RenameCounts::default(),
+            first_seq: 0,
+            trace_len: 4,
+        }
+    }
+
+    #[test]
+    fn the_lowest_mismatched_tag_wins_the_cutoff_whatever_its_slot() {
+        // Slot 0 mispredicts under tag 3, slot 1 under tag 1: the
+        // redirect must come from slot 1, and only tag-1 ops commit.
+        let b = block_of(vec![vec![
+            be_taken(0x1000, 3),
+            be_taken(0x2000, 1),
+            mov(1, 5, 0x1004, 2),
+            mov(2, 7, 0x2004, 1),
+        ]]);
+        let dec = decode_block(&b);
+        let mut e = VliwEngine::new();
+        let mut st = ArchState::new(0x1000);
+        let mut mem = Memory::new();
+        let mut dcache = Vec::new();
+        e.begin_block(&b, &st);
+        let out = e
+            .exec_li_decoded(&dec, 0, &mut st, &mut mem, &mut dcache)
+            .unwrap();
+        assert_eq!(
+            out.result,
+            LiResult::Redirect {
+                target: 0x2008,
+                branch_seq: 0x2000
+            }
+        );
+        assert_eq!((out.committed, out.annulled), (2, 2));
+        assert_eq!((st.get(1), st.get(2)), (0, 7), "tag 2 annulled, tag 1 kept");
+        assert_eq!(e.stats().mispredicts, 1);
+
+        // Two mispredicts under one tag: the first in slot order wins.
+        let b = block_of(vec![vec![
+            be_taken(0x3000, 1),
+            mov(1, 5, 0x3004, 1),
+            be_taken(0x4000, 1),
+        ]]);
+        let dec = decode_block(&b);
+        let mut e = VliwEngine::new();
+        e.begin_block(&b, &st);
+        let out = e
+            .exec_li_decoded(&dec, 0, &mut st, &mut mem, &mut dcache)
+            .unwrap();
+        assert_eq!(
+            out.result,
+            LiResult::Redirect {
+                target: 0x3008,
+                branch_seq: 0x3000
+            }
+        );
+    }
+
+    #[test]
+    fn rows_skip_only_the_phases_they_cannot_reach() {
+        let misaligned_ld = Instr::Mem {
+            op: MemOp::Ld,
+            rd: 3,
+            rs1: 0,
+            src2: Src2::Imm(2),
+        };
+        let b = block_of(vec![
+            vec![mov(1, 5, 0x1000, 1), mov(2, 6, 0x1004, 1)],
+            vec![
+                be_taken(0x1008, 1),
+                slot(misaligned_ld, 0x1010, 2, None, &[]),
+                slot(Instr::Trap { code: 0 }, 0x1014, 2, None, &[]),
+            ],
+        ]);
+        let dec = decode_block(&b);
+        assert_eq!(dec.rows[0].flags, 0, "an ALU-only row needs no phase");
+        let mut e = VliwEngine::new();
+        let mut st = ArchState::new(0x1000);
+        let mut mem = Memory::new();
+        let mut dcache = vec![0xdead];
+        e.begin_block(&b, &st);
+        let held = LsEntry {
+            addr: 0x40,
+            size: 4,
+            order: 9,
+        };
+        e.load_list.push(held);
+        e.store_list.push(held);
+        let out = e
+            .exec_li_decoded(&dec, 0, &mut st, &mut mem, &mut dcache)
+            .unwrap();
+        assert_eq!(out.result, LiResult::Next);
+        assert!(dcache.is_empty(), "no memory op, no data-cache access");
+        assert_eq!((e.load_list.len(), e.store_list.len()), (1, 1));
+        assert_eq!((e.stats.max_load_list, e.stats.max_store_list), (0, 0));
+
+        // Row 1 faults twice, but only under tag 2, which the tag-1
+        // mispredict annuls: no rollback, the block stays open.
+        let out = e
+            .exec_li_decoded(&dec, 1, &mut st, &mut mem, &mut dcache)
+            .unwrap();
+        assert!(matches!(out.result, LiResult::Redirect { .. }));
+        assert_eq!((out.committed, out.annulled), (1, 2));
+        assert!(e.in_block());
+        assert_eq!(e.stats().other_exceptions, 0);
+        assert_eq!((st.get(1), st.get(2)), (5, 6), "row 0 still committed");
     }
 
     #[test]
