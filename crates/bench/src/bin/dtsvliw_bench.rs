@@ -20,17 +20,10 @@
 //! degrades the *measured* values by P percent before the comparison —
 //! the CI negative test proving the gate actually fails.
 //!
-//! After the (profiled, bit-reproducible) report pass, a second
-//! *timing pass* runs the suite hook-free and appends host-side
-//! simulated-instructions-per-wall-second to the `BENCH_wallclock.json`
-//! trend file. Wall-clock numbers live only there and on stdout, never
-//! in the report body.
-//!
-//! Telemetry (DESIGN.md §12) arms on the timing pass only, so the
-//! report stays byte-identical with or without it: `--heartbeat[=K]`
-//! streams per-workload JSONL progress files into `--heartbeat-out`
-//! (default `heartbeats/`), and `--profile-sampled[=N]` runs the
-//! sampling profiler.
+//! Every run carries the hot-block profiler at N = 1, so the report
+//! pins each workload's hot-block digest as well as its cycles. The
+//! sim-host throughput printed on stdout is informational; wall-clock
+//! speed is measured hook-free by `perfbench/run.py` (`sim_mips`).
 //!
 //! Exit codes: 0 success, 1 regression or machine error, 2 bad
 //! arguments.
@@ -38,12 +31,9 @@
 use dtsvliw_bench::{geom_mean, WORKLOADS};
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_json::Json;
-use dtsvliw_trace::{Heartbeat, SamplingProfiler, DEFAULT_SAMPLE_PERIOD};
+use dtsvliw_trace::BlockProfiler;
 use dtsvliw_workloads::{by_name, Scale};
 use std::sync::Mutex;
-
-/// Heartbeat cadence when `--heartbeat` is given without a value.
-const DEFAULT_HEARTBEAT_EVERY: u64 = 100_000;
 
 /// Report file format marker.
 const BENCH_FORMAT: &str = "dtsvliw-bench";
@@ -56,8 +46,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: dtsvliw_bench [--quick] [--scale test|small|large] [--instructions N]\n\
          \u{20}                    [--out PATH] [--compare BASELINE.json] [--tolerance PCT]\n\
-         \u{20}                    [--inject-regression PCT] [--wallclock PATH] [--no-wallclock]\n\
-         \u{20}                    [--heartbeat[=CYCLES]] [--heartbeat-out DIR] [--profile-sampled[=N]]"
+         \u{20}                    [--inject-regression PCT]"
     );
     std::process::exit(2);
 }
@@ -116,22 +105,6 @@ fn main() {
     let mut compare: Option<String> = None;
     let mut tolerance = 2.0f64;
     let mut inject = 0.0f64;
-    let mut wallclock: Option<String> = Some("BENCH_wallclock.json".to_string());
-    let mut heartbeat: Option<u64> = None;
-    let mut heartbeat_out = "heartbeats".to_string();
-    let mut profile_sampled: Option<u64> = None;
-
-    // Strictly positive cadences only: zero would mean "every cycle"
-    // at best and a divide-by-zero at worst.
-    let positive = |flag: &str, v: &str| -> u64 {
-        match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: {flag} must be a positive integer, got {v}");
-                usage();
-            }
-        }
-    };
 
     let mut i = 0;
     while i < args.len() {
@@ -178,26 +151,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--wallclock" => {
-                i += 1;
-                wallclock = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--no-wallclock" => wallclock = None,
-            "--heartbeat" => heartbeat = Some(DEFAULT_HEARTBEAT_EVERY),
-            "--heartbeat-out" => {
-                i += 1;
-                heartbeat_out = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--profile-sampled" => profile_sampled = Some(DEFAULT_SAMPLE_PERIOD),
-            a if a.starts_with("--heartbeat=") => {
-                heartbeat = Some(positive("--heartbeat", &a["--heartbeat=".len()..]));
-            }
-            a if a.starts_with("--profile-sampled=") => {
-                profile_sampled = Some(positive(
-                    "--profile-sampled",
-                    &a["--profile-sampled=".len()..],
-                ));
-            }
             _ => usage(),
         }
         i += 1;
@@ -217,12 +170,12 @@ fn main() {
             s.spawn(move || {
                 let workload = by_name(w, scale).unwrap_or_else(|| die(format!("no workload {w}")));
                 let mut m = Machine::new(MachineConfig::feasible_paper(), &workload.image());
-                m.attach_sampler(Box::new(SamplingProfiler::new(1)));
+                m.attach_profiler(Box::new(BlockProfiler::new(1)));
                 let outcome = m
                     .run(instructions)
                     .unwrap_or_else(|e| die(format!("{w}: {e}")));
                 let stats = m.stats();
-                let p = m.sampler().expect("profiler attached above").profiler();
+                let p = m.profiler().expect("profiler attached above");
                 results.lock().unwrap().push(Row {
                     workload: w,
                     instructions: outcome.instructions,
@@ -258,120 +211,6 @@ fn main() {
             r.hot_digest,
             r.hot_blocks
         );
-    }
-
-    // Timing pass: the same suite hook-free (no profiler). This is the
-    // number the wall-clock trend tracks; the profiled pass above keeps
-    // the report bit-reproducible and pins the simulated results.
-    // Telemetry (heartbeat, sampling profiler) arms here and only here.
-    if heartbeat.is_some() {
-        std::fs::create_dir_all(&heartbeat_out)
-            .unwrap_or_else(|e| die(format!("creating {heartbeat_out}: {e}")));
-    }
-    let t_started = std::time::Instant::now();
-    let timing = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for w in WORKLOADS {
-            let timing = &timing;
-            let heartbeat_out = &heartbeat_out;
-            s.spawn(move || {
-                let workload = by_name(w, scale).unwrap_or_else(|| die(format!("no workload {w}")));
-                let mut m = Machine::new(MachineConfig::feasible_paper(), &workload.image());
-                if let Some(every) = heartbeat {
-                    let path = format!("{heartbeat_out}/{w}.jsonl");
-                    let f = std::fs::File::create(&path)
-                        .unwrap_or_else(|e| die(format!("creating {path}: {e}")));
-                    m.attach_heartbeat(Box::new(Heartbeat::new(every, Some(Box::new(f)))));
-                }
-                if let Some(every) = profile_sampled {
-                    m.attach_sampler(Box::new(SamplingProfiler::new(every)));
-                }
-                let outcome = m
-                    .run(instructions)
-                    .unwrap_or_else(|e| die(format!("{w} (timing): {e}")));
-                let heartbeats = match m.take_heartbeat() {
-                    Some(mut hb) => {
-                        if let Err(e) = hb.finish() {
-                            eprintln!("warning: {w}: heartbeat sink error: {e}");
-                        }
-                        hb.emitted()
-                    }
-                    None => 0,
-                };
-                let sampled = m.take_sampler().map_or(0, |sp| sp.sampled());
-                let (bursts, chained) = m.fast_path_stats();
-                timing.lock().unwrap().push((
-                    w,
-                    outcome.instructions,
-                    bursts,
-                    chained,
-                    heartbeats,
-                    sampled,
-                ));
-            });
-        }
-    });
-    let t_wall = t_started.elapsed();
-    let trows = timing.into_inner().unwrap();
-    let t_instr: u64 = trows.iter().map(|r| r.1).sum();
-    let bursts: u64 = trows.iter().map(|r| r.2).sum();
-    let chained: u64 = trows.iter().map(|r| r.3).sum();
-    let rate = t_instr as f64 / t_wall.as_secs_f64();
-    println!(
-        "timing pass: {} instructions in {:.2?} \
-         ({:.1}M instructions/s hook-free; {} bursts, {} chained blocks)",
-        t_instr,
-        t_wall,
-        rate / 1e6,
-        bursts,
-        chained,
-    );
-    if heartbeat.is_some() {
-        let beats: u64 = trows.iter().map(|r| r.4).sum();
-        println!("  telemetry: {beats} heartbeat records -> {heartbeat_out}/<workload>.jsonl");
-    }
-    if profile_sampled.is_some() {
-        let sampled: u64 = trows.iter().map(|r| r.5).sum();
-        println!("  telemetry: {sampled} block entries sampled across the suite");
-    }
-
-    // Append to the wall-clock trend file. Timestamps and wall time are
-    // welcome here — this file is the designated home for everything
-    // nondeterministic, which is exactly why it is not the report.
-    if let Some(path) = &wallclock {
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let entry = Json::obj([
-            ("unix_time", Json::U64(ts)),
-            ("scale", Json::Str(scale_label(scale).to_string())),
-            ("instruction_budget", Json::U64(instructions)),
-            ("instructions", Json::U64(t_instr)),
-            ("wall_seconds", Json::F64(t_wall.as_secs_f64())),
-            ("instructions_per_second", Json::F64(rate)),
-            ("fast_path_bursts", Json::U64(bursts)),
-            ("fast_path_chained", Json::U64(chained)),
-        ]);
-        let mut entries: Vec<Json> = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|s| Json::parse(&s).ok())
-            .and_then(|d| {
-                d.get("entries")
-                    .and_then(Json::as_arr)
-                    .map(<[Json]>::to_vec)
-            })
-            .unwrap_or_default();
-        entries.push(entry);
-        let doc = Json::obj([
-            ("format", Json::Str("dtsvliw-wallclock".to_string())),
-            ("version", Json::U64(1)),
-            ("entries", Json::Arr(entries)),
-        ]);
-        let mut s = doc.to_string_pretty();
-        s.push('\n');
-        std::fs::write(path, &s).unwrap_or_else(|e| die(format!("writing {path}: {e}")));
-        println!("(wall-clock trend appended to {path})");
     }
 
     if let Some(path) = &out {

@@ -25,8 +25,9 @@
 //! Always-on telemetry (DESIGN.md §12): `--heartbeat[=K]` streams one
 //! JSONL progress record every K simulated cycles (default 100000) to
 //! `--heartbeat-out` (default `heartbeat.jsonl`); `--profile-sampled[=N]`
-//! arms the hot-block profiler on one block entry in N (default 16),
-//! and `--profile` is shorthand for `--profile-sampled=1` (every entry);
+//! attaches the hot-block profiler, `BlockProfiler::new(N)`, which
+//! records one block entry in N (default 16), and `--profile` is
+//! shorthand for `--profile-sampled=1` (every entry);
 //! `--profile-top N` sets the report depth and arms `--profile` when no
 //! profiler was asked for.
 //!
@@ -46,7 +47,7 @@ use dtsvliw_core::{Machine, MachineConfig, MachineError};
 use dtsvliw_json::{Json, ToJson};
 use dtsvliw_sched::scheduler::{MAX_BLOCK_SLOTS, MAX_WIDTH};
 use dtsvliw_trace::{
-    sink_to_writer, Heartbeat, SamplingProfiler, TraceFormat, Tracer, DEFAULT_SAMPLE_PERIOD,
+    sink_to_writer, BlockProfiler, Heartbeat, TraceFormat, Tracer, DEFAULT_SAMPLE_PERIOD,
 };
 use dtsvliw_workloads::Scale;
 use std::path::Path;
@@ -402,7 +403,7 @@ fn main() {
         machine.attach_tracer(Box::new(tracer));
     }
     if let Some(every) = o.profile {
-        machine.attach_sampler(Box::new(SamplingProfiler::new(every)));
+        machine.attach_profiler(Box::new(BlockProfiler::new(every)));
     }
     if let Some(every) = o.heartbeat {
         let f = create_file(&o.heartbeat_out);
@@ -552,7 +553,7 @@ fn main() {
         s.instructions as f64 / 1e6 / wall.as_secs_f64(),
         wall
     );
-    if let Some(p) = machine.sampler() {
+    if let Some(p) = machine.profiler() {
         print!("{}", p.report_table(o.profile_top));
     }
 }

@@ -1022,7 +1022,7 @@ pub fn attempts_json(seed: u64, jobs: &[JobResult]) -> Json {
 }
 
 /// The wall-clock side-channel: durations, requeues, worker count, the
-/// chaos ledger. Nondeterministic by design, like `BENCH_wallclock`.
+/// chaos ledger. Nondeterministic by design, unlike the campaign report.
 pub fn wallclock_json(result: &CampaignResult) -> Json {
     let jobs = result
         .jobs

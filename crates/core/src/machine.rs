@@ -10,8 +10,8 @@ use dtsvliw_primary::interp::{step as primary_step, Halt, StepError};
 use dtsvliw_primary::{PipelineModel, RefMachine};
 use dtsvliw_sched::{Block, InsertOutcome, Resolution, Scheduler, SlotOp};
 use dtsvliw_trace::{
-    BurstDelta, CacheKind, EngineKind, EvictReason, ExitKind, Heartbeat, HeartbeatRecord, Metrics,
-    SamplingProfiler, Telemetry, TraceEvent, Tracer,
+    BlockProfiler, BurstDelta, CacheKind, EngineKind, EvictReason, ExitKind, Heartbeat,
+    HeartbeatRecord, Metrics, Telemetry, TraceEvent, Tracer,
 };
 use dtsvliw_vliw::{
     DecodedLine, EngineError, EngineFaults, EvictedBlock, LiExec, LiResult, VliwCache, VliwEngine,
@@ -238,13 +238,12 @@ pub struct Machine {
     /// branch — but never serialised into snapshots (reset-on-resume)
     /// and never part of `RunStats`.
     pub(crate) telemetry: Telemetry,
-    /// Optional hot-trace profiler: every-Nth-block-entry sampling into
-    /// a per-block `BlockProfiler` (N = 1 records every execution). The
-    /// per-entry pick is cached in `sampling_now`, one predictable
-    /// branch per LI. Never serialised into snapshots (reset-on-resume).
-    pub(crate) profiler: Option<Box<SamplingProfiler>>,
-    /// Is the current block execution being recorded by the profiler?
-    pub(crate) sampling_now: bool,
+    /// Optional hot-trace profiler recording every Nth block entry
+    /// (N = 1 records every execution). It keeps the pick for the
+    /// current execution itself, so the burst loop pays one branch per
+    /// LI when it is detached. Never serialised into snapshots
+    /// (reset-on-resume).
+    pub(crate) profiler: Option<Box<BlockProfiler>>,
     /// Optional heartbeat progress stream (cycle-budgeted JSONL).
     pub(crate) heartbeat: Option<Box<Heartbeat>>,
     /// Next cycle at which a heartbeat is due (`u64::MAX` when off):
@@ -314,7 +313,6 @@ impl Machine {
             degraded_cycles: 0,
             telemetry: Telemetry::new(),
             profiler: None,
-            sampling_now: false,
             heartbeat: None,
             hb_next: u64::MAX,
             dcache_scratch: Vec::new(),
@@ -529,26 +527,23 @@ impl Machine {
         self.tracer.as_deref()
     }
 
-    /// Attach a hot-trace profiler: [`SamplingProfiler::new`]`(1)`
+    /// Attach a hot-trace profiler: [`BlockProfiler::new`]`(1)`
     /// records every block execution, larger N every Nth block entry.
-    /// The profiler decides armed/idle once per block entry and the
-    /// burst loop consults a plain `bool` per long instruction. Never
+    /// The profiler decides armed/idle once per block entry. Never
     /// serialised into snapshots: a resumed machine starts with no
     /// profiler (reset-on-resume), so block executions are never
     /// double-counted across a resume.
-    pub fn attach_sampler(&mut self, sampler: Box<SamplingProfiler>) {
-        self.profiler = Some(sampler);
-        self.sampling_now = false;
+    pub fn attach_profiler(&mut self, profiler: Box<BlockProfiler>) {
+        self.profiler = Some(profiler);
     }
 
     /// Detach and return the profiler.
-    pub fn take_sampler(&mut self) -> Option<Box<SamplingProfiler>> {
-        self.sampling_now = false;
+    pub fn take_profiler(&mut self) -> Option<Box<BlockProfiler>> {
         self.profiler.take()
     }
 
     /// The attached profiler, if any.
-    pub fn sampler(&self) -> Option<&SamplingProfiler> {
+    pub fn profiler(&self) -> Option<&BlockProfiler> {
         self.profiler.as_deref()
     }
 
@@ -664,7 +659,6 @@ impl Machine {
     fn profiler_exit(&mut self, kind: ExitKind) {
         if let Some(p) = &mut self.profiler {
             p.note_exit(kind);
-            self.sampling_now = false;
         }
     }
 
@@ -928,10 +922,9 @@ impl Machine {
             self.charge_overhead(self.cfg.swap_to_vliw, Overhead::Swap);
             self.note_swap(EngineKind::Vliw);
             if let Some(p) = &mut self.profiler {
-                self.sampling_now =
-                    p.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
-                        Machine::head_disasm(&block)
-                    });
+                p.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
+                    Machine::head_disasm(&block)
+                });
             }
             self.engine.begin_block(&block, &self.state);
             self.mode = Mode::Vliw {
@@ -1141,10 +1134,8 @@ impl Machine {
             delta.lis += 1;
             delta.ops += row.occupancy as u64;
             delta.slots += row.width as u64;
-            if self.sampling_now {
-                if let Some(p) = &mut self.profiler {
-                    p.note_li(row.occupancy as u32, row.width as u32, c);
-                }
+            if let Some(p) = &mut self.profiler {
+                p.note_li(row.occupancy as u32, row.width as u32, c);
             }
 
             match out.result {
@@ -1279,7 +1270,7 @@ impl Machine {
             }
             self.charge_overhead(penalty, Overhead::NextLi);
             if let Some(p) = &mut self.profiler {
-                self.sampling_now = p.note_entry(
+                p.note_entry(
                     block.tag_addr,
                     block.entry_cwp,
                     from.is_some(),

@@ -655,7 +655,6 @@ impl Machine {
             // execution.
             telemetry: Telemetry::new(),
             profiler: None,
-            sampling_now: false,
             heartbeat: None,
             hb_next: u64::MAX,
             dcache_scratch: Vec::new(),

@@ -9,7 +9,7 @@
 
 use dtsvliw_core::{Machine, MachineConfig, RunStats};
 use dtsvliw_faults::{FaultPlan, FaultSite};
-use dtsvliw_trace::SamplingProfiler;
+use dtsvliw_trace::BlockProfiler;
 use dtsvliw_workloads::{by_name, Scale};
 
 const WORKLOADS: [&str; 8] = [
@@ -61,10 +61,10 @@ fn invariant_holds_on_every_workload() {
 fn profiler_accounts_every_vliw_cycle() {
     let workload = by_name("compress", Scale::Test).expect("workload exists");
     let mut m = Machine::new(MachineConfig::feasible_paper(), &workload.image());
-    m.attach_sampler(Box::new(SamplingProfiler::new(1)));
+    m.attach_profiler(Box::new(BlockProfiler::new(1)));
     m.run(200_000).expect("run completes");
     let s = m.stats();
-    let p = m.sampler().expect("profiler attached").profiler();
+    let p = m.profiler().expect("profiler attached");
     assert!(p.blocks() > 0, "blocks must have executed");
     let profiled: u64 = p.profiles().iter().map(|b| b.cycles).sum();
     assert_eq!(profiled, s.vliw_cycles, "profiler must cover vliw_cycles");

@@ -11,15 +11,15 @@
 //! machine installs.
 //!
 //! Every configuration must run through the batched VLIW loop (bursts
-//! taken), and arming every observation hook at once (tracer, sampling
-//! profiler at N=1, heartbeat) must leave the digests unchanged:
-//! observation never perturbs the simulation.
+//! taken), and arming every observation hook at once (tracer, hot-block
+//! profiler at N = 1 and N = 16, heartbeat) must leave the digests
+//! unchanged: observation never perturbs the simulation.
 
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_faults::FaultPlan;
 use dtsvliw_json::ToJson;
 use dtsvliw_sched::scheduler::Latencies;
-use dtsvliw_trace::{sink_to_writer, Heartbeat, SamplingProfiler, TraceFormat, Tracer};
+use dtsvliw_trace::{sink_to_writer, BlockProfiler, Heartbeat, TraceFormat, Tracer};
 use dtsvliw_vliw::VliwCacheConfig;
 use dtsvliw_workloads::{by_name, Scale};
 use std::io::{self, Write};
@@ -302,31 +302,34 @@ fn scheduler_outputs_match_pinned_digests() {
     assert!(failures.is_empty(), "digests differ: {failures:#?}");
 }
 
-/// Tracer, sampling profiler and heartbeat armed together change no
-/// simulated result and keep the burst loop running.
+/// Tracer, hot-block profiler and heartbeat armed together change no
+/// simulated result and keep the burst loop running, whether the
+/// profiler records every block entry (N = 1) or samples one in 16.
 #[test]
 fn armed_hooks_leave_results_unchanged() {
-    for (name, digests) in PINNED {
-        for ((label, cfg), want) in configs().into_iter().zip(digests) {
-            let mut m = machine(name, cfg);
-            let sink = sink_to_writer(TraceFormat::Jsonl, Box::new(Shared::default()));
-            m.attach_tracer(Box::new(Tracer::with_sink(1024, sink)));
-            m.attach_sampler(Box::new(SamplingProfiler::new(1)));
-            m.attach_heartbeat(Box::new(Heartbeat::new(1_000, None)));
-            m.run(BUDGET).expect("workload runs");
-            assert!(
-                m.fast_path_stats().0 > 0,
-                "{name}/{label}: hooks disarmed the burst loop"
-            );
-            // The tracer's event counters are folded into `stats()`
-            // while it is attached; detach it to compare simulated
-            // state alone.
-            drop(m.take_tracer());
-            assert_eq!(
-                result_digest(&m),
-                want,
-                "{name}/{label}: armed hooks perturbed the simulation"
-            );
+    for every in [1, 16] {
+        for (name, digests) in PINNED {
+            for ((label, cfg), want) in configs().into_iter().zip(digests) {
+                let mut m = machine(name, cfg);
+                let sink = sink_to_writer(TraceFormat::Jsonl, Box::new(Shared::default()));
+                m.attach_tracer(Box::new(Tracer::with_sink(1024, sink)));
+                m.attach_profiler(Box::new(BlockProfiler::new(every)));
+                m.attach_heartbeat(Box::new(Heartbeat::new(1_000, None)));
+                m.run(BUDGET).expect("workload runs");
+                assert!(
+                    m.fast_path_stats().0 > 0,
+                    "{name}/{label}/N={every}: hooks disarmed the burst loop"
+                );
+                // The tracer's event counters are folded into `stats()`
+                // while it is attached; detach it to compare simulated
+                // state alone.
+                drop(m.take_tracer());
+                assert_eq!(
+                    result_digest(&m),
+                    want,
+                    "{name}/{label}/N={every}: armed hooks perturbed the simulation"
+                );
+            }
         }
     }
 }

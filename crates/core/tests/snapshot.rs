@@ -172,19 +172,18 @@ fn interrupted_and_resumed_run_matches_uninterrupted() {
 /// counts of an uninterrupted profiled run.
 #[test]
 fn resume_with_profiler_neither_corrupts_nor_double_counts() {
-    use dtsvliw_trace::SamplingProfiler;
+    use dtsvliw_trace::BlockProfiler;
 
     let dir = scratch("profiler-hygiene");
     let cfg = MachineConfig::ideal(4, 8);
 
     // Reference: one uninterrupted profiled run.
     let mut whole = Machine::new(cfg.clone(), &stress_image());
-    whole.attach_sampler(Box::new(SamplingProfiler::new(1)));
+    whole.attach_profiler(Box::new(BlockProfiler::new(1)));
     whole.run(10_000_000).expect("uninterrupted run completes");
     let whole_execs: u64 = whole
-        .sampler()
-        .unwrap()
         .profiler()
+        .unwrap()
         .profiles()
         .iter()
         .map(|b| b.executions)
@@ -194,13 +193,12 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
 
     // Interrupt a profiled run mid-flight and snapshot it.
     let mut original = Machine::new(cfg.clone(), &stress_image());
-    original.attach_sampler(Box::new(SamplingProfiler::new(1)));
+    original.attach_profiler(Box::new(BlockProfiler::new(1)));
     original.run(700).expect("prefix completes");
     let path = original.write_snapshot(&dir).expect("snapshot writes");
     let prefix_execs: u64 = original
-        .sampler()
-        .unwrap()
         .profiler()
+        .unwrap()
         .profiles()
         .iter()
         .map(|b| b.executions)
@@ -210,7 +208,7 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
     // and its statistics still match byte for byte.
     let mut restored = Machine::resume_from(cfg.clone(), &path).expect("snapshot restores");
     assert!(
-        restored.sampler().is_none(),
+        restored.profiler().is_none(),
         "profiler state must not survive a snapshot round trip"
     );
     assert_eq!(
@@ -222,12 +220,11 @@ fn resume_with_profiler_neither_corrupts_nor_double_counts() {
     // Profile the resumed tail with a fresh profiler: prefix + tail
     // must equal the uninterrupted run exactly — nothing lost, nothing
     // counted twice.
-    restored.attach_sampler(Box::new(SamplingProfiler::new(1)));
+    restored.attach_profiler(Box::new(BlockProfiler::new(1)));
     restored.run(10_000_000).expect("resumed run completes");
     let tail_execs: u64 = restored
-        .sampler()
-        .unwrap()
         .profiler()
+        .unwrap()
         .profiles()
         .iter()
         .map(|b| b.executions)

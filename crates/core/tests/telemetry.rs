@@ -6,7 +6,7 @@
 
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_json::{Json, ToJson};
-use dtsvliw_trace::{BlockProfiler, Heartbeat, SamplingProfiler};
+use dtsvliw_trace::{BlockProfiler, Heartbeat};
 use dtsvliw_workloads::{by_name, Scale};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -164,24 +164,24 @@ fn heartbeat_schema_and_cadence() {
 fn sampled_profile_matches_exact_ranking() {
     for name in WORKLOADS {
         let mut exact = machine(name);
-        exact.attach_sampler(Box::new(SamplingProfiler::new(1)));
+        exact.attach_profiler(Box::new(BlockProfiler::new(1)));
         exact.run(BUDGET).expect("workload runs");
         assert!(exact.fast_path_stats().0 > 0, "{name}: no burst at N = 1");
         let exact_stats = exact.stats().to_json().to_string();
-        let exact_prof = exact.take_sampler().unwrap();
+        let exact_prof = exact.take_profiler().unwrap();
 
         let mut sampled = machine(name);
-        sampled.attach_sampler(Box::new(SamplingProfiler::new(4)));
+        sampled.attach_profiler(Box::new(BlockProfiler::new(4)));
         sampled.run(BUDGET).expect("workload runs");
         let (bursts, _) = sampled.fast_path_stats();
         assert!(bursts > 0, "{name}: no burst at N = 4");
         assert_eq!(
             exact_stats,
             sampled.stats().to_json().to_string(),
-            "{name}: sampler perturbed the simulation"
+            "{name}: sampling perturbed the simulation"
         );
-        let smp = sampled.take_sampler().unwrap();
-        assert!(smp.entries_seen() > 0, "{name}: sampler saw no entries");
+        let smp = sampled.take_profiler().unwrap();
+        assert!(smp.entries_seen() > 0, "{name}: profiler saw no entries");
         assert!(
             smp.sampled() >= smp.entries_seen() / 4,
             "{name}: sampled fewer entries than the period implies"
@@ -194,8 +194,8 @@ fn sampled_profile_matches_exact_ranking() {
                 .map(|b| (b.tag_addr, b.entry_cwp))
                 .collect()
         };
-        let exact_top = top(exact_prof.profiler());
-        let sampled_top = top(smp.profiler());
+        let exact_top = top(&exact_prof);
+        let sampled_top = top(&smp);
         let k = exact_top.len().min(sampled_top.len());
         let overlap = exact_top
             .iter()

@@ -24,16 +24,16 @@ mod event;
 mod metrics;
 mod profile;
 mod ring;
-mod sample;
 mod sink;
 mod span;
 mod telemetry;
 
 pub use event::{CacheKind, EngineKind, EvictReason, Stamped, TraceEvent};
 pub use metrics::{BucketScale, Histogram, Metrics, HIST_BUCKETS};
-pub use profile::{BlockProfile, BlockProfiler, ExitKind, DEFAULT_HOT_WINDOW};
+pub use profile::{
+    BlockProfile, BlockProfiler, ExitKind, DEFAULT_HOT_WINDOW, DEFAULT_SAMPLE_PERIOD,
+};
 pub use ring::FlightRecorder;
-pub use sample::{SamplingProfiler, DEFAULT_SAMPLE_PERIOD};
 pub use sink::{sink_to_writer, EventSink, JsonlSink, PerfettoSink, TextSink, TraceFormat};
 pub use span::{
     merge_perfetto, validate_perfetto, SpanEvent, SpanKind, SpanLog, SpanPhase, SPAN_KINDS,

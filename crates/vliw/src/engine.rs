@@ -822,9 +822,10 @@ impl VliwEngine {
     /// Execute long instruction `li` of `block` against the shared
     /// machine state, lowering the block on the fly.
     ///
-    /// This is the storage-form convenience entry (component tests, the
-    /// ablation bench): the machine's hot loop uses the form the VLIW
-    /// Cache lowers on a block's first entry and calls
+    /// This is the storage-form convenience entry, called only by the
+    /// component tests (`tests/engine.rs`, `tests/semantics.rs`): the
+    /// machine's hot loop uses the form the VLIW Cache lowers on a
+    /// block's first entry and calls
     /// [`VliwEngine::exec_li_decoded`] instead. Both paths run
     /// the same execution core, so semantics cannot diverge.
     pub fn exec_li(
