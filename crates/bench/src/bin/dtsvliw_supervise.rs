@@ -1,7 +1,7 @@
-//! Campaign supervisor: fan a spec's jobs across worker slots with
-//! work-stealing, per-tenant quotas, stall detection,
-//! checkpoint-and-requeue rebalancing, seeded backoff, and (optionally)
-//! a chaos harness that attacks the campaign while it runs.
+//! Campaign supervisor: fan a spec's jobs across worker slots from one
+//! FIFO queue, with stall detection, checkpoint-and-requeue, seeded
+//! backoff, and (optionally) a chaos harness that attacks the campaign
+//! while it runs.
 //!
 //! ```sh
 //! dtsvliw_supervise campaign.json --jobs 8 --out report.json
@@ -12,7 +12,6 @@
 //! ```json
 //! { "seed": 1,
 //!   "backoff_ms": 50,
-//!   "quotas": { "alice": 2 },
 //!   "jobs": [
 //!     { "name": "qsort",
 //!       "argv": ["dtsvliw_run", "--workload", "qsort",
@@ -20,7 +19,6 @@
 //!                "--heartbeat=100000", "--heartbeat-out", "hb/qsort.jsonl"],
 //!       "timeout_ms": 60000,
 //!       "retries": 3,
-//!       "tenant": "alice",
 //!       "snapshot_dir": "snaps/qsort",
 //!       "heartbeat": "hb/qsort.jsonl" } ] }
 //! ```
@@ -39,26 +37,23 @@
 //! * `--wallclock-out` — durations, requeues, the chaos ledger
 //!   (nondeterministic by design);
 //! * `--spans-out` — the merged campaign trace: the span log every
-//!   other document is projected from;
-//! * `--timeline` — the merged heartbeat timeline, torn lines skipped.
+//!   other document is projected from, and the campaign's one timeline.
 //!
 //! Exit codes: 0 all jobs succeeded, 1 some failed, 2 bad usage/spec.
 
 use dtsvliw_bench::supervise::engine::{
-    attempts_json, merge_timeline, report_json, run_campaign, wallclock_json, EngineOptions,
+    attempts_json, report_json, run_campaign, wallclock_json, EngineOptions,
 };
 use dtsvliw_bench::supervise::spec::{parse_campaign, CampaignSpec};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: dtsvliw_supervise <spec.json> [options]
   --jobs N             worker slots (default: available cores)
-  --spawn-window N     max children in flight (default: every slot)
   --chaos SEED         arm the chaos harness (seeded kills, freezes,
                        snapshot corruption, heartbeat tears)
   --out PATH           write the deterministic campaign report
   --attempts-out PATH  write the attempt-history log
   --wallclock-out PATH write the wall-clock side-channel
-  --timeline PATH      write the merged heartbeat timeline (JSONL)
   --spans-out PATH     write the merged campaign trace (Perfetto JSON,
                        one track per slot on the campaign clock)
   --metrics-addr ADDR  serve Prometheus text /metrics on host:port for
@@ -70,12 +65,10 @@ const USAGE: &str = "usage: dtsvliw_supervise <spec.json> [options]
 struct Args {
     spec_path: PathBuf,
     jobs: usize,
-    spawn_window: Option<usize>,
     chaos_seed: Option<u64>,
     out: Option<PathBuf>,
     attempts_out: Option<PathBuf>,
     wallclock_out: Option<PathBuf>,
-    timeline: Option<PathBuf>,
     spans_out: Option<PathBuf>,
     metrics_addr: Option<String>,
     status_width: Option<usize>,
@@ -115,12 +108,10 @@ fn parse_args() -> Args {
     let mut args = Args {
         spec_path: PathBuf::new(),
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        spawn_window: None,
         chaos_seed: None,
         out: None,
         attempts_out: None,
         wallclock_out: None,
-        timeline: None,
         spans_out: None,
         metrics_addr: None,
         status_width: None,
@@ -131,14 +122,10 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--jobs" => args.jobs = positive("--jobs", it.next()),
-            "--spawn-window" => {
-                args.spawn_window = Some(positive("--spawn-window", it.next()));
-            }
             "--chaos" => args.chaos_seed = Some(parse_u64("--chaos", it.next())),
             "--out" => args.out = Some(path("--out", it.next())),
             "--attempts-out" => args.attempts_out = Some(path("--attempts-out", it.next())),
             "--wallclock-out" => args.wallclock_out = Some(path("--wallclock-out", it.next())),
-            "--timeline" => args.timeline = Some(path("--timeline", it.next())),
             "--spans-out" => args.spans_out = Some(path("--spans-out", it.next())),
             "--metrics-addr" => match it.next() {
                 Some(v) => args.metrics_addr = Some(v),
@@ -189,7 +176,7 @@ fn main() {
     let spec = load_spec(&args.spec_path);
     let opts = EngineOptions {
         workers: args.jobs,
-        spawn_window: args.spawn_window,
+        spawn_window: None,
         chaos_seed: args.chaos_seed,
         quiet: args.quiet,
         remotes: Vec::new(),
@@ -211,16 +198,6 @@ fn main() {
     }
     if let Some(p) = &args.wallclock_out {
         write_doc(p, &(wallclock_json(&result).to_string_pretty() + "\n"));
-    }
-    if let Some(p) = &args.timeline {
-        let (text, records) = merge_timeline(&spec);
-        write_doc(p, &text);
-        if !args.quiet {
-            eprintln!(
-                "supervise: merged {records} heartbeat records into {}",
-                p.display()
-            );
-        }
     }
     if let Some(p) = &args.spans_out {
         let doc = dtsvliw_trace::merge_perfetto(&result.spans);

@@ -3,10 +3,10 @@
 //! `dtsvliw_supervise --spans-out` merges every scheduling decision into
 //! one Perfetto trace. This module reads that document *back* into a
 //! [`CampaignView`]: per-job attempt chains (what ran where, what killed
-//! it, what was forgiven and why, how long it took), the chaos strikes,
-//! quarantines and steals that shaped the schedule. The supervise engine reads its
-//! own span log through the same view to build the report, attempts and
-//! wall-clock documents and the `/metrics` page, so the trace and every
+//! it, what was forgiven and why, how long it took), the chaos strikes
+//! and quarantines that shaped the schedule. The supervise engine reads
+//! its own span log through the same view to build the report, attempts
+//! and wall-clock documents and the `/metrics` page, so the trace and every
 //! document tell one story. From the view come the summary table, the
 //! per-job narrative, and the canonical timestamp-stripped span set CI
 //! `cmp`s between a chaos storm and a calm run.
@@ -61,8 +61,6 @@ pub struct CampaignView {
     pub attempts: Vec<AttemptView>,
     /// `(t_ms, action, track)` per executed chaos strike.
     pub strikes: Vec<(u64, String, String)>,
-    /// `(t_ms, job, track)` per work-stealing claim.
-    pub steals: Vec<(u64, u64, String)>,
     /// Older quarantined snapshots the retention cap evicted, summed
     /// over the quarantine spans.
     pub quarantines_evicted: u64,
@@ -166,10 +164,6 @@ pub fn parse_trace(doc: &Json) -> Result<CampaignView, String> {
                     track_of(rec),
                 ));
             }
-            Some("steal") => {
-                view.steals
-                    .push((t_ms, au64(args, "job").unwrap_or(0), track_of(rec)));
-            }
             Some("quarantine") => view.quarantines_evicted += au64(args, "evicted").unwrap_or(0),
             _ => {}
         }
@@ -187,7 +181,7 @@ pub fn view_of(events: &[SpanEvent]) -> CampaignView {
 /// count plus every non-forgiven attempt, reduced to `(job, n, outcome)`
 /// where `n` is the attempt's consumed-retry index. Chaos-shaped fields
 /// (timestamps, tracks, the `resumed` flag, forgiven attempts, requeues,
-/// steals, strikes) are all projected away, so a chaos storm
+/// strikes) are all projected away, so a chaos storm
 /// and an undisturbed run of the same campaign render byte-identical
 /// text — the cmp gate CI holds them to.
 pub fn canonical(view: &CampaignView) -> String {
@@ -286,7 +280,6 @@ pub fn summary_table(view: &CampaignView) -> String {
         "  attempts        : {} ({outcomes})\n",
         view.attempts.len()
     ));
-    s.push_str(&format!("  steals          : {}\n", view.steals.len()));
     s.push_str(&format!("  chaos strikes   : {}\n", view.strikes.len()));
     s
 }
@@ -503,14 +496,6 @@ mod tests {
             &[],
         ));
         events.push(sev(
-            31,
-            SpanKind::Steal,
-            SpanPhase::Instant,
-            0,
-            "w0",
-            vec![("job".to_string(), Json::U64(1))],
-        ));
-        events.push(sev(
             44,
             SpanKind::Campaign,
             SpanPhase::End,
@@ -532,7 +517,6 @@ mod tests {
         assert_eq!(view.succeeded, Some(2));
         assert_eq!(view.attempts.len(), 4);
         assert_eq!(view.strikes.len(), 1);
-        assert_eq!(view.steals.len(), 1);
         let chains = attempt_chains(&view);
         assert_eq!(chains.len(), 2);
         let (job1, chain1) = &chains[1];
@@ -570,12 +554,11 @@ mod tests {
         calm.extend(attempt(20, 1, Some(0), "timeout", false));
         calm.extend(attempt(30, 1, Some(1), "success", false));
         let mut storm = calm.clone();
-        // Chaos inserts forgiven attempts, steals, strikes, different
-        // timestamps and an index-less requeue — all of which the
-        // projection must erase.
+        // Chaos inserts forgiven attempts, strikes, different timestamps
+        // and an index-less requeue — all of which the projection must
+        // erase.
         storm.extend(attempt(5, 0, Some(0), "signal", true));
         storm.extend(attempt(6, 1, None, "requeued", false));
-        storm.push(sev(7, SpanKind::Steal, SpanPhase::Instant, 0, "w1", vec![]));
         storm.push(sev(
             8,
             SpanKind::ChaosStrike,

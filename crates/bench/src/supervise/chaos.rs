@@ -101,7 +101,7 @@ impl ChaosEngine {
 
     /// Splice a torn, newline-less partial record onto a heartbeat
     /// file — the exact shape a SIGKILL mid-write leaves. The tailer
-    /// and timeline merge must skip it (heartbeat.rs).
+    /// must skip it (heartbeat.rs).
     pub fn tear_heartbeat(&self, path: &Path) -> bool {
         use std::io::Write;
         let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) else {
@@ -128,6 +128,7 @@ pub fn send_signal(pid: u32, sig: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::heartbeat::{HeartbeatTail, Progress};
 
     #[test]
     fn draws_are_seed_deterministic() {
@@ -183,9 +184,18 @@ mod tests {
         let path = dir.join("hb.jsonl");
         std::fs::write(&path, "{\"cycle\": 10, \"instructions\": 20}\n").unwrap();
         assert!(ChaosEngine::new(7).tear_heartbeat(&path));
-        let text = std::fs::read_to_string(&path).unwrap();
-        let records = crate::supervise::heartbeat::complete_records(&text);
-        assert_eq!(records.len(), 1, "torn splice must not add a record");
+        // The flush the engine runs once the child is dead credits the
+        // one whole record and counts the splice as a torn tail.
+        let read = HeartbeatTail::new(path).finish();
+        assert_eq!(
+            read.progress,
+            Some(Progress {
+                cycle: 10,
+                instructions: 20,
+                bursts: 0
+            })
+        );
+        assert_eq!(read.truncated, 1, "torn splice must not add a record");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Worker threads, the attempt loop, and the deterministic merge.
 //!
 //! `run_campaign` fans the spec's jobs across worker threads through
-//! the [`queue`](super::queue) scheduler. Each slot runs one attempt at
+//! the one [`queue`](super::queue) FIFO. Each slot runs one attempt at
 //! a time: `run_attempt` resumes from a durable snapshot whenever one
 //! exists and spawns the child under a [`Babysitter`], `watch` judges it
 //! by one [`KillPolicy`] (hard timeout, heartbeat stall, soft-deadline
@@ -28,19 +28,19 @@
 //!   requeue counts, the chaos ledger; never expected to reproduce.
 //!
 //! The campaign span log is the only record of what happened. Every
-//! settled attempt, strike, steal and quarantine lands there
-//! as a span; the documents, [`CampaignResult`] and the `/metrics` page
-//! are all read back out of it through [`crate::explain`], the reader
+//! settled attempt, strike and quarantine lands there as a span; the
+//! documents, [`CampaignResult`] and the `/metrics` page are all read
+//! back out of it through [`crate::explain`], the reader
 //! `dtsvliw_explain` uses on the trace file.
 
 use super::babysit::{Babysitter, KillPolicy};
 use super::backoff;
 use super::canonical_result_digest;
 use super::chaos::{send_signal, ChaosAction, ChaosEngine, FORGIVENESS_CAP};
-use super::heartbeat::{complete_records, TailRead};
+use super::heartbeat::TailRead;
 use super::metrics::{campaign_page, spawn_metrics_server};
 use super::outcome::Outcome;
-use super::queue::{Claim, Scheduler};
+use super::queue::{Claim, JobQueue};
 use super::spec::CampaignSpec;
 use super::status::{BoardSnapshot, StatusSink, WorkerView};
 use crate::explain::{self, CampaignView};
@@ -61,7 +61,10 @@ pub const QUARANTINE_KEEP: usize = 8;
 pub struct EngineOptions {
     /// Worker slots (`--jobs`).
     pub workers: usize,
-    /// In-flight spawn window (back-pressure); defaults to every slot.
+    /// Must be `None`: each slot runs one child, so `workers` alone
+    /// bounds the children in flight, and [`run_campaign`] asserts it.
+    /// Kept, like `remotes`, only for the benchmark package's struct
+    /// literal.
     pub spawn_window: Option<usize>,
     /// Arm the chaos harness with this seed.
     pub chaos_seed: Option<u64>,
@@ -157,7 +160,7 @@ struct RunningChild {
 }
 
 struct EngineState {
-    sched: Scheduler,
+    queue: JobQueue,
     runs: Vec<JobRun>,
     running: Vec<RunningChild>,
     workers: Vec<WorkerView>,
@@ -240,7 +243,7 @@ impl Shared<'_> {
             failed: st.failed,
             finished_instructions: st.finished_instructions,
             workers: st.workers.clone(),
-            shard_depths: st.sched.shard_depths(),
+            queued: st.queue.queued(),
         }
     }
 }
@@ -261,51 +264,14 @@ fn chaos_caused(outcome: Outcome, killed_mark: bool, frozen_mark: bool) -> bool 
 // The worker loop
 // ---------------------------------------------------------------------
 
-/// Emit a quota-headroom counter sample per tenant (only when the spec
-/// declares quotas, so unconstrained campaigns carry no counter track).
-fn quota_headroom_sample(shared: &Shared<'_>, st: &EngineState) {
-    if shared.spec.quotas.is_empty() {
-        return;
-    }
-    let mut args = vec![("name".to_string(), Json::Str("quota headroom".to_string()))];
-    for ((tenant, _), (running, quota)) in shared.spec.quotas.iter().zip(st.sched.tenant_loads()) {
-        args.push((
-            tenant.clone(),
-            Json::U64(quota.saturating_sub(running) as u64),
-        ));
-    }
-    shared.span(SpanKind::Campaign, SpanPhase::Counter, 0, "campaign", args);
-}
-
-/// Park on the scheduler until a job is claimable for slot `w`, or the
-/// campaign is over (`None`).
-fn claim_job(shared: &Shared<'_>, w: usize) -> Option<usize> {
+/// Park on the queue until a job is claimable, or the campaign is over
+/// (`None`).
+fn claim_job(shared: &Shared<'_>) -> Option<usize> {
     let mut st = shared.state.lock().unwrap();
     loop {
-        match st
-            .sched
-            .claim(w, shared.started.elapsed().as_millis() as u64)
-        {
+        match st.queue.claim(shared.now_ms()) {
             Claim::Done => return None,
-            Claim::Run(j) => {
-                if st.sched.last_claim_was_steal() {
-                    shared.span(
-                        SpanKind::Steal,
-                        SpanPhase::Instant,
-                        0,
-                        &shared.slot_names[w],
-                        vec![
-                            ("job".to_string(), Json::U64(shared.spec.jobs[j].id)),
-                            (
-                                "name".to_string(),
-                                Json::Str(shared.spec.jobs[j].name.clone()),
-                            ),
-                        ],
-                    );
-                }
-                quota_headroom_sample(shared, &st);
-                return Some(j);
-            }
+            Claim::Run(j) => return Some(j),
             Claim::Wait => {
                 st = shared
                     .cv
@@ -318,7 +284,7 @@ fn claim_job(shared: &Shared<'_>, w: usize) -> Option<usize> {
 }
 
 fn worker_loop(shared: &Shared<'_>, w: usize) {
-    while let Some(job_idx) = claim_job(shared, w) {
+    while let Some(job_idx) = claim_job(shared) {
         run_attempt(shared, w, job_idx);
         shared.cv.notify_all();
     }
@@ -510,8 +476,7 @@ fn finish_attempt(
         // attempt span likewise carries no consumed-retry index.
         run.requeues += 1;
         attempt_span(shared, None, false, settled);
-        st.sched.requeue(job_idx, w, now_ms);
-        quota_headroom_sample(shared, st);
+        st.queue.requeue(job_idx, now_ms);
         shared.log(&format!(
             "supervise: w{w} job `{}` past soft deadline: checkpointed and requeued",
             job.name
@@ -523,11 +488,10 @@ fn finish_attempt(
         let n = run.consumed;
         run.done = Some(true);
         st.done += 1;
-        st.sched.finish(job_idx);
+        st.queue.finish(job_idx);
         let bursts = tail.progress.map_or(0, |p| p.bursts);
         settled.push(("bursts".to_string(), Json::U64(bursts)));
         attempt_span(shared, Some(n), false, settled);
-        quota_headroom_sample(shared, st);
         return;
     }
 
@@ -594,7 +558,7 @@ fn finish_attempt(
         run.done = Some(false);
         st.done += 1;
         st.failed += 1;
-        st.sched.finish(job_idx);
+        st.queue.finish(job_idx);
         settled.push(("job_failed".to_string(), Json::Bool(true)));
         attempt_span(shared, Some(attempt_key), forgiven, settled);
         shared.log(&format!(
@@ -611,9 +575,8 @@ fn finish_attempt(
         );
         settled.push(("backoff_ms".to_string(), Json::U64(delay)));
         attempt_span(shared, Some(attempt_key), forgiven, settled);
-        st.sched.requeue(job_idx, w, now_ms + delay);
+        st.queue.requeue(job_idx, now_ms + delay);
     }
-    quota_headroom_sample(shared, st);
 }
 
 // ---------------------------------------------------------------------
@@ -742,16 +705,19 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &EngineOptions) -> CampaignResult
         "EngineOptions.remotes must be empty: the cross-host worker tier was removed, \
          and every campaign runs on local slots"
     );
+    assert!(
+        opts.spawn_window.is_none(),
+        "EngineOptions.spawn_window must be None: each slot runs one child, \
+         so --jobs alone bounds the children in flight"
+    );
     let workers = opts.workers.max(1);
-    let spawn_window = opts.spawn_window.unwrap_or(workers).max(1);
-    let tenants: Vec<Option<&str>> = spec.jobs.iter().map(|j| j.tenant.as_deref()).collect();
     // One span track per slot.
     let slot_names: Vec<String> = (0..workers).map(|w| format!("w{w}")).collect();
     let shared = Shared {
         spec,
         opts,
         state: Mutex::new(EngineState {
-            sched: Scheduler::new(&tenants, &spec.quotas, workers, spawn_window),
+            queue: JobQueue::new(spec.jobs.len()),
             runs: spec.jobs.iter().map(|_| JobRun::default()).collect(),
             running: Vec::new(),
             workers: vec![WorkerView::default(); workers],
@@ -1056,31 +1022,6 @@ pub fn wallclock_json(result: &CampaignResult) -> Json {
         ),
         ("jobs", Json::Arr(jobs)),
     ])
-}
-
-/// Merge every job's heartbeat stream into one deterministic JSONL
-/// timeline: jobs in id order, records in file order, each line
-/// augmented with its job name. Torn trailing records are skipped
-/// (heartbeat.rs). Returns the rendered text and the record count.
-pub fn merge_timeline(spec: &CampaignSpec) -> (String, u64) {
-    let mut by_id: Vec<_> = spec.jobs.iter().collect();
-    by_id.sort_by_key(|j| j.id);
-    let mut merged = String::new();
-    let mut records = 0u64;
-    for job in by_id {
-        let Some(hb) = &job.heartbeat else { continue };
-        let Ok(text) = std::fs::read_to_string(hb) else {
-            continue;
-        };
-        for rec in complete_records(&text) {
-            let Json::Obj(mut pairs) = rec else { continue };
-            pairs.insert(0, ("job".to_string(), Json::Str(job.name.clone())));
-            merged.push_str(&Json::Obj(pairs).to_string());
-            merged.push('\n');
-            records += 1;
-        }
-    }
-    (merged, records)
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //!
 //! A child killed mid-write (SIGKILL at a timeout, a chaos strike)
 //! leaves its heartbeat JSONL file ending in a partial record, and a
-//! chaos tear can splice garbage into the middle of the stream. Both
-//! the incremental tailer and the whole-file reader therefore treat the
-//! stream defensively: a trailing line without its newline is *waited
-//! on*, never parsed; a complete line that fails to parse (or is not a
-//! JSON object) is *skipped*, never an error.
+//! chaos tear can splice garbage into the middle of the stream. The
+//! tailer therefore treats the stream defensively: a trailing line
+//! without its newline is *waited on* until the child is dead, never
+//! parsed mid-flight; a complete line that fails to parse (or carries no
+//! progress) is *skipped*, never an error.
 
 use dtsvliw_json::Json;
 use std::io::{Read, Seek, SeekFrom};
@@ -118,19 +118,6 @@ impl HeartbeatTail {
     }
 }
 
-/// Every complete, well-formed record in a heartbeat stream's text, in
-/// file order. A trailing record torn by a mid-write kill (no final
-/// newline) is skipped, as is any line that does not parse — the merge
-/// stage must survive whatever a SIGKILL left behind.
-pub fn complete_records(text: &str) -> Vec<Json> {
-    let complete = text.rfind('\n').map_or(0, |p| p + 1);
-    text[..complete]
-        .lines()
-        .filter_map(|line| Json::parse(line).ok())
-        .filter(|j| matches!(j, Json::Obj(_)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,22 +128,6 @@ mod tests {
             "{{\"seq\": {seq}, \"cycle\": {cycle}, \"instructions\": {}}}\n",
             cycle * 2
         )
-    }
-
-    #[test]
-    fn torn_final_record_is_skipped_not_an_error() {
-        let text = format!("{}{}{{\"seq\": 2, \"cyc", record(0, 100), record(1, 200));
-        let records = complete_records(&text);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].get("cycle").unwrap().as_u64(), Some(200));
-    }
-
-    #[test]
-    fn garbage_middle_lines_are_skipped() {
-        let text = format!("{}###not json###\n{}", record(0, 100), record(1, 200));
-        assert_eq!(complete_records(&text).len(), 2);
-        // Non-object lines are not records either.
-        assert_eq!(complete_records("42\n[1,2]\n").len(), 0);
     }
 
     #[test]
@@ -345,6 +316,44 @@ mod tests {
         .unwrap();
         let mut tail = HeartbeatTail::new(path);
         assert_eq!(cycle(&tail.poll()), Some(200));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_final_record_is_skipped_not_an_error() {
+        let (dir, path) = hb_file("tornfinal");
+        std::fs::write(
+            &path,
+            format!("{}{}{{\"seq\": 2, \"cyc", record(0, 100), record(1, 200)),
+        )
+        .unwrap();
+        let mut tail = HeartbeatTail::new(path);
+        assert_eq!(cycle(&tail.poll()), Some(200));
+        // The dead child's torn record is counted, never parsed half-way.
+        let read = tail.finish();
+        assert_eq!((cycle(&read), read.truncated), (Some(200), 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn garbage_middle_lines_are_skipped() {
+        let (dir, path) = hb_file("garbagemid");
+        // Garbage between good records, read across polls and the final
+        // flush, must not hide either record.
+        let mut f = std::fs::File::create(&path).unwrap();
+        writeln!(f, "{}###not json###", record(0, 100)).unwrap();
+        f.flush().unwrap();
+        let mut tail = HeartbeatTail::new(path.clone());
+        assert_eq!(cycle(&tail.poll()), Some(100));
+        writeln!(f, "{}###not json###", record(1, 200)).unwrap();
+        f.flush().unwrap();
+        assert_eq!(cycle(&tail.poll()), Some(200));
+        let read = tail.finish();
+        assert_eq!((cycle(&read), read.truncated), (Some(200), 0));
+        // Non-object lines are not records either.
+        std::fs::write(&path, "42\n[1,2]\n").unwrap();
+        let read = HeartbeatTail::new(path).finish();
+        assert_eq!((cycle(&read), read.truncated), (None, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

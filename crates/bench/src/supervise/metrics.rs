@@ -45,8 +45,7 @@ pub fn campaign_page(view: &CampaignView, spans: usize) -> String {
             count(&|a| a.outcome == class)
         ));
     }
-    let plain: [(&str, u64); 10] = [
-        ("dtsvliw_steals_total", view.steals.len() as u64),
+    let plain: [(&str, u64); 9] = [
         (
             "dtsvliw_backoffs_scheduled_total",
             count(&|a| a.backoff_ms.is_some()),
@@ -198,8 +197,6 @@ mod tests {
             "error",
             &[("detail", Json::I64(1)), ("job_failed", Json::Bool(true))],
         ));
-        let job1 = [("job", Json::U64(1))];
-        log.push(ev(SpanKind::Steal, SpanPhase::Instant, 0, "w1", &job1));
         for action in ["kill", "freeze"] {
             let args = [("action", Json::Str(action.into()))];
             log.push(ev(
@@ -224,7 +221,6 @@ mod tests {
             })
             .collect();
         for (name, n) in [
-            ("steals", 1),
             ("backoffs_scheduled", 1),
             ("backoff_ms", 30),
             ("bursts", 12),

@@ -1,8 +1,8 @@
 //! The campaign engine behind `dtsvliw_supervise` (DESIGN.md §13).
 //!
 //! A campaign is a set of simulator jobs (seeds × configs × workloads)
-//! fanned across `--jobs N` worker slots by a sharded work-stealing
-//! scheduler. Each worker babysits one child process at a time with the
+//! fanned across `--jobs N` worker slots from one FIFO queue. Each
+//! worker babysits one child process at a time with the
 //! durability machinery from DESIGN.md §10 — wall-clock timeouts,
 //! heartbeat-staleness stall detection, soft-deadline
 //! checkpoint-and-requeue, snapshot-resumed retries with seeded
@@ -24,8 +24,7 @@
 //! * [`backoff`] — interleaving-independent retry jitter, keyed by
 //!   (campaign seed, job id, attempt);
 //! * [`heartbeat`] — torn-line-safe incremental JSONL tailing;
-//! * [`queue`] — the sharded work-stealing scheduler with per-tenant
-//!   quotas and a bounded spawn window;
+//! * [`queue`] — the one FIFO of job indices, with backoff deferral;
 //! * [`chaos`] — the self-attack harness (`--chaos SEED`);
 //! * [`status`] — the multi-worker live status line;
 //! * [`engine`] — worker threads, the attempt loop, the campaign span

@@ -2,8 +2,9 @@
 //!
 //! The spec is JSON (see the `dtsvliw_supervise` module docs for a
 //! worked example). Parsing is strict where silence would corrupt a
-//! campaign: a malformed spec is rejected with a [`SpecError`] naming
-//! the offending job and field, mirroring `dtsvliw_run`'s `parse_args`
+//! campaign: a malformed spec, or one carrying a key outside the
+//! documented fields, is rejected with a [`SpecError`] naming the
+//! offending job and field, mirroring `dtsvliw_run`'s `parse_args`
 //! treatment — `dtsvliw_supervise` turns these into exit code 2.
 
 use dtsvliw_json::Json;
@@ -25,8 +26,8 @@ pub struct SpecError {
     /// The offending job's `name` (or its index when the name itself is
     /// missing or malformed); `None` for campaign-level fields.
     pub job: Option<String>,
-    /// The offending field.
-    pub field: &'static str,
+    /// The offending field (for an unknown key, the key itself).
+    pub field: String,
     /// What is wrong with it.
     pub msg: String,
 }
@@ -58,11 +59,8 @@ pub struct JobSpec {
     pub snapshot_dir: Option<PathBuf>,
     /// The heartbeat file the job's own `--heartbeat-out` writes; the
     /// supervisor tails it for live status, stall detection and the
-    /// merged timeline.
+    /// burst count on the attempt's span.
     pub heartbeat: Option<PathBuf>,
-    /// Tenant this job bills its worker slot to. Must name an entry of
-    /// the campaign's `quotas` map.
-    pub tenant: Option<String>,
     /// Soft deadline: past this wall-clock age, an attempt with a
     /// durable snapshot is checkpoint-and-requeued so a straggler
     /// cannot serialize the campaign tail. Requires `snapshot_dir`.
@@ -94,16 +92,46 @@ pub struct CampaignSpec {
     pub stall_ms: Option<u64>,
     /// Cap on soft-deadline requeues per job.
     pub max_requeues: u64,
-    /// Per-tenant concurrent-slot quotas, in spec order.
-    pub quotas: Vec<(String, usize)>,
     pub jobs: Vec<JobSpec>,
 }
 
-fn err(job: Option<&str>, field: &'static str, msg: impl Into<String>) -> SpecError {
+/// Every key a campaign object may carry.
+const CAMPAIGN_FIELDS: [&str; 5] = ["seed", "backoff_ms", "stall_ms", "max_requeues", "jobs"];
+/// Every key a job object may carry.
+const JOB_FIELDS: [&str; 10] = [
+    "id",
+    "name",
+    "argv",
+    "timeout_ms",
+    "retries",
+    "snapshot_dir",
+    "heartbeat",
+    "soft_deadline_ms",
+    "stall_ms",
+    "result",
+];
+
+fn err(job: Option<&str>, field: &str, msg: impl Into<String>) -> SpecError {
     SpecError {
         job: job.map(str::to_string),
-        field,
+        field: field.to_string(),
         msg: msg.into(),
+    }
+}
+
+/// Reject the first key of `obj` outside `fields`: a misspelt field
+/// must not silently fall back to its default.
+fn known_fields(obj: &Json, job: Option<&str>, fields: &[&str]) -> Result<(), SpecError> {
+    let Json::Obj(pairs) = obj else {
+        return Ok(());
+    };
+    match pairs.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+        Some((key, _)) => Err(err(
+            job,
+            key,
+            format!("unknown field (expected one of {})", fields.join(", ")),
+        )),
+        None => Ok(()),
     }
 }
 
@@ -170,6 +198,7 @@ fn parse_job(j: &Json, index: usize) -> Result<JobSpec, SpecError> {
         None => return Err(err(Some(&fallback), "name", "is required")),
     };
     let job = Some(name.as_str());
+    known_fields(j, job, &JOB_FIELDS)?;
     let argv = match j.get("argv") {
         Some(Json::Arr(items)) if !items.is_empty() => items
             .iter()
@@ -190,11 +219,6 @@ fn parse_job(j: &Json, index: usize) -> Result<JobSpec, SpecError> {
         },
         snapshot_dir: optional_path(j, job, "snapshot_dir")?,
         heartbeat: optional_path(j, job, "heartbeat")?,
-        tenant: match j.get("tenant") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) if !s.is_empty() => Some(s.clone()),
-            Some(_) => return Err(err(job, "tenant", "must be a non-empty string")),
-        },
         soft_deadline_ms: optional_positive(j, job, "soft_deadline_ms")?,
         stall_ms: optional_positive(j, job, "stall_ms")?,
         result: optional_path(j, job, "result")?,
@@ -221,21 +245,7 @@ fn parse_job(j: &Json, index: usize) -> Result<JobSpec, SpecError> {
 /// Parse and validate a campaign spec document.
 pub fn parse_campaign(text: &str) -> Result<CampaignSpec, SpecError> {
     let doc = Json::parse(text).map_err(|e| err(None, "(document)", format!("not JSON: {e}")))?;
-    let quotas = match doc.get("quotas") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Obj(pairs)) => pairs
-            .iter()
-            .map(|(tenant, q)| match q.as_u64() {
-                Some(n) if n > 0 => Ok((tenant.clone(), n as usize)),
-                _ => Err(err(
-                    None,
-                    "quotas",
-                    format!("tenant `{tenant}` quota must be a positive integer"),
-                )),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err(err(None, "quotas", "must be an object of tenant -> slots")),
-    };
+    known_fields(&doc, None, &CAMPAIGN_FIELDS)?;
     let jobs = match doc.get("jobs") {
         Some(Json::Arr(items)) if !items.is_empty() => items
             .iter()
@@ -260,23 +270,11 @@ pub fn parse_campaign(text: &str) -> Result<CampaignSpec, SpecError> {
             }
         }
     }
-    for job in &jobs {
-        if let Some(t) = &job.tenant {
-            if !quotas.iter().any(|(name, _)| name == t) {
-                return Err(err(
-                    Some(&job.name),
-                    "tenant",
-                    format!("`{t}` has no entry in the campaign `quotas` map"),
-                ));
-            }
-        }
-    }
     Ok(CampaignSpec {
         seed: uint_field(&doc, None, "seed", 1)?,
         backoff_ms: uint_field(&doc, None, "backoff_ms", DEFAULT_BACKOFF_MS)?,
         stall_ms: optional_positive(&doc, None, "stall_ms")?,
         max_requeues: uint_field(&doc, None, "max_requeues", DEFAULT_MAX_REQUEUES)?,
-        quotas,
         jobs,
     })
 }
@@ -303,7 +301,7 @@ mod tests {
         assert_eq!(j.id, 0);
         assert_eq!(j.timeout_ms, DEFAULT_TIMEOUT_MS);
         assert_eq!(j.retries, DEFAULT_RETRIES);
-        assert!(j.snapshot_dir.is_none() && j.heartbeat.is_none() && j.tenant.is_none());
+        assert!(j.snapshot_dir.is_none() && j.heartbeat.is_none());
     }
 
     #[test]
@@ -354,14 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tenant_and_bad_quota_are_rejected() {
-        let e = parse_campaign(&minimal(r#", "tenant": "ghost""#, "")).unwrap_err();
-        assert_eq!(e.field, "tenant");
-        assert!(e.msg.contains("ghost"), "{}", e.msg);
-
-        let e = parse_campaign(&minimal("", r#", "quotas": { "alice": 0 }"#)).unwrap_err();
-        assert_eq!(e.field, "quotas");
-        assert!(e.msg.contains("alice"), "{}", e.msg);
+    fn unknown_keys_are_rejected_naming_the_key() {
+        let e = parse_campaign(&minimal(r#", "timeout": 5"#, "")).unwrap_err();
+        assert_eq!((e.job.as_deref(), e.field.as_str()), (Some("a"), "timeout"));
+        assert!(e.msg.contains("timeout_ms"), "lists the known fields: {e}");
+        let e = parse_campaign(&minimal("", r#", "quota": { "x": 1 }"#)).unwrap_err();
+        assert_eq!((e.job.as_deref(), e.field.as_str()), (None, "quota"));
+        assert!(e.to_string().contains("campaign field `quota`"), "{e}");
     }
 
     #[test]
@@ -376,21 +373,20 @@ mod tests {
     }
 
     #[test]
-    fn full_multi_tenant_spec_round_trips() {
+    fn full_spec_round_trips() {
         let c = parse_campaign(
             r#"{ "seed": 9, "backoff_ms": 25, "stall_ms": 4000, "max_requeues": 3,
-                 "quotas": { "alice": 2, "bob": 1 },
                  "jobs": [
                    { "name": "a", "id": 10, "argv": ["dtsvliw_run", "--workload", "gcc"],
-                     "timeout_ms": 5000, "retries": 4, "tenant": "alice",
+                     "timeout_ms": 5000, "retries": 4,
                      "snapshot_dir": "snaps/a", "heartbeat": "hb/a.jsonl",
                      "soft_deadline_ms": 2000, "result": "out/a.json" },
                    { "name": "b", "id": 11, "argv": ["dtsvliw_run", "--workload", "go"],
-                     "tenant": "bob", "heartbeat": "hb/b.jsonl", "stall_ms": 900 } ] }"#,
+                     "heartbeat": "hb/b.jsonl", "stall_ms": 900 } ] }"#,
         )
         .unwrap();
+        assert_eq!((c.seed, c.backoff_ms, c.max_requeues), (9, 25, 3));
         assert_eq!(c.stall_ms, Some(4000));
-        assert_eq!(c.quotas, vec![("alice".into(), 2), ("bob".into(), 1)]);
         let a = &c.jobs[0];
         assert_eq!((a.id, a.retries, a.soft_deadline_ms), (10, 4, Some(2000)));
         assert_eq!(a.effective_stall_ms(c.stall_ms), Some(4000));

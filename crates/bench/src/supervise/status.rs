@@ -3,11 +3,10 @@
 //! One refreshing stderr line summarises the whole campaign: jobs
 //! done/failed, what every worker slot is executing (with its current
 //! simulated cycle from the heartbeat tail), aggregate simulated
-//! instructions per wall second, and a per-shard ETA — the campaign's
-//! critical path is the deepest shard, so the overall ETA is the
-//! worst per-shard one. Rendering is pure (`render`), so the format is
-//! unit-testable; the throttling and terminal handling live in
-//! [`StatusSink`].
+//! instructions per wall second, and an ETA for the queued jobs at the
+//! campaign's observed completion rate. Rendering is pure (`render`), so
+//! the format is unit-testable; the throttling and terminal handling
+//! live in [`StatusSink`].
 
 use super::heartbeat::Progress;
 use std::io::IsTerminal;
@@ -31,8 +30,8 @@ pub struct BoardSnapshot {
     /// Instructions credited from finished jobs' final heartbeats.
     pub finished_instructions: u64,
     pub workers: Vec<WorkerView>,
-    /// Queue depth per shard (jobs waiting, not counting running ones).
-    pub shard_depths: Vec<usize>,
+    /// Jobs waiting in the queue, not counting running ones.
+    pub queued: usize,
 }
 
 fn compact_cycles(c: u64) -> String {
@@ -45,20 +44,11 @@ fn compact_cycles(c: u64) -> String {
     }
 }
 
-/// Per-shard ETA in seconds: jobs still queued on the shard, paced by
-/// the campaign's observed completion rate spread across workers.
-/// `None` until the first job completes (no basis to extrapolate).
-pub fn shard_etas(s: &BoardSnapshot, elapsed_s: f64) -> Option<Vec<f64>> {
-    if s.done == 0 {
-        return None;
-    }
-    let per_job = elapsed_s / s.done as f64 * s.workers.len().max(1) as f64;
-    Some(
-        s.shard_depths
-            .iter()
-            .map(|&depth| depth as f64 * per_job)
-            .collect(),
-    )
+/// ETA in seconds: the queued jobs at the campaign's observed
+/// completion rate, `queued × elapsed / done`. `None` until the first
+/// job completes (no basis to extrapolate).
+pub fn eta_s(s: &BoardSnapshot, elapsed_s: f64) -> Option<f64> {
+    (s.done > 0).then(|| s.queued as f64 * elapsed_s / s.done as f64)
 }
 
 /// Render the one-line status. Pure: everything time-dependent comes in
@@ -85,12 +75,8 @@ pub fn render(s: &BoardSnapshot, elapsed_s: f64) -> String {
         }
     }
     line.push_str(&format!(" | {rate:.1}M instr/s"));
-    match shard_etas(s, elapsed_s) {
-        Some(etas) => {
-            let worst = etas.iter().cloned().fold(0.0f64, f64::max);
-            let per: Vec<String> = etas.iter().map(|e| format!("{e:.0}")).collect();
-            line.push_str(&format!(" | eta ~{worst:.0}s (shards {}s)", per.join("/")));
-        }
+    match eta_s(s, elapsed_s) {
+        Some(eta) => line.push_str(&format!(" | eta ~{eta:.0}s")),
         None => line.push_str(" | eta --"),
     }
     line
@@ -203,7 +189,7 @@ mod tests {
                 },
                 WorkerView::default(),
             ],
-            shard_depths: vec![2, 0, 1],
+            queued: 3,
         }
     }
 
@@ -219,20 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn eta_is_the_worst_shard() {
-        // 3 done in 10s across 3 workers -> 10s per queued job per
-        // shard; depths 2/0/1 -> 20/0/10 -> worst 20.
-        let etas = shard_etas(&snapshot(), 10.0).unwrap();
-        assert_eq!(etas, vec![20.0, 0.0, 10.0]);
+    fn eta_paces_the_queue_by_the_completion_rate() {
+        // 3 done in 10s -> 3 queued jobs take another 10s.
+        assert_eq!(eta_s(&snapshot(), 10.0), Some(10.0));
         let line = render(&snapshot(), 10.0);
-        assert!(line.contains("eta ~20s (shards 20/0/10s)"), "{line}");
+        assert!(line.ends_with(" | eta ~10s"), "{line}");
     }
 
     #[test]
     fn eta_withheld_until_a_job_completes() {
         let mut s = snapshot();
         s.done = 0;
-        assert!(shard_etas(&s, 5.0).is_none());
+        assert!(eta_s(&s, 5.0).is_none());
         assert!(render(&s, 5.0).contains("eta --"));
     }
 

@@ -125,11 +125,10 @@ fn free_port() -> u16 {
 /// determinism check covers success paths, the retry loop, and the
 /// seeded backoff schedule.
 const MIXED_SPEC: &str = r#"{ "seed": 17, "backoff_ms": 2,
-  "quotas": { "alice": 1 },
   "jobs": [
-    { "name": "ok-a", "tenant": "alice", "timeout_ms": 30000, "retries": 1,
+    { "name": "ok-a", "timeout_ms": 30000, "retries": 1,
       "argv": ["sh", "-c", "echo '{\"v\": 1}' > a.json"], "result": "a.json" },
-    { "name": "ok-b", "tenant": "alice", "timeout_ms": 30000, "retries": 1,
+    { "name": "ok-b", "timeout_ms": 30000, "retries": 1,
       "argv": ["sh", "-c", "exit 0"] },
     { "name": "always-fails", "timeout_ms": 30000, "retries": 2,
       "argv": ["sh", "-c", "exit 7"] } ] }"#;
@@ -320,6 +319,22 @@ fn malformed_specs_are_rejected_naming_the_field() {
             r#"{ "jobs": [ { "name": "x", "argv": ["sh"], "id": 3 },
                            { "name": "y", "argv": ["sh"], "id": 3 } ] }"#,
             "id",
+        ),
+        // Unknown keys, misspelt or left over from older specs, are
+        // rejected by name rather than ignored or defaulted.
+        (
+            r#"{ "seed": 1, "quota": {"x": 1},
+                 "jobs": [ { "name": "a", "argv": ["sh", "-c", "exit 0"],
+                             "timeout": 5, "retry": 9 } ] }"#,
+            "quota",
+        ),
+        (
+            r#"{ "jobs": [ { "name": "x", "argv": ["sh"], "timeout": 5 } ] }"#,
+            "timeout",
+        ),
+        (
+            r#"{ "quotas": { "alice": 1 }, "jobs": [ { "name": "x", "argv": ["sh"] } ] }"#,
+            "quotas",
         ),
         (
             r#"{ "jobs": [ { "name": "x", "argv": ["sh"], "tenant": "ghost" } ] }"#,
@@ -621,7 +636,6 @@ fn metrics_endpoint_answers_mid_campaign() {
     );
     for family in [
         "dtsvliw_attempts_total",
-        "dtsvliw_steals_total",
         "dtsvliw_spans_total",
         "dtsvliw_chaos_strikes_total",
     ] {
@@ -669,20 +683,28 @@ fn simulator_perfetto_capture_validates() {
     assert!(events > 0, "capture must carry events");
 }
 
-/// Campaigns run on local slots only: a script that still passes the
-/// old `--workers` list must fail loudly, not quietly run local-only.
+/// Removed flags fail loudly rather than being quietly ignored: the old
+/// `--workers` list (campaigns run on local slots only), `--timeline`
+/// (the span log is the one timeline) and `--spawn-window` (`--jobs`
+/// alone bounds the children in flight).
 #[test]
 fn workers_flag_is_rejected_as_unknown() {
     let dir = scratch("workersflag");
-    let run = supervise(
-        &dir,
-        r#"{ "jobs": [ { "name": "x", "argv": ["sh", "-c", "exit 0"] } ] }"#,
-        &["--workers", "a:1", "--quiet"],
-    );
-    assert_eq!(run.code, 2, "--workers must exit 2:\n{}", run.stderr);
-    assert!(
-        run.stderr.contains("unknown flag `--workers`"),
-        "the rejection must name the flag:\n{}",
-        run.stderr
-    );
+    for (flag, value) in [
+        ("--workers", "a:1"),
+        ("--timeline", "t.jsonl"),
+        ("--spawn-window", "2"),
+    ] {
+        let run = supervise(
+            &dir,
+            r#"{ "jobs": [ { "name": "x", "argv": ["sh", "-c", "exit 0"] } ] }"#,
+            &[flag, value, "--quiet"],
+        );
+        assert_eq!(run.code, 2, "{flag} must exit 2:\n{}", run.stderr);
+        assert!(
+            run.stderr.contains(&format!("unknown flag `{flag}`")),
+            "the rejection must name the flag:\n{}",
+            run.stderr
+        );
+    }
 }

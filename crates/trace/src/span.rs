@@ -23,8 +23,6 @@ pub enum SpanKind {
     Campaign,
     /// One attempt of one job, spawn to settle.
     JobAttempt,
-    /// A work-stealing claim took a job from a sibling shard.
-    Steal,
     /// A chaos-harness strike.
     ChaosStrike,
     /// A corrupt snapshot was quarantined.
@@ -32,10 +30,9 @@ pub enum SpanKind {
 }
 
 /// Every kind, in a stable order (useful for exhaustive summaries).
-pub const SPAN_KINDS: [SpanKind; 5] = [
+pub const SPAN_KINDS: [SpanKind; 4] = [
     SpanKind::Campaign,
     SpanKind::JobAttempt,
-    SpanKind::Steal,
     SpanKind::ChaosStrike,
     SpanKind::Quarantine,
 ];
@@ -46,7 +43,6 @@ impl SpanKind {
         match self {
             SpanKind::Campaign => "campaign",
             SpanKind::JobAttempt => "job_attempt",
-            SpanKind::Steal => "steal",
             SpanKind::ChaosStrike => "chaos_strike",
             SpanKind::Quarantine => "quarantine",
         }
@@ -67,8 +63,6 @@ pub enum SpanPhase {
     End,
     /// A point event.
     Instant,
-    /// A counter-track sample (`args` carries the sampled values).
-    Counter,
 }
 
 impl SpanPhase {
@@ -78,7 +72,6 @@ impl SpanPhase {
             SpanPhase::Begin => "B",
             SpanPhase::End => "E",
             SpanPhase::Instant => "i",
-            SpanPhase::Counter => "C",
         }
     }
 
@@ -88,14 +81,13 @@ impl SpanPhase {
             "B" => Some(SpanPhase::Begin),
             "E" => Some(SpanPhase::End),
             "i" => Some(SpanPhase::Instant),
-            "C" => Some(SpanPhase::Counter),
             _ => None,
         }
     }
 }
 
-/// One span record: a begin, end, instant, or counter sample, stamped
-/// in campaign milliseconds on a named track.
+/// One span record: a begin, end or instant, stamped in campaign
+/// milliseconds on a named track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanEvent {
     /// Milliseconds since the campaign started.
@@ -103,19 +95,12 @@ pub struct SpanEvent {
     pub kind: SpanKind,
     pub phase: SpanPhase,
     /// Stable id pairing a [`SpanPhase::Begin`] with its
-    /// [`SpanPhase::End`]; 0 for instants/counters that pair nothing.
+    /// [`SpanPhase::End`]; 0 for instants, which pair nothing.
     pub id: u64,
     /// Track (slot, `campaign` or `chaos`) the span belongs to.
     pub track: String,
     /// Free-form payload (job id, outcome, ...).
     pub args: Vec<(String, Json)>,
-}
-
-impl SpanEvent {
-    /// Look up one argument.
-    pub fn arg(&self, key: &str) -> Option<&Json> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
 }
 
 /// An in-memory span recorder. Plain data — callers that share one
@@ -195,11 +180,11 @@ fn meta_record(name: &str, tid: Option<u64>, value: &str) -> Json {
 
 /// Merge a span log into one Chrome trace-event document (array form,
 /// the same shape [`crate::PerfettoSink`] writes): `ph:"X"` complete
-/// events for begin/end pairs, `ph:"i"` instants, `ph:"C"` counters.
-/// One thread per distinct track (first-appearance order); counter
-/// tracks ride along — cumulative chaos strikes, and any explicit
-/// [`SpanPhase::Counter`] samples. Events are emitted in nondecreasing
-/// timestamp order, so per-track monotonicity holds by construction.
+/// events for begin/end pairs, `ph:"i"` instants, and a `ph:"C"`
+/// counter track of cumulative chaos strikes derived from the strike
+/// instants. One thread per distinct track (first-appearance order).
+/// Events are emitted in nondecreasing timestamp order, so per-track
+/// monotonicity holds by construction.
 pub fn merge_perfetto(events: &[SpanEvent]) -> Json {
     // Track table in first-appearance order.
     let mut tracks: Vec<&str> = Vec::new();
@@ -271,30 +256,6 @@ pub fn merge_perfetto(events: &[SpanEvent]) -> Json {
                         ("tid", Json::U64(tid(&ev.track))),
                         ("s", Json::Str("t".to_string())),
                         ("args", Json::Obj(args)),
-                    ]),
-                ));
-            }
-            SpanPhase::Counter => {
-                let name = ev
-                    .arg("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("counter")
-                    .to_string();
-                let values: Vec<(String, Json)> = ev
-                    .args
-                    .iter()
-                    .filter(|(k, _)| k != "name")
-                    .cloned()
-                    .collect();
-                out.push((
-                    ev.t_ms,
-                    Json::obj([
-                        ("name", Json::Str(name)),
-                        ("ph", Json::Str("C".to_string())),
-                        ("ts", Json::U64(ev.t_ms * 1000)),
-                        ("pid", Json::U64(1)),
-                        ("tid", Json::U64(tid(&ev.track))),
-                        ("args", Json::Obj(values)),
                     ]),
                 ));
             }
@@ -456,12 +417,7 @@ mod tests {
             assert_eq!(SpanKind::from_label(k.label()), Some(k));
         }
         assert_eq!(SpanKind::from_label("nope"), None);
-        for p in [
-            SpanPhase::Begin,
-            SpanPhase::End,
-            SpanPhase::Instant,
-            SpanPhase::Counter,
-        ] {
+        for p in [SpanPhase::Begin, SpanPhase::End, SpanPhase::Instant] {
             assert_eq!(SpanPhase::from_label(p.label()), Some(p));
         }
     }
@@ -487,7 +443,7 @@ mod tests {
             ),
             ev(
                 3,
-                SpanKind::Steal,
+                SpanKind::Quarantine,
                 SpanPhase::Instant,
                 0,
                 "w0",
@@ -505,7 +461,10 @@ mod tests {
         ];
         let doc = merge_perfetto(&events);
         let n = validate_perfetto(&doc).expect("valid merged doc");
-        assert_eq!(n, 3, "campaign and attempt spans plus the steal instant");
+        assert_eq!(
+            n, 3,
+            "campaign and attempt spans plus the quarantine instant"
+        );
         let arr = doc.as_arr().unwrap();
         let xs: Vec<&Json> = arr
             .iter()
