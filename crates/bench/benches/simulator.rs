@@ -38,6 +38,13 @@ fn main() {
         m.run(100_000).unwrap();
         100_000
     });
+    // The lockstep oracle's path: the same body, recording nothing.
+    bench("interpreter/ref_machine_run_to_100k", 100_000, || {
+        let mut m = RefMachine::new(&img);
+        let mut out = Vec::new();
+        m.run_to(100_000, &mut out).unwrap();
+        m.retired
+    });
 
     // Pre-capture a trace, then measure pure scheduling throughput.
     let w = by_name("compress", Scale::Test).unwrap();

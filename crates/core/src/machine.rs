@@ -6,7 +6,7 @@ use dtsvliw_asm::Image;
 use dtsvliw_faults::{corrupt, FaultInjector, FaultSite, FaultStats};
 use dtsvliw_isa::ArchState;
 use dtsvliw_mem::{Cache, Memory};
-use dtsvliw_primary::interp::{step as primary_step, Halt, StepError};
+use dtsvliw_primary::interp::{execute as primary_execute, step as primary_step, Halt, StepError};
 use dtsvliw_primary::{PipelineModel, RefMachine};
 use dtsvliw_sched::{Block, InsertOutcome, Resolution, Scheduler, SlotOp};
 use dtsvliw_trace::{
@@ -862,9 +862,13 @@ impl Machine {
             self.output.extend_from_slice(bytes);
         }
 
-        // Test machine lockstep (§4).
-        let tstep = self.test.step()?;
-        debug_assert_eq!(tstep.dyn_instr.pc, d.pc);
+        // Test machine lockstep (§4). The Primary's console output was
+        // committed above; the oracle's goes to its own buffer.
+        debug_assert_eq!(self.test.state.pc, d.pc);
+        let mut test_output = std::mem::take(&mut self.test.output);
+        let test_step = self.test.run_to(self.test.retired + 1, &mut test_output);
+        self.test.output = test_output;
+        let test_halt = test_step?;
         let mut halt = step.halt;
         if let Err(e) = self.verify_states() {
             if !self.recovery_enabled() {
@@ -873,7 +877,7 @@ impl Machine {
             self.recover_in_primary();
             // Once scrubbed, the oracle's halt decision is authoritative
             // (the corrupted execution may have missed or faked one).
-            halt = tstep.halt;
+            halt = test_halt;
         }
 
         if let Some(Halt::Exit(code)) = halt {
@@ -1553,17 +1557,17 @@ impl Machine {
         // was already appended during the sync.
         let n = self.test.retired - base;
         let mut clean = true;
+        let mut discarded = Vec::new();
         for k in 0..n {
-            match primary_step(&mut self.state, &mut self.mem, base + k) {
-                Ok(s) => {
-                    if s.halt.is_some() {
-                        // A halt on the final replayed instruction
-                        // mirrors the oracle halting mid-sync; earlier
-                        // means the replay went off the rails.
-                        clean = clean && k + 1 == n;
-                        break;
-                    }
+            match primary_execute(&mut self.state, &mut self.mem, &mut discarded) {
+                Ok(Some(_)) => {
+                    // A halt on the final replayed instruction mirrors
+                    // the oracle halting mid-sync; earlier means the
+                    // replay went off the rails.
+                    clean = k + 1 == n;
+                    break;
                 }
+                Ok(None) => {}
                 Err(_) => {
                     clean = false;
                     break;
@@ -1623,20 +1627,18 @@ impl Machine {
     /// DTSVLIW PC"; counting trace instructions is the loop-proof form
     /// of the same synchronisation) and compare states.
     fn sync_test(&mut self, target_retired: u64) -> Result<(), MachineError> {
-        while self.test.retired < target_retired {
-            let s = self.test.step()?;
-            if let Some(o) = &s.output {
-                // The committed trace is authoritative for console
-                // output ordering.
-                self.output.extend_from_slice(o);
-            }
-            if let Some(Halt::Exit(code)) = s.halt {
-                self.test_halt = Some(code);
-                if self.test.retired < target_retired {
-                    // The DTSVLIW cannot commit past a halt: ta is
-                    // non-schedulable and never enters a block.
-                    return Err(MachineError::TestSyncTimeout { pc: self.state.pc });
-                }
+        // The committed trace is authoritative for console output
+        // ordering; the test machine keeps its own copy too.
+        let from = self.output.len();
+        let synced = self.test.run_to(target_retired, &mut self.output);
+        self.test.output.extend_from_slice(&self.output[from..]);
+        let halt = synced?;
+        if let Some(Halt::Exit(code)) = halt {
+            self.test_halt = Some(code);
+            if self.test.retired < target_retired {
+                // The DTSVLIW cannot commit past a halt: ta is
+                // non-schedulable and never enters a block.
+                return Err(MachineError::TestSyncTimeout { pc: self.state.pc });
             }
         }
         self.verify_states()

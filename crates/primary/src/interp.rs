@@ -5,6 +5,7 @@ use dtsvliw_isa::insn::{FpOp, Instr, Src2};
 use dtsvliw_isa::regs::{r, restore_cwp, save_cwp};
 use dtsvliw_isa::{ArchState, DynInstr};
 use dtsvliw_mem::Memory;
+use std::io::Write;
 
 /// Program termination, reported through `ta` traps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,32 +121,109 @@ fn fill_next(state: &mut ArchState, mem: &Memory) {
     state.resident += 1;
 }
 
+/// What the interpreter body reports about the instruction it executes,
+/// besides the state change itself. Every hook defaults to doing
+/// nothing, so `()` is the recorder of the lockstep oracle, which keeps
+/// only output and halt.
+trait Record {
+    /// The instruction about to execute.
+    fn fetched(&mut self, _instr: Instr) {}
+    /// A load or store's effective address.
+    fn access(&mut self, _addr: u32) {}
+    /// A control transfer's direction and, when it redirects, its target.
+    fn transfer(&mut self, _taken: bool, _target: Option<u32>) {}
+    /// `save`/`restore`: the new window, and whether it trapped.
+    fn window(&mut self, _cwp: u8, _trap: bool) {}
+    /// A control transfer at `pc` executed; its delay slot is `pc + 4`.
+    fn delay_slot(&mut self, _mem: &mut Memory, _pc: u32) {}
+}
+
+impl Record for () {}
+
+/// The recorder behind [`step`]: everything a [`Step`] carries.
+struct Full {
+    d: DynInstr,
+    window_trap: bool,
+}
+
+impl Record for Full {
+    fn fetched(&mut self, instr: Instr) {
+        self.d.instr = instr;
+    }
+    fn access(&mut self, addr: u32) {
+        self.d.eff_addr = Some(addr);
+    }
+    fn transfer(&mut self, taken: bool, target: Option<u32>) {
+        self.d.taken = Some(taken);
+        self.d.target = target;
+    }
+    fn window(&mut self, cwp: u8, trap: bool) {
+        self.d.cwp_after = cwp;
+        self.window_trap = trap;
+    }
+    fn delay_slot(&mut self, mem: &mut Memory, pc: u32) {
+        self.d.delay_is_nop = mem.fetch(pc.wrapping_add(4)).is_nop();
+    }
+}
+
 /// Execute exactly one instruction at `state.pc`.
 ///
 /// Advances the `pc`/`npc` pair with SPARC delayed-transfer semantics:
 /// a control transfer at `pc` sets `npc`'s successor, so the instruction
 /// in the delay slot executes before the target.
 pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, StepError> {
+    let mut rec = Full {
+        d: DynInstr {
+            seq,
+            pc: state.pc,
+            instr: Instr::NOP, // set by `fetched`
+            cwp_before: state.cwp,
+            cwp_after: state.cwp,
+            eff_addr: None,
+            taken: None,
+            target: None,
+            delay_is_nop: true,
+        },
+        window_trap: false,
+    };
+    let mut output = Vec::new();
+    let halt = body(state, mem, &mut rec, &mut output)?;
+    Ok(Step {
+        dyn_instr: rec.d,
+        window_trap: rec.window_trap,
+        output: (!output.is_empty()).then_some(output),
+        halt,
+    })
+}
+
+/// [`step`] without the record: execute one instruction, append any
+/// PUTC/PUTU bytes to `out` and report a halt. The lockstep oracle and
+/// the replay after a rolled-back block run this; they read nothing
+/// else of a [`Step`].
+#[inline]
+pub fn execute(
+    state: &mut ArchState,
+    mem: &mut Memory,
+    out: &mut Vec<u8>,
+) -> Result<Option<Halt>, StepError> {
+    body(state, mem, &mut (), out)
+}
+
+/// The instruction semantics, once, for every recorder.
+#[inline(always)]
+fn body<R: Record>(
+    state: &mut ArchState,
+    mem: &mut Memory,
+    rec: &mut R,
+    out: &mut Vec<u8>,
+) -> Result<Option<Halt>, StepError> {
     let pc = state.pc;
     let instr = mem.fetch(pc);
     if let Instr::Illegal(w) = instr {
         return Err(StepError::Illegal { pc, word: w });
     }
+    rec.fetched(instr);
 
-    let cwp_before = state.cwp;
-    let mut d = DynInstr {
-        seq,
-        pc,
-        instr,
-        cwp_before,
-        cwp_after: cwp_before,
-        eff_addr: None,
-        taken: None,
-        target: None,
-        delay_is_nop: true,
-    };
-    let mut window_trap = false;
-    let mut output = None;
     let mut halt = None;
     // Default control flow: fall through the delay-slot pair.
     let mut next_npc = state.npc.wrapping_add(4);
@@ -177,7 +255,7 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
             if !addr.is_multiple_of(size as u32) {
                 return Err(StepError::Misaligned { pc, addr, size });
             }
-            d.eff_addr = Some(addr);
+            rec.access(addr);
             use dtsvliw_isa::insn::MemOp::*;
             match op {
                 Ld => state.set(rd, mem.read_u32(addr)),
@@ -195,20 +273,18 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
         Instr::Bicc { cond, disp22 } => {
             is_cti = true;
             let taken = cond.eval(state.icc);
-            d.taken = Some(taken);
+            let t = pc.wrapping_add((disp22 as u32).wrapping_mul(4));
+            rec.transfer(taken, taken.then_some(t));
             if taken {
-                let t = pc.wrapping_add((disp22 as u32).wrapping_mul(4));
-                d.target = Some(t);
                 next_npc = t;
             }
         }
         Instr::FBfcc { cond, disp22 } => {
             is_cti = true;
             let taken = cond.eval(state.fcc);
-            d.taken = Some(taken);
+            let t = pc.wrapping_add((disp22 as u32).wrapping_mul(4));
+            rec.transfer(taken, taken.then_some(t));
             if taken {
-                let t = pc.wrapping_add((disp22 as u32).wrapping_mul(4));
-                d.target = Some(t);
                 next_npc = t;
             }
         }
@@ -216,8 +292,7 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
             is_cti = true;
             state.set(r::O7, pc);
             let t = pc.wrapping_add((disp30 as u32).wrapping_mul(4));
-            d.target = Some(t);
-            d.taken = Some(true);
+            rec.transfer(true, Some(t));
             next_npc = t;
         }
         Instr::Jmpl { rd, rs1, src2 } => {
@@ -231,33 +306,32 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
                 });
             }
             state.set(rd, pc);
-            d.target = Some(t);
-            d.taken = Some(true);
+            rec.transfer(true, Some(t));
             next_npc = t;
         }
         Instr::Save { rd, rs1, src2 } => {
             let a = state.get(rs1);
             let b = src2_val(state, src2);
-            if state.resident == ArchState::MAX_RESIDENT {
+            let trap = state.resident == ArchState::MAX_RESIDENT;
+            if trap {
                 spill_oldest(state, mem);
-                window_trap = true;
             }
             state.cwp = save_cwp(state.cwp);
             state.resident += 1;
             state.set(rd, a.wrapping_add(b));
-            d.cwp_after = state.cwp;
+            rec.window(state.cwp, trap);
         }
         Instr::Restore { rd, rs1, src2 } => {
             let a = state.get(rs1);
             let b = src2_val(state, src2);
-            if state.resident == 1 {
+            let trap = state.resident == 1;
+            if trap {
                 fill_next(state, mem);
-                window_trap = true;
             }
             state.cwp = restore_cwp(state.cwp);
             state.resident -= 1;
             state.set(rd, a.wrapping_add(b));
-            d.cwp_after = state.cwp;
+            rec.window(state.cwp, trap);
         }
         Instr::Fpop { op, rd, rs1, rs2 } => {
             let res = exec_fp(
@@ -282,8 +356,11 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
             match code {
                 crate::trap::EXIT => halt = Some(Halt::Exit(o0)),
                 crate::trap::FAIL => return Err(StepError::SelfCheckFailed { pc, site: o0 }),
-                crate::trap::PUTC => output = Some(vec![o0 as u8]),
-                crate::trap::PUTU => output = Some(o0.to_string().into_bytes()),
+                crate::trap::PUTC => out.push(o0 as u8),
+                crate::trap::PUTU => {
+                    // Writing to a `Vec` cannot fail.
+                    let _ = write!(out, "{o0}");
+                }
                 code => return Err(StepError::BadTrap { pc, code }),
             }
         }
@@ -291,17 +368,12 @@ pub fn step(state: &mut ArchState, mem: &mut Memory, seq: u64) -> Result<Step, S
     }
 
     if is_cti {
-        d.delay_is_nop = mem.fetch(pc.wrapping_add(4)).is_nop();
+        rec.delay_slot(mem, pc);
     }
 
     state.pc = state.npc;
     state.npc = next_npc;
-    Ok(Step {
-        dyn_instr: d,
-        window_trap,
-        output,
-        halt,
-    })
+    Ok(halt)
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! This crate provides:
 //!
 //! * [`interp`]: the architectural interpreter — one instruction per
-//!   [`interp::step`], with full delayed-control-transfer semantics,
+//!   [`interp::step`] (or [`interp::execute`], the same semantics
+//!   recording nothing), with full delayed-control-transfer semantics,
 //!   register-window overflow/underflow spill and fill, and the trap
 //!   interface used for program exit, self-check failure and console
 //!   output;

@@ -6,7 +6,7 @@
 //! an error is signalled." The test machine also provides the precise
 //! sequential instruction count that forms the IPC numerator.
 
-use crate::interp::{step, Halt, Step, StepError};
+use crate::interp::{execute, step, Halt, Step, StepError};
 use dtsvliw_asm::Image;
 use dtsvliw_isa::ArchState;
 use dtsvliw_mem::Memory;
@@ -52,6 +52,7 @@ impl RefMachine {
     }
 
     /// Retire one instruction.
+    #[inline]
     pub fn step(&mut self) -> Result<Step, StepError> {
         let s = step(&mut self.state, &mut self.mem, self.retired)?;
         self.retired += 1;
@@ -72,6 +73,21 @@ impl RefMachine {
             }
         }
         Ok(RunOutcome::OutOfFuel)
+    }
+
+    /// Retire instructions until `retired == target` or a halt, without
+    /// recording them: PUTC/PUTU bytes go to `out` (not to
+    /// [`RefMachine::output`]), and a halting `ta` is counted in
+    /// `retired` like any other instruction.
+    pub fn run_to(&mut self, target: u64, out: &mut Vec<u8>) -> Result<Option<Halt>, StepError> {
+        while self.retired < target {
+            let halt = execute(&mut self.state, &mut self.mem, out)?;
+            self.retired += 1;
+            if halt.is_some() {
+                return Ok(halt);
+            }
+        }
+        Ok(None)
     }
 
     /// Console output as UTF-8 (lossy).

@@ -35,9 +35,7 @@ pub use profile::{
 };
 pub use ring::FlightRecorder;
 pub use sink::{sink_to_writer, EventSink, JsonlSink, PerfettoSink, TextSink, TraceFormat};
-pub use span::{
-    merge_perfetto, validate_perfetto, SpanEvent, SpanKind, SpanLog, SpanPhase, SPAN_KINDS,
-};
+pub use span::{merge_perfetto, validate_perfetto, SpanEvent, SpanKind, SpanLog, SpanPhase};
 pub use telemetry::{BurstDelta, Heartbeat, HeartbeatRecord, Telemetry};
 
 use std::io;

@@ -29,14 +29,6 @@ pub enum SpanKind {
     Quarantine,
 }
 
-/// Every kind, in a stable order (useful for exhaustive summaries).
-pub const SPAN_KINDS: [SpanKind; 4] = [
-    SpanKind::Campaign,
-    SpanKind::JobAttempt,
-    SpanKind::ChaosStrike,
-    SpanKind::Quarantine,
-];
-
 impl SpanKind {
     /// Stable lower-case label.
     pub fn label(self) -> &'static str {
@@ -46,11 +38,6 @@ impl SpanKind {
             SpanKind::ChaosStrike => "chaos_strike",
             SpanKind::Quarantine => "quarantine",
         }
-    }
-
-    /// Parse a label back.
-    pub fn from_label(s: &str) -> Option<SpanKind> {
-        SPAN_KINDS.iter().copied().find(|k| k.label() == s)
     }
 }
 
@@ -63,27 +50,6 @@ pub enum SpanPhase {
     End,
     /// A point event.
     Instant,
-}
-
-impl SpanPhase {
-    /// The Perfetto-style phase letter.
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanPhase::Begin => "B",
-            SpanPhase::End => "E",
-            SpanPhase::Instant => "i",
-        }
-    }
-
-    /// Parse a phase letter back.
-    pub fn from_label(s: &str) -> Option<SpanPhase> {
-        match s {
-            "B" => Some(SpanPhase::Begin),
-            "E" => Some(SpanPhase::End),
-            "i" => Some(SpanPhase::Instant),
-            _ => None,
-        }
-    }
 }
 
 /// One span record: a begin, end or instant, stamped in campaign
@@ -408,17 +374,6 @@ mod tests {
             id,
             track: track.to_string(),
             args,
-        }
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for k in SPAN_KINDS {
-            assert_eq!(SpanKind::from_label(k.label()), Some(k));
-        }
-        assert_eq!(SpanKind::from_label("nope"), None);
-        for p in [SpanPhase::Begin, SpanPhase::End, SpanPhase::Instant] {
-            assert_eq!(SpanPhase::from_label(p.label()), Some(p));
         }
     }
 
