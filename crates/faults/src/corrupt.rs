@@ -317,7 +317,9 @@ mod tests {
     #[test]
     fn copy_drop_removes_exactly_one_copy() {
         let copy = CopyInstr {
-            pairs: vec![(Resource::IntRen(0), Resource::Int(9))],
+            pairs: [(Resource::IntRen(0), Resource::Int(9))]
+                .into_iter()
+                .collect(),
             tag: 0,
             ls_order: None,
             cross: false,

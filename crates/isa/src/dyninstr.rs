@@ -58,6 +58,7 @@ impl DynInstr {
         }
     }
 
+    #[inline]
     fn int_res(&self, cwp: u8, reg: u8) -> Option<Resource> {
         if reg == 0 {
             None
@@ -66,6 +67,7 @@ impl DynInstr {
         }
     }
 
+    #[inline]
     fn src2_res(&self, src2: Src2) -> Option<Resource> {
         src2.reg()
             .map(|r| Resource::Int(phys_reg(self.cwp_before, r)))
@@ -74,6 +76,7 @@ impl DynInstr {
     /// The memory resource of a load/store, using the observed address.
     /// `None` also for a malformed record (a load/store with no observed
     /// address), so corrupted inputs degrade instead of panicking.
+    #[inline]
     pub fn mem_resource(&self) -> Option<Resource> {
         match self.instr {
             Instr::Mem { op, .. } => self.eff_addr.map(|addr| Resource::Mem {
@@ -85,6 +88,7 @@ impl DynInstr {
     }
 
     /// Storage locations this instruction reads.
+    #[inline]
     pub fn reads(&self) -> ResList {
         let mut l = ResList::new();
         match self.instr {
@@ -145,6 +149,7 @@ impl DynInstr {
     }
 
     /// Storage locations this instruction writes.
+    #[inline]
     pub fn writes(&self) -> ResList {
         let mut l = ResList::new();
         match self.instr {

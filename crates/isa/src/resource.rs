@@ -116,6 +116,7 @@ pub struct ResList {
 
 impl ResList {
     /// Empty list.
+    #[inline]
     pub const fn new() -> Self {
         ResList {
             len: 0,
@@ -124,12 +125,14 @@ impl ResList {
     }
 
     /// Append a resource; panics beyond capacity 4 (an ISA invariant).
+    #[inline]
     pub fn push(&mut self, r: Resource) {
         self.items[self.len as usize] = Some(r);
         self.len += 1;
     }
 
     /// Append if `Some`.
+    #[inline]
     pub fn push_opt(&mut self, r: Option<Resource>) {
         if let Some(r) = r {
             self.push(r);
@@ -137,21 +140,25 @@ impl ResList {
     }
 
     /// Number of resources held.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Iterate over the resources.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &Resource> + '_ {
         self.items[..self.len as usize].iter().flatten()
     }
 
     /// Does any resource here conflict with any in `other`?
+    #[inline]
     pub fn intersects(&self, other: &ResList) -> bool {
         self.iter().any(|a| other.iter().any(|b| a.conflicts(b)))
     }
@@ -163,6 +170,7 @@ impl ResList {
 
     /// Replace every resource conflicting with `from` by `to`; returns
     /// how many replacements occurred.
+    #[inline]
     pub fn replace(&mut self, from: &Resource, to: Resource) -> usize {
         let mut n = 0;
         for slot in self.items[..self.len as usize].iter_mut() {

@@ -60,13 +60,84 @@ impl ScheduledInstr {
     }
 }
 
+/// The `(renaming register, original location)` pairs of one COPY, held
+/// inline: a split renames at most the four locations an instruction
+/// writes, so building a COPY allocates nothing. Reads as a slice.
+#[derive(Clone, Copy)]
+pub struct RenamePairs {
+    len: u8,
+    items: [(Resource, Resource); 4],
+}
+
+impl RenamePairs {
+    /// No pairs.
+    pub const fn new() -> Self {
+        RenamePairs {
+            len: 0,
+            items: [(Resource::Y, Resource::Y); 4],
+        }
+    }
+
+    /// Append a pair; panics beyond four (an ISA invariant: no
+    /// instruction writes more than four locations).
+    pub fn push(&mut self, pair: (Resource, Resource)) {
+        self.items[self.len as usize] = pair;
+        self.len += 1;
+    }
+}
+
+impl Default for RenamePairs {
+    fn default() -> Self {
+        RenamePairs::new()
+    }
+}
+
+impl std::ops::Deref for RenamePairs {
+    type Target = [(Resource, Resource)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a RenamePairs {
+    type Item = &'a (Resource, Resource);
+    type IntoIter = std::slice::Iter<'a, (Resource, Resource)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<(Resource, Resource)> for RenamePairs {
+    fn from_iter<T: IntoIterator<Item = (Resource, Resource)>>(iter: T) -> Self {
+        let mut pairs = RenamePairs::new();
+        for p in iter {
+            pairs.push(p);
+        }
+        pairs
+    }
+}
+
+impl PartialEq for RenamePairs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for RenamePairs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A COPY instruction produced by splitting: commits renaming registers
 /// to the original locations. One COPY can carry several pairs when a
 /// control-dependency split renamed all outputs at once (paper §3.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CopyInstr {
     /// `(renaming register, original location)` pairs.
-    pub pairs: Vec<(Resource, Resource)>,
+    pub pairs: RenamePairs,
     /// Branch tag (see [`ScheduledInstr::tag`]).
     pub tag: u8,
     /// Order field inherited from a split store (memory COPYs take part
@@ -549,7 +620,7 @@ mod tests {
 
     fn copy(orig_seq: u64) -> SlotOp {
         SlotOp::Copy(CopyInstr {
-            pairs: Vec::new(),
+            pairs: RenamePairs::new(),
             tag: 0,
             ls_order: None,
             cross: false,

@@ -38,5 +38,5 @@ pub mod scheduler;
 pub mod signals;
 pub mod snapshot;
 
-pub use block::{Block, CopyInstr, LongInstr, RenameCounts, ScheduledInstr, SlotOp};
+pub use block::{Block, CopyInstr, LongInstr, RenameCounts, RenamePairs, ScheduledInstr, SlotOp};
 pub use scheduler::{InsertOutcome, Resolution, ResolveEvent, SchedConfig, SchedStats, Scheduler};

@@ -1,6 +1,8 @@
 //! The scheduling list and the FCFS install/split/move-up algorithm.
 
-use crate::block::{Block, CopyInstr, LongInstr, RenameCounts, ScheduledInstr, SlotOp};
+use crate::block::{
+    Block, CopyInstr, LongInstr, RenameCounts, RenamePairs, ScheduledInstr, SlotOp,
+};
 use dtsvliw_isa::insn::FuClass;
 use dtsvliw_isa::regs::NUM_PHYS_INT;
 use dtsvliw_isa::resource::RenameKind;
@@ -132,22 +134,30 @@ pub const MAX_BLOCK_SLOTS: usize = u16::MAX as usize;
 // the op it moves with. Each row keeps bit masks of its slots and the
 // union of its ops' resource sets — the host form of the §3.7
 // comparator bank — so free-slot, control, cross-bit and empty-row
-// questions are mask operations, and dependency tests look at single
-// slots only when the row's union meets the probe (DESIGN.md §4).
+// questions are mask operations. A row also keeps the union of its ops
+// other than the candidate, so a candidate leaves in O(1). A dependency
+// hit on an architectural register is certain from the unions alone;
+// single ops are looked at only for hits on hashed bits (memory words,
+// renaming registers). A per-row candidate mask lets a cycle visit the
+// candidates alone (DESIGN.md §4).
 
 /// A set of resources as 256 bits. Architectural registers map to bits
-/// one to one; memory words and renaming registers are hashed into the
-/// last 64 bits. Two resources that conflict always share a bit, so
-/// disjoint sets never conflict; a meeting pair is confirmed with the
-/// exact per-op check.
+/// one to one ([`ResSet::EXACT_BITS`]); memory words and renaming
+/// registers are hashed into the last 64 bits. Two resources that
+/// conflict always share a bit, so disjoint sets never conflict; two
+/// sets that share an exact bit always conflict, and a pair that meets
+/// in hashed bits alone is confirmed with the exact per-op check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ResSet([u64; 4]);
 
 // Integer, FP, icc, fcc, %y and the window pointer fit below the hashed
 // word.
-const _: () = assert!(NUM_PHYS_INT + 36 <= 192);
+const _: () = assert!(NUM_PHYS_INT + 36 <= ResSet::EXACT_BITS);
 
 impl ResSet {
+    /// Bits below this name one architectural resource each.
+    const EXACT_BITS: usize = 192;
+
     fn of(list: &ResList) -> Self {
         let mut s = ResSet::default();
         for r in list.iter() {
@@ -156,40 +166,67 @@ impl ResSet {
         s
     }
 
+    #[inline]
+    fn set(&mut self, bit: u64) {
+        self.0[(bit / 64) as usize] |= 1 << (bit % 64);
+    }
+
+    #[inline]
     fn add(&mut self, r: &Resource) {
         let hashed = |kind: u64, id: u64| {
-            192 + ((kind << 32 | id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+            ResSet::EXACT_BITS as u64
+                + ((kind << 32 | id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
         };
-        let mut set = |bit: u64| self.0[(bit / 64) as usize] |= 1 << (bit % 64);
-        match *r {
-            Resource::Int(n) if (n as usize) < NUM_PHYS_INT => set(n as u64),
-            Resource::Int(n) => set(hashed(0, n as u64)),
-            Resource::Fp(n) => set(NUM_PHYS_INT as u64 + (n as u64 % 32)),
-            Resource::Icc => set(NUM_PHYS_INT as u64 + 32),
-            Resource::Fcc => set(NUM_PHYS_INT as u64 + 33),
-            Resource::Y => set(NUM_PHYS_INT as u64 + 34),
-            Resource::Cwp => set(NUM_PHYS_INT as u64 + 35),
-            Resource::IntRen(id) => set(hashed(1, id as u64)),
-            Resource::FpRen(id) => set(hashed(2, id as u64)),
-            Resource::IccRen(id) => set(hashed(3, id as u64)),
-            Resource::FccRen(id) => set(hashed(4, id as u64)),
-            Resource::MemRen(id) => set(hashed(5, id as u64)),
+        let fp = NUM_PHYS_INT as u64;
+        let bit = match *r {
+            Resource::Int(n) if (n as usize) < NUM_PHYS_INT => n as u64,
+            Resource::Int(n) => hashed(0, n as u64),
+            Resource::Fp(n) if n < 32 => fp + n as u64,
+            Resource::Fp(n) => hashed(7, n as u64),
+            Resource::Icc => fp + 32,
+            Resource::Fcc => fp + 33,
+            Resource::Y => fp + 34,
+            Resource::Cwp => fp + 35,
+            Resource::IntRen(id) => hashed(1, id as u64),
+            Resource::FpRen(id) => hashed(2, id as u64),
+            Resource::IccRen(id) => hashed(3, id as u64),
+            Resource::FccRen(id) => hashed(4, id as u64),
+            Resource::MemRen(id) => hashed(5, id as u64),
             Resource::Mem { addr, size } => {
                 // Every word the byte range touches: overlapping ranges
                 // share one.
                 let first = addr as u64 >> 2;
                 let last = (addr as u64 + size.max(1) as u64 - 1) >> 2;
-                for word in first..=last {
-                    set(hashed(6, word));
+                for word in first..last {
+                    self.set(hashed(6, word));
                 }
+                hashed(6, last)
             }
-        }
+        };
+        self.set(bit);
+    }
+
+    /// The bits both sets hold.
+    #[inline]
+    fn and(&self, o: &ResSet) -> ResSet {
+        let [a, b, c, d] = self.0;
+        let [e, f, g, h] = o.0;
+        ResSet([a & e, b & f, c & g, d & h])
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
     }
 
     fn meets(&self, o: &ResSet) -> bool {
-        let [a, b, c, d] = self.0;
-        let [e, f, g, h] = o.0;
-        (a & e) | (b & f) | (c & g) | (d & h) != 0
+        !self.and(o).is_empty()
+    }
+
+    /// Does the set hold an exact (architectural) bit?
+    fn has_exact(&self) -> bool {
+        const _: () = assert!(ResSet::EXACT_BITS == 3 * 64);
+        let [a, b, c, _] = self.0;
+        a | b | c != 0
     }
 
     fn union(&mut self, o: &ResSet) {
@@ -197,33 +234,49 @@ impl ResSet {
             *a |= b;
         }
     }
+
+    fn with(mut self, o: &ResSet) -> ResSet {
+        self.union(o);
+        self
+    }
 }
 
-/// One operation of the block under construction: a trace instruction
-/// or a COPY, with its resource sets and the properties the row masks
-/// track.
-#[derive(Debug, Clone)]
-struct Entry {
-    op: SlotOp,
+/// The resource sets of one operation in the list and the properties
+/// the row masks track: its column of the §3.7 comparator bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpSets {
     reads: ResSet,
     writes: ResSet,
+    class: FuClass,
     branch: bool,
     mem_writer: bool,
     ordered: bool,
 }
 
-impl Entry {
-    fn new(op: SlotOp) -> Self {
-        Entry {
+impl OpSets {
+    /// Derive the sets of any op (snapshot restore, and the debug
+    /// cross-check of the lean builders in `insert` and `split`).
+    fn of(op: &SlotOp) -> Self {
+        OpSets {
             reads: ResSet::of(&op.reads()),
             writes: ResSet::of(&op.writes()),
+            class: op.fu_class(),
             branch: op.is_branch(),
             mem_writer: op.is_memory_writer(),
             ordered: op.ls_order().is_some(),
-            op,
         }
     }
+}
 
+/// One operation of the block under construction: a trace instruction
+/// or a COPY, with its sets.
+#[derive(Debug, Clone)]
+struct Entry {
+    op: SlotOp,
+    sets: OpSets,
+}
+
+impl Entry {
     /// The trace instruction (candidates are always instructions).
     fn instr(&self) -> &ScheduledInstr {
         match &self.op {
@@ -242,12 +295,17 @@ impl Entry {
 
 /// What an arena slot holds after [`Scheduler::seal`] moved its op out.
 const VACANT: SlotOp = SlotOp::Copy(CopyInstr {
-    pairs: Vec::new(),
+    pairs: RenamePairs::new(),
     tag: 0,
     ls_order: None,
     cross: false,
     orig_seq: 0,
 });
+
+/// Does a resource list name memory?
+fn has_mem(list: &ResList) -> bool {
+    list.iter().any(|r| matches!(r, Resource::Mem { .. }))
+}
 
 /// One scheduling-list element (paper §3.2): a long instruction under
 /// construction, as arena indices plus slot masks, and at most one
@@ -263,9 +321,14 @@ struct Row {
     mem_writer: u64,
     /// Operations carrying a load/store order field.
     ordered: u64,
-    /// Union of the row's read and write sets.
+    /// Union of the read and write sets of every op of the row.
     reads: ResSet,
     writes: ResSet,
+    /// The same unions over the ops other than the candidate: what the
+    /// row holds once the candidate leaves, and what its anti-dependency
+    /// test probes.
+    rest_reads: ResSet,
+    rest_writes: ResSet,
     /// Next branch tag to hand out in this long instruction.
     cur_tag: u8,
     /// Slot of the candidate's companion.
@@ -282,6 +345,8 @@ impl Row {
             ordered: 0,
             reads: ResSet::default(),
             writes: ResSet::default(),
+            rest_reads: ResSet::default(),
+            rest_writes: ResSet::default(),
             cur_tag: 0,
             candidate: None,
         }
@@ -289,17 +354,27 @@ impl Row {
 
     /// Empty the row, keeping its slot storage.
     fn reset(&mut self) {
-        let slots = std::mem::take(&mut self.slots);
-        *self = Row {
-            slots,
-            ..Row::new(0)
-        };
+        self.occupied = 0;
+        self.branch = 0;
+        self.mem_writer = 0;
+        self.ordered = 0;
+        self.reads = ResSet::default();
+        self.writes = ResSet::default();
+        self.rest_reads = ResSet::default();
+        self.rest_writes = ResSet::default();
+        self.cur_tag = 0;
+        self.candidate = None;
     }
 
     /// Arena indices of the occupied slots outside `skip`, lowest
     /// slot first.
     fn ops(&self, skip: u64) -> impl Iterator<Item = usize> + '_ {
         bits(self.occupied & !skip).map(|s| self.slots[s] as usize)
+    }
+
+    /// The candidate's slot bit (0 without a candidate).
+    fn candidate_bit(&self) -> u64 {
+        self.candidate.map_or(0, bit)
     }
 }
 
@@ -444,6 +519,9 @@ pub struct Scheduler {
     /// first.
     rows: Vec<Row>,
     len: usize,
+    /// Bit `r % 64` of word `r / 64` is set exactly when `rows[r]`
+    /// (`r < len`) holds a candidate.
+    cands: Vec<u64>,
     pub(crate) block_tag: u32,
     pub(crate) entry_cwp: u8,
     pub(crate) entry_resident: u8,
@@ -496,6 +574,7 @@ impl Scheduler {
             arena: Vec::new(),
             rows: vec![Row::new(cfg.width); cfg.height],
             len: 0,
+            cands: vec![0; cfg.height.div_ceil(64)],
             cfg,
             block_tag: 0,
             entry_cwp: 0,
@@ -539,26 +618,36 @@ impl Scheduler {
         (free != 0).then(|| free.trailing_zeros() as usize)
     }
 
-    /// Does an op of row `r` outside the `skip` slots write a location
-    /// of `list` (whose set is `set`)? True and output dependencies.
-    fn writes_meet(&self, r: usize, set: &ResSet, list: &ResList, skip: u64) -> bool {
+    /// Does an op of row `r` write a location of `list` (whose set is
+    /// `set`)? True and output dependencies.
+    fn writes_meet(&self, r: usize, set: &ResSet, list: &ResList) -> bool {
         let row = &self.rows[r];
-        row.writes.meets(set)
-            && row.ops(skip).any(|x| {
-                let e = &self.arena[x];
-                e.writes.meets(set) && e.op.writes().intersects(list)
-            })
+        self.confirm(&row.writes.and(set), row.ops(0), |e| {
+            e.sets.writes.meets(set) && e.op.writes().intersects(list)
+        })
     }
 
-    /// Does an op of row `r` outside the `skip` slots read a location
-    /// of `list`? Anti dependencies.
-    fn reads_meet(&self, r: usize, set: &ResSet, list: &ResList, skip: u64) -> bool {
+    /// Does an op of row `r` other than its candidate read a location of
+    /// `list`? Anti dependencies of that candidate.
+    fn others_read(&self, r: usize, set: &ResSet, list: &ResList) -> bool {
         let row = &self.rows[r];
-        row.reads.meets(set)
-            && row.ops(skip).any(|x| {
-                let e = &self.arena[x];
-                e.reads.meets(set) && e.op.reads().intersects(list)
-            })
+        self.confirm(
+            &row.rest_reads.and(set),
+            row.ops(row.candidate_bit()),
+            |e| e.sets.reads.meets(set) && e.op.reads().intersects(list),
+        )
+    }
+
+    /// Settle a probe whose row union met the probe set in `hit`: an
+    /// exact bit is a certain dependency; a hit in hashed bits alone asks
+    /// the ops `xs` one by one.
+    fn confirm(
+        &self,
+        hit: &ResSet,
+        mut xs: impl Iterator<Item = usize>,
+        dep: impl Fn(&Entry) -> bool,
+    ) -> bool {
+        hit.has_exact() || (!hit.is_empty() && xs.any(|x| dep(&self.arena[x])))
     }
 
     /// Would placing an op reading `reads` at row `pos` violate a
@@ -578,7 +667,9 @@ impl Scheduler {
                         SlotOp::Instr(i) => self.cfg.latencies.of(&i.d.instr),
                         SlotOp::Copy(_) => 1,
                     };
-                    lat as usize > dist && e.writes.meets(set) && e.op.writes().intersects(reads)
+                    lat as usize > dist
+                        && e.sets.writes.meets(set)
+                        && e.op.writes().intersects(reads)
                 });
             if violated {
                 return true;
@@ -597,9 +688,10 @@ impl Scheduler {
         self.len += 1;
     }
 
-    /// Put arena entry `x` into `slot` of row `r`.
-    fn occupy(&mut self, r: usize, slot: usize, x: usize) {
-        let (row, e) = (&mut self.rows[r], &self.arena[x]);
+    /// Put arena entry `x` into `slot` of row `r`, as the row's
+    /// candidate when `candidate` is set.
+    fn occupy(&mut self, r: usize, slot: usize, x: usize, candidate: bool) {
+        let (row, e) = (&mut self.rows[r], &self.arena[x].sets);
         let b = bit(slot);
         row.slots[slot] = x as u16;
         row.occupied |= b;
@@ -612,39 +704,52 @@ impl Scheduler {
         if e.ordered {
             row.ordered |= b;
         }
+        if candidate {
+            // A row holds one candidate: one that no cycle resolved since
+            // it was inserted stays put when the next instruction joins.
+            row.rest_reads = row.reads;
+            row.rest_writes = row.writes;
+            row.candidate = Some(slot);
+            self.cands[r / 64] |= bit(r % 64);
+        } else {
+            row.rest_reads.union(&e.reads);
+            row.rest_writes.union(&e.writes);
+        }
         row.reads.union(&e.reads);
         row.writes.union(&e.writes);
     }
 
-    /// Empty `slot` of row `r`.
-    fn vacate(&mut self, r: usize, slot: usize) {
+    /// Row `r`'s candidate stays where it is: it joins the row's other
+    /// ops.
+    fn settle_candidate(&mut self, r: usize) {
         let row = &mut self.rows[r];
-        let keep = !bit(slot);
+        row.candidate = None;
+        row.rest_reads = row.reads;
+        row.rest_writes = row.writes;
+        self.cands[r / 64] &= !bit(r % 64);
+    }
+
+    /// Take row `r`'s candidate out of the row: the unions fall back to
+    /// the other ops'.
+    fn vacate_candidate(&mut self, r: usize) {
+        let row = &mut self.rows[r];
+        let keep = !row.candidate_bit();
         row.occupied &= keep;
         row.branch &= keep;
         row.mem_writer &= keep;
         row.ordered &= keep;
-        self.refresh_sets(r);
-    }
-
-    /// Recompute row `r`'s resource unions from its ops.
-    fn refresh_sets(&mut self, r: usize) {
-        let (mut reads, mut writes) = (ResSet::default(), ResSet::default());
-        for x in self.rows[r].ops(0) {
-            reads.union(&self.arena[x].reads);
-            writes.union(&self.arena[x].writes);
-        }
-        let row = &mut self.rows[r];
-        row.reads = reads;
-        row.writes = writes;
+        row.reads = row.rest_reads;
+        row.writes = row.rest_writes;
+        row.candidate = None;
+        self.cands[r / 64] &= !bit(r % 64);
     }
 
     /// Place instruction `x` into row `r` at `slot`, resolving its
     /// branch tag and cross bit at this placement (paper §3.8, §3.10).
-    fn place(&mut self, r: usize, slot: usize, x: usize) {
+    fn place(&mut self, r: usize, slot: usize, x: usize, candidate: bool) {
         let row = &mut self.rows[r];
         let e = &mut self.arena[x];
-        let (branch, mem_writer) = (e.branch, e.mem_writer);
+        let (branch, mem_writer) = (e.sets.branch, e.sets.mem_writer);
         let op = e.instr_mut();
         op.tag = row.cur_tag;
         if branch {
@@ -662,7 +767,7 @@ impl Scheduler {
                 op.cross |= row.mem_writer != 0;
             }
         }
-        self.occupy(r, slot, x);
+        self.occupy(r, slot, x, candidate);
     }
 
     // -------------------------------------------------------------
@@ -671,94 +776,161 @@ impl Scheduler {
 
     /// Run one Scheduler Unit cycle: every candidate installs, splits or
     /// moves up one element, resolved head-first (the sequential
-    /// equivalent of the §3.7 signal equations).
+    /// equivalent of the §3.7 signal equations). Only rows holding a
+    /// candidate are visited; a cycle without one changes nothing.
     pub fn tick(&mut self) {
-        for i in 0..self.len {
-            if self.rows[i].candidate.is_some() {
-                self.resolve(i);
+        let mut resolved = false;
+        for w in 0..self.cands.len() {
+            // A resolution at row `i` only touches the candidate bits of
+            // rows `i` and `i - 1`, both already walked.
+            let mut mask = self.cands[w];
+            resolved |= mask != 0;
+            while mask != 0 {
+                self.resolve(w * 64 + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
             }
         }
-        // Trim tail elements emptied by move-ups.
-        while self.len > 0 && self.rows[self.len - 1].occupied == 0 {
-            self.len -= 1;
+        if resolved {
+            // Trim tail elements emptied by move-ups. (Only a move-up
+            // empties a row, so a cycle that resolved nothing has
+            // nothing to trim.)
+            while self.len > 0 && self.rows[self.len - 1].occupied == 0 {
+                self.len -= 1;
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+    }
+
+    /// Whether any row holds a candidate.
+    fn has_candidates(&self) -> bool {
+        self.cands.iter().any(|&w| w != 0)
+    }
+
+    /// The host bookkeeping agrees with the list: candidate bits name
+    /// exactly the rows with a candidate, and every row's unions are
+    /// those of its ops.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        for (r, row) in self.rows.iter().enumerate() {
+            let marked = self.cands[r / 64] & bit(r % 64) != 0;
+            assert_eq!(
+                marked,
+                r < self.len && row.candidate.is_some(),
+                "candidate mask disagrees with row {r}"
+            );
+        }
+        for row in &self.rows[..self.len] {
+            let union = |skip| {
+                row.ops(skip)
+                    .fold((ResSet::default(), ResSet::default()), |(r, w), x| {
+                        let e = &self.arena[x].sets;
+                        (r.with(&e.reads), w.with(&e.writes))
+                    })
+            };
+            assert_eq!(
+                (row.rest_reads, row.rest_writes),
+                union(row.candidate_bit())
+            );
+            assert_eq!((row.reads, row.writes), union(0));
         }
     }
 
     fn install(&mut self, i: usize, seq: u64) {
-        self.rows[i].candidate = None;
+        self.settle_candidate(i);
         self.stats.installs += 1;
         self.log_event(i, seq, Resolution::Install);
     }
 
     fn resolve(&mut self, i: usize) {
         let slot_here = self.rows[i].candidate.expect("resolve without candidate");
-        let here = bit(slot_here);
         let x = self.rows[i].slots[slot_here] as usize;
-        let e = &self.arena[x];
-        let op = e.instr();
-        let seq = op.d.seq;
+        let seq = self.arena[x].instr().d.seq;
+        match self.decide(i, slot_here, x) {
+            None => self.install(i, seq),
+            Some((dest_slot, conflicting)) if conflicting.is_empty() => {
+                // Plain move up.
+                self.vacate_candidate(i);
+                self.place(i - 1, dest_slot, x, true);
+                self.stats.moves += 1;
+                self.log_event(i, seq, Resolution::MoveUp);
+            }
+            Some((dest_slot, conflicting)) => {
+                self.split(i, slot_here, x, dest_slot, &conflicting);
+                self.stats.splits += 1;
+                self.log_event(i, seq, Resolution::Split);
+            }
+        }
+    }
+
+    /// The fate of row `i`'s candidate (arena entry `x` in `slot_here`):
+    /// `None` to install, or the slot it takes in row `i - 1` and the
+    /// outputs a split must rename (none for a plain move).
+    fn decide(&self, i: usize, slot_here: usize, x: usize) -> Option<(usize, ResList)> {
         if i == 0 {
             // Reached the head of the list: install.
-            self.install(0, seq);
-            return;
+            return None;
         }
-        let (reads, writes, rset, wset) = (op.reads, op.writes, e.reads, e.writes);
-        let multicycle = self.cfg.latencies.of(&op.d.instr) > 1;
+        let (op, e) = (self.arena[x].instr(), &self.arena[x].sets);
 
         // Install on a true or resource dependency on the element above,
         // or when a multicycle producer higher up would be too close.
-        let Some(dest_slot) = self.find_slot(i - 1, op.d.instr.fu_class()) else {
-            self.install(i, seq);
-            return;
-        };
-        if self.writes_meet(i - 1, &rset, &reads, 0)
-            || (self.cfg.latencies.max() > 1 && self.latency_violation(i - 1, &rset, &reads))
+        let dest_slot = self.find_slot(i - 1, e.class)?;
+        if self.writes_meet(i - 1, &e.reads, &op.reads)
+            || (self.cfg.latencies.max() > 1 && self.latency_violation(i - 1, &e.reads, &op.reads))
         {
-            self.install(i, seq);
-            return;
+            return None;
         }
 
         // Split triggers: output dependency on the element above, anti
         // dependency on this element, control dependency (a branch in
         // this element).
+        let writes = &op.writes;
         let mut conflicting = ResList::new();
-        if self.rows[i].branch & !here != 0 {
-            conflicting = writes;
-        } else if self.writes_meet(i - 1, &wset, &writes, 0)
-            || self.reads_meet(i, &wset, &writes, here)
+        if self.rows[i].branch & !bit(slot_here) != 0 {
+            conflicting = *writes;
+        } else if self.writes_meet(i - 1, &e.writes, writes)
+            || self.others_read(i, &e.writes, writes)
         {
-            for w in writes.iter() {
-                let one: ResList = std::iter::once(*w).collect();
-                let set = ResSet::of(&one);
-                if self.writes_meet(i - 1, &set, &one, 0) || self.reads_meet(i, &set, &one, here) {
-                    conflicting.push(*w);
+            if writes.len() == 1 {
+                conflicting = *writes;
+            } else {
+                for w in writes.iter() {
+                    let one: ResList = std::iter::once(*w).collect();
+                    let set = ResSet::of(&one);
+                    if self.writes_meet(i - 1, &set, &one) || self.others_read(i, &set, &one) {
+                        conflicting.push(*w);
+                    }
                 }
             }
         }
-
-        if conflicting.is_empty() {
-            // Plain move up.
-            self.vacate(i, slot_here);
-            self.rows[i].candidate = None;
-            self.place(i - 1, dest_slot, x);
-            self.rows[i - 1].candidate = Some(dest_slot);
-            self.stats.moves += 1;
-            self.log_event(i, seq, Resolution::MoveUp);
-            return;
-        }
-
-        if !self.cfg.enable_splitting || conflicting.iter().any(|w| !w.renameable()) || multicycle {
+        if !conflicting.is_empty()
+            && (!self.cfg.enable_splitting
+                || conflicting.iter().any(|w| !w.renameable())
+                || self.cfg.latencies.of(&op.d.instr) > 1)
+        {
             // %y or the window pointer cannot be renamed, splitting is
             // ablated, or the op is multicycle (its COPY could not sit
             // one long instruction below it): install.
-            self.install(i, seq);
-            return;
+            return None;
         }
+        Some((dest_slot, conflicting))
+    }
 
-        // Split: rename the conflicting outputs in place, leave a COPY
-        // behind in the companion's slot, keep climbing with the
-        // renamed form.
-        let mut pairs = Vec::with_capacity(conflicting.len());
+    /// Split row `i`'s candidate (arena entry `x` in `slot_here`) into
+    /// `dest_slot` of row `i - 1`: rename the `conflicting` outputs in
+    /// place, leave a COPY behind in the companion's slot, keep climbing
+    /// with the renamed form.
+    fn split(
+        &mut self,
+        i: usize,
+        slot_here: usize,
+        x: usize,
+        dest_slot: usize,
+        conflicting: &ResList,
+    ) {
+        let mut pairs = RenamePairs::new();
+        let (mut copy_reads, mut copy_writes) = (ResSet::default(), ResSet::default());
         let op = self.arena[x].instr_mut();
         for w in conflicting.iter() {
             let kind = w.rename_kind().expect("renameable resource has a kind");
@@ -772,24 +944,33 @@ impl Scheduler {
             };
             op.writes.replace(w, ren);
             pairs.push((ren, *w));
+            copy_reads.add(&ren);
+            copy_writes.add(w);
         }
-        let mem_copy = pairs
-            .iter()
-            .any(|(_, to)| matches!(to, Resource::Mem { .. }));
-        let mut copy = CopyInstr {
+        let mem_copy = has_mem(conflicting);
+        let copy = CopyInstr {
             pairs,
             tag: op.tag,
             ls_order: if mem_copy { op.ls_order } else { None },
-            cross: op.cross && mem_copy,
+            // Cross-bit for the COPY at its (final) placement.
+            cross: mem_copy
+                && (op.cross
+                    || (op.ls_order.is_some() && self.rows[i].ordered & !bit(slot_here) != 0)),
             orig_seq: op.d.seq,
         };
-        // Cross-bit for the COPY at its (final) placement.
-        if copy.ls_order.is_some() {
-            copy.cross |= self.rows[i].ordered & !here != 0;
-        }
+        let (renamed, renamed_mem) = (ResSet::of(&op.writes), has_mem(&op.writes));
         let e = &mut self.arena[x];
-        e.writes = ResSet::of(&e.op.writes());
-        e.mem_writer = e.op.is_memory_writer();
+        e.sets.writes = renamed;
+        e.sets.mem_writer = renamed_mem;
+        debug_assert_eq!(e.sets, OpSets::of(&e.op));
+        let copy_sets = OpSets {
+            reads: copy_reads,
+            writes: copy_writes,
+            class: copy.fu_class(),
+            branch: false,
+            mem_writer: mem_copy,
+            ordered: copy.ls_order.is_some(),
+        };
 
         // Source redirection (the paper's Figure 2: `subcc r32, 4*x-1`):
         // the candidate immediately below the split reads the renaming
@@ -814,21 +995,23 @@ impl Scheduler {
                 }
                 if changed {
                     let reads = ResSet::of(&next.reads);
-                    self.arena[y].reads = reads;
-                    self.refresh_sets(i + 1);
+                    self.arena[y].sets.reads = reads;
+                    let row = &mut self.rows[i + 1];
+                    row.reads = row.rest_reads.with(&reads);
                 }
             }
         }
 
         let c = self.arena.len();
-        self.arena.push(Entry::new(SlotOp::Copy(copy)));
-        self.vacate(i, slot_here);
-        self.occupy(i, slot_here, c);
-        self.rows[i].candidate = None;
-        self.place(i - 1, dest_slot, x);
-        self.rows[i - 1].candidate = Some(dest_slot);
-        self.stats.splits += 1;
-        self.log_event(i, seq, Resolution::Split);
+        let op = SlotOp::Copy(copy);
+        debug_assert_eq!(copy_sets, OpSets::of(&op));
+        self.arena.push(Entry {
+            op,
+            sets: copy_sets,
+        });
+        self.vacate_candidate(i);
+        self.occupy(i, slot_here, c, false);
+        self.place(i - 1, dest_slot, x, true);
     }
 
     /// Run the list to fixpoint: tick until no candidate remains
@@ -840,7 +1023,7 @@ impl Scheduler {
         // A candidate resolves (installs or stops moving) within
         // `height` ticks; one extra pass covers redirections.
         for _ in 0..=self.cfg.height {
-            if self.rows[..self.len].iter().all(|r| r.candidate.is_none()) {
+            if !self.has_candidates() {
                 break;
             }
             self.tick();
@@ -873,16 +1056,14 @@ impl Scheduler {
         debug_assert!(!d.instr.is_non_schedulable(), "machine must reject traps");
 
         let (reads, writes) = (d.reads(), d.writes());
-        let mut entry = Entry::new(SlotOp::Instr(ScheduledInstr {
-            d: *d,
-            reads,
-            writes,
-            tag: 0,
-            ls_order: None,
-            cross: false,
-            src_renames: Vec::new(),
-        }));
-        let class = d.instr.fu_class();
+        let mut sets = OpSets {
+            reads: ResSet::of(&reads),
+            writes: ResSet::of(&writes),
+            class: d.instr.fu_class(),
+            branch: d.instr.is_conditional_or_indirect(),
+            mem_writer: has_mem(&writes),
+            ordered: false,
+        };
         let multicycle_list = self.cfg.latencies.max() > 1;
 
         let mut sealed = None;
@@ -898,10 +1079,10 @@ impl Scheduler {
         // `ble`).
         let join_tail = self.len > 0 && {
             let t = self.len - 1;
-            self.find_slot(t, class).is_some()
-                && !(self.writes_meet(t, &entry.reads, &reads, 0)
-                    || self.writes_meet(t, &entry.writes, &writes, 0)
-                    || (multicycle_list && self.latency_violation(t, &entry.reads, &reads)))
+            self.find_slot(t, sets.class).is_some()
+                && !(self.writes_meet(t, &sets.reads, &reads)
+                    || self.writes_meet(t, &sets.writes, &writes)
+                    || (multicycle_list && self.latency_violation(t, &sets.reads, &reads)))
         };
 
         if self.len == 0 || (!join_tail && self.len == self.cfg.height) {
@@ -913,11 +1094,11 @@ impl Scheduler {
             self.start_block(d, resident);
         }
 
-        if d.instr.is_mem() {
-            entry.instr_mut().ls_order = Some(self.ls_counter);
-            entry.ordered = true;
+        let ls_order = d.instr.is_mem().then(|| {
             self.ls_counter += 1;
-        }
+            self.ls_counter - 1
+        });
+        sets.ordered = ls_order.is_some();
         if matches!(
             d.instr,
             dtsvliw_isa::Instr::Save { .. } | dtsvliw_isa::Instr::Restore { .. }
@@ -936,7 +1117,7 @@ impl Scheduler {
             // below ([14]'s spacing rule).
             while multicycle_list
                 && self.len < self.cfg.height
-                && self.latency_violation(self.len - 1, &entry.reads, &reads)
+                && self.latency_violation(self.len - 1, &sets.reads, &reads)
             {
                 self.push_row();
             }
@@ -947,16 +1128,23 @@ impl Scheduler {
 
         let r = self.len - 1;
         let slot = self
-            .find_slot(r, class)
+            .find_slot(r, sets.class)
             .expect("an empty or joinable long instruction must have a free slot");
         let x = self.arena.len();
-        self.arena.push(entry);
-        self.place(r, slot, x);
-        if !d.instr.is_conditional_or_indirect() {
-            // Branches never move (their order is preserved, §3.8);
-            // everything else becomes a candidate.
-            self.rows[r].candidate = Some(slot);
-        }
+        let op = SlotOp::Instr(ScheduledInstr {
+            d: *d,
+            reads,
+            writes,
+            tag: 0,
+            ls_order,
+            cross: false,
+            src_renames: Vec::new(),
+        });
+        debug_assert_eq!(sets, OpSets::of(&op));
+        self.arena.push(Entry { op, sets });
+        // Branches never move (their order is preserved, §3.8);
+        // everything else becomes a candidate.
+        self.place(r, slot, x, !sets.branch);
         self.stats.instrs += 1;
         InsertOutcome::Inserted(sealed)
     }
@@ -996,6 +1184,7 @@ impl Scheduler {
             .collect();
         arena.clear();
         self.len = 0;
+        self.cands.fill(0);
         let block = Block {
             tag_addr: self.block_tag,
             entry_cwp: self.entry_cwp,
@@ -1046,12 +1235,14 @@ impl Scheduler {
         let r = self.len - 1;
         for (s, op) in e.li.slots().enumerate() {
             if let Some(op) = op {
-                self.arena.push(Entry::new(op.clone()));
-                self.occupy(r, s, self.arena.len() - 1);
+                self.arena.push(Entry {
+                    op: op.clone(),
+                    sets: OpSets::of(op),
+                });
+                self.occupy(r, s, self.arena.len() - 1, e.candidate == Some(s));
             }
         }
         self.rows[r].cur_tag = e.cur_tag;
-        self.rows[r].candidate = e.candidate;
         Some(())
     }
 
@@ -1070,5 +1261,60 @@ impl Scheduler {
                     .collect()
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtsvliw_isa::insn::{AluOp, Src2};
+    use dtsvliw_isa::Instr;
+
+    fn add(seq: u64, rd: u8, rs1: u8) -> DynInstr {
+        DynInstr {
+            seq,
+            pc: 0x1000 + 4 * seq as u32,
+            instr: Instr::Alu {
+                op: AluOp::Add,
+                cc: false,
+                rd,
+                rs1,
+                src2: Src2::Imm(1),
+            },
+            cwp_before: 0,
+            cwp_after: 0,
+            eff_addr: None,
+            taken: None,
+            target: None,
+            delay_is_nop: true,
+        }
+    }
+
+    /// The list as comparable values.
+    fn shape(s: &Scheduler) -> Vec<(LongInstr, u8, Option<usize>)> {
+        s.view()
+            .into_iter()
+            .map(|e| (e.li, e.cur_tag, e.candidate))
+            .collect()
+    }
+
+    #[test]
+    fn a_cycle_without_candidates_changes_nothing() {
+        let mut s = Scheduler::new(SchedConfig::homogeneous(2, 4));
+        // A dependency chain, one element per link, and an independent
+        // op beside it.
+        for (seq, (rd, rs1)) in [(8, 8), (9, 8), (10, 9), (11, 11)].into_iter().enumerate() {
+            s.insert(&add(seq as u64, rd, rs1), 1);
+        }
+        s.settle();
+        assert!(!s.has_candidates());
+        assert!(s.rows[..s.len].iter().all(|r| r.candidate.is_none()));
+        let (before, stats) = (shape(&s), s.stats());
+        assert_eq!(before.len(), 3);
+        for _ in 0..3 {
+            s.tick();
+        }
+        assert_eq!(shape(&s), before);
+        assert_eq!(s.stats(), stats);
     }
 }

@@ -293,7 +293,11 @@ fn copy_to_json(c: &CopyInstr) -> Json {
 
 fn copy_from_json(j: &Json) -> Option<CopyInstr> {
     Some(CopyInstr {
-        pairs: rename_pairs_from_json(j.get("pairs")?)?,
+        // A COPY holds at most four pairs (`RenamePairs`).
+        pairs: Some(rename_pairs_from_json(j.get("pairs")?)?)
+            .filter(|p| p.len() <= 4)?
+            .into_iter()
+            .collect(),
         tag: u8_of(j, "tag")?,
         ls_order: opt_u16_of(j, "ls_order")?,
         cross: bool_of(j, "cross")?,
@@ -513,6 +517,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::InsertOutcome;
     use dtsvliw_isa::insn::{AluOp, MemOp, Src2};
     use dtsvliw_isa::Instr;
 
@@ -652,33 +657,85 @@ mod tests {
     fn scheduler_snapshot_round_trip_mid_block() {
         let cfg = SchedConfig::homogeneous(3, 4);
         let mut s = Scheduler::new(cfg.clone());
-        for seq in 0..6 {
-            s.insert(
-                &di(
-                    seq,
-                    Instr::Alu {
-                        op: AluOp::Add,
-                        cc: false,
-                        rd: (8 + (seq % 4)) as u8,
-                        rs1: (8 + (seq % 4)) as u8,
-                        src2: Src2::Imm(1),
-                    },
-                ),
-                1,
-            );
-            s.tick();
+        let alu = |rd: u8, rs1: u8, src2: Src2| Instr::Alu {
+            op: AluOp::Add,
+            cc: false,
+            rd,
+            rs1,
+            src2,
+        };
+        // %o1's reader waits below %o0's writer; the %o2 increment joins
+        // it as a candidate that has not yet had a cycle to move up.
+        let (o0, o1, o2) = (8, 9, 10);
+        for (seq, (instr, ticks)) in [
+            (alu(o0, o0, Src2::Imm(1)), 1),
+            (alu(o1, o0, Src2::Imm(1)), 1),
+            (alu(o2, o2, Src2::Imm(1)), 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            s.insert(&di(seq as u64, instr), 1);
+            for _ in 0..ticks {
+                s.tick();
+            }
         }
-        assert!(!s.is_empty(), "mid-block state expected");
+        assert_eq!(s.len(), 2, "mid-block state expected");
         let j = s.snapshot_json();
         let mut restored =
-            Scheduler::from_snapshot_json(cfg, &Json::parse(&j.to_string()).unwrap())
+            Scheduler::from_snapshot_json(cfg.clone(), &Json::parse(&j.to_string()).unwrap())
                 .expect("restore");
-        // The restored list seals into the same block.
-        let a = s.seal(0x9000, 100).unwrap();
-        let b = restored.seal(0x9000, 100).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.content_hash(), b.content_hash());
+
+        // Both lists keep scheduling, as the machine drives them (the
+        // cycles first, then the insert), for more than `height`
+        // instructions before sealing, so a restore that rebuilt the
+        // candidate mask or the rows' saved unions wrongly shows in the
+        // blocks. The first cycle moves the %o2 increment up. `c` joins
+        // `y`, which reads %l0, so moving `c` up needs an
+        // anti-dependency split; `d`, inserted before that cycle, reads
+        // %l0 and is redirected to the renaming register. The %l5 chain
+        // fills the list and seals it.
+        let (l0, l1, l2, l3, l4, l5) = (16, 17, 18, 19, 20, 21);
+        let more = [
+            (alu(l1, o2, Src2::Imm(1)), 1),
+            (alu(l2, l1, Src2::Reg(l0)), 1),
+            (alu(l0, l3, Src2::Imm(1)), 1),
+            (alu(l4, l0, Src2::Imm(1)), 0),
+            (alu(l3, l4, Src2::Imm(2)), 1),
+            (alu(l1, l2, Src2::Imm(3)), 1),
+            (alu(l5, l5, Src2::Imm(1)), 1),
+            (alu(l5, l5, Src2::Imm(1)), 1),
+        ];
+        assert!(more.len() > cfg.height);
+        let splits = s.stats().splits;
+        let mut sealed = (Vec::new(), Vec::new());
+        for (k, &(instr, ticks)) in more.iter().enumerate() {
+            let d = di(3 + k as u64, instr);
+            for (sched, out) in [(&mut s, &mut sealed.0), (&mut restored, &mut sealed.1)] {
+                for _ in 0..ticks {
+                    sched.tick();
+                }
+                if let InsertOutcome::Inserted(Some(b)) = sched.insert(&d, 1) {
+                    out.push(b);
+                }
+            }
+        }
+        let next = 3 + more.len() as u64;
+        sealed.0.extend(s.seal(0x9000, next));
+        sealed.1.extend(restored.seal(0x9000, next));
+        assert_eq!(sealed.0, sealed.1);
+        for (a, b) in sealed.0.iter().zip(&sealed.1) {
+            assert_eq!(a.content_hash(), b.content_hash());
+        }
         assert_eq!(s.stats(), restored.stats());
+        assert!(s.stats().splits > splits, "no split after the restore");
+        let redirected = sealed
+            .0
+            .iter()
+            .flat_map(|b| &b.lis)
+            .flat_map(LongInstr::ops)
+            .any(|op| matches!(op, SlotOp::Instr(i) if !i.src_renames.is_empty()));
+        assert!(redirected, "no redirection after the restore");
     }
 
     /// Mutable access to one member of a JSON object.

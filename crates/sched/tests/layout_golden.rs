@@ -90,7 +90,9 @@ fn mixed_block() -> Block {
     top.set(
         3,
         SlotOp::Copy(CopyInstr {
-            pairs: vec![(Resource::IntRen(0), Resource::Int(25))],
+            pairs: [(Resource::IntRen(0), Resource::Int(25))]
+                .into_iter()
+                .collect(),
             tag: 1,
             ls_order: None,
             cross: false,
@@ -140,7 +142,7 @@ fn wide_block() -> Block {
     row.set(
         31,
         SlotOp::Copy(CopyInstr {
-            pairs: vec![
+            pairs: [
                 (
                     Resource::MemRen(0),
                     Resource::Mem {
@@ -149,7 +151,9 @@ fn wide_block() -> Block {
                     },
                 ),
                 (Resource::IntRen(1), Resource::Int(12)),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             tag: 1,
             ls_order: Some(3),
             cross: true,

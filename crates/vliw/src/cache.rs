@@ -689,7 +689,9 @@ mod tests {
             b.lis[0].set(
                 1,
                 SlotOp::Copy(CopyInstr {
-                    pairs: vec![(Resource::IntRen(0), Resource::Int(9))],
+                    pairs: [(Resource::IntRen(0), Resource::Int(9))]
+                        .into_iter()
+                        .collect(),
                     tag: 0,
                     ls_order: None,
                     cross: false,

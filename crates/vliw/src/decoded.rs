@@ -476,7 +476,7 @@ fn decode_slot(op: &SlotOp) -> DecodedOp {
 fn decode_copy(c: &CopyInstr) -> DecodedOp {
     DecodedOp {
         kind: DecodedKind::Copy {
-            pairs: c.pairs.clone(),
+            pairs: c.pairs.to_vec(),
         },
         tag: c.tag,
         cross: c.cross,
@@ -684,7 +684,7 @@ mod tests {
         };
         let copy = |from| {
             SlotOp::Copy(CopyInstr {
-                pairs: vec![(from, Resource::Int(9))],
+                pairs: [(from, Resource::Int(9))].into_iter().collect(),
                 tag: 1,
                 ls_order: Some(2),
                 cross: false,
