@@ -4,25 +4,13 @@
 //! workload sources at startup), so a crash here takes the whole
 //! campaign down.
 //!
-//! The seeded-PRNG sweeps below always run; the proptest-based property
-//! at the bottom is gated behind the off-by-default `proptest` feature
-//! like the rest of the suite (the external `proptest` crate is
-//! unavailable in the offline build environment).
+//! The sweeps draw from the workspace's seeded SplitMix64 (the fault
+//! injector's generator); the two properties at the bottom run on the
+//! seeded property driver.
 
 use dtsvliw_asm::assemble;
-
-/// The xorshift* generator the fault injector uses; hand-rolled here so
-/// the sweep stays deterministic without a dev-dependency.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
+use dtsvliw_rng::check::{check, Gen};
+use dtsvliw_rng::Rng64;
 
 /// Bytes drawn from the characters the tokeniser actually dispatches
 /// on, so the sweep spends its budget past the first character.
@@ -36,11 +24,11 @@ fn assemble_must_not_panic(src: &str) {
 /// Raw byte soup (valid UTF-8 only, as `assemble` takes `&str`).
 #[test]
 fn random_ascii_never_panics() {
-    let mut rng = Rng(0x5eed_0001);
+    let mut rng = Rng64::new(0x5eed_0001);
     for _ in 0..2000 {
-        let len = (rng.next() % 80) as usize;
+        let len = rng.below(80) as usize;
         let src: String = (0..len)
-            .map(|_| ALPHABET[(rng.next() as usize) % ALPHABET.len()] as char)
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize] as char)
             .collect();
         assemble_must_not_panic(&src);
     }
@@ -61,34 +49,11 @@ fn mutated_instructions_never_panic() {
         ".space {}\n",
         "_start: {} %o0, %o1, %o2\n",
     ];
-    let junk = [
-        "",
-        "%",
-        "%o8",
-        "%o-1",
-        "0x",
-        "0x10000000000",
-        "-",
-        "+4096",
-        "-4097",
-        "%hi",
-        "%hi(",
-        "%hi(_start",
-        "lo(x)",
-        "[",
-        "]",
-        "[[%o0]]",
-        "1 2",
-        "_",
-        "9lbl",
-        "..",
-        "\u{7f}",
-        "ta",
-        "4294967296",
-        "-2147483649",
-    ];
+    // One junk field per `|`-separated entry, the empty one first.
+    let junk = "|%|%o8|%o-1|0x|0x10000000000|-|+4096|-4097|%hi|%hi(|%hi(_start|lo(x)|[|]|[[%o0]]|\
+        1 2|_|9lbl|..|\u{7f}|ta|4294967296|-2147483649";
     for t in templates {
-        for j in junk {
+        for j in junk.split('|') {
             assemble_must_not_panic(&t.replace("{}", j));
         }
     }
@@ -111,37 +76,46 @@ fn spliced_program_fragments_never_panic() {
         " ta 0",
         "! comment",
     ];
-    let mut rng = Rng(0x5eed_0002);
+    let mut rng = Rng64::new(0x5eed_0002);
     for _ in 0..500 {
-        let n = 1 + (rng.next() % 12) as usize;
+        let n = 1 + rng.below(12) as usize;
         let src: String = (0..n)
-            .map(|_| fragments[(rng.next() as usize) % fragments.len()])
+            .map(|_| fragments[rng.below(fragments.len() as u64) as usize])
             .collect::<Vec<_>>()
             .join("\n");
         assemble_must_not_panic(&src);
     }
 }
 
-#[cfg(feature = "proptest")]
-mod properties {
-    use super::assemble_must_not_panic;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Fully arbitrary strings — the strongest form of the
-        /// never-panic claim.
-        #[test]
-        fn arbitrary_strings_never_panic(src in ".{0,200}") {
-            assemble_must_not_panic(&src);
-        }
-
-        /// Arbitrary printable-ish lines joined with newlines, biased
-        /// toward the assembler's own vocabulary.
-        #[test]
-        fn assembler_flavoured_soup_never_panics(
-            lines in prop::collection::vec("[ -~]{0,40}", 0..10)
-        ) {
-            assemble_must_not_panic(&lines.join("\n"));
-        }
+/// Any Unicode scalar value but a newline, half of them ASCII.
+fn any_char(g: &mut Gen) -> char {
+    let top = g.pick(&[0x80, 0x11_0000]);
+    match char::from_u32(g.range(0..top)) {
+        Some(c) if c != '\n' => c,
+        _ => any_char(g),
     }
+}
+
+/// Printable ASCII, space to tilde.
+fn printable(g: &mut Gen) -> char {
+    g.range(b' '..b'~' + 1) as char
+}
+
+/// Fully arbitrary strings — the strongest form of the never-panic
+/// claim.
+#[test]
+fn arbitrary_strings_never_panic() {
+    let text = |g: &mut Gen| String::from_iter(g.vec(0..201, any_char));
+    check(256, 200, text, |src| assemble_must_not_panic(src));
+}
+
+/// Arbitrary printable-ish lines joined with newlines, biased toward
+/// the assembler's own vocabulary.
+#[test]
+fn assembler_flavoured_soup_never_panics() {
+    let line = |g: &mut Gen| String::from_iter(g.vec(0..41, printable));
+    let soup = |g: &mut Gen| g.vec(0..10, line);
+    check(256, 40, soup, |lines| {
+        assemble_must_not_panic(&lines.join("\n"))
+    });
 }

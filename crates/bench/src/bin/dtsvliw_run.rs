@@ -385,6 +385,7 @@ fn main() {
         cfg = cfg.with_breaker(threshold, window, cooldown);
     }
 
+    let width = cfg.sched.width;
     let mut machine = match &o.resume {
         Some(path) => Machine::resume_from(cfg, Path::new(path)).unwrap_or_else(|e| {
             eprintln!("error: cannot resume from {path}: {e}");
@@ -541,11 +542,14 @@ fn main() {
     );
     let t = machine.telemetry();
     if t.bursts > 0 {
+        // Long instructions issue only inside bursts, so the run's slot
+        // occupancy is the bursts' occupancy.
+        let slots = s.engine.lis * width as u64;
         println!(
             "vliw bursts    : {} bursts, {} chained continuations, {:.1}% burst slot occupancy",
             t.bursts,
             t.burst_chained,
-            100.0 * t.burst_slot_occupancy(),
+            100.0 * s.metrics.li_slot_occupancy.sum() as f64 / slots as f64,
         );
     }
     println!(

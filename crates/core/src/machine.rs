@@ -863,12 +863,9 @@ impl Machine {
         }
 
         // Test machine lockstep (§4). The Primary's console output was
-        // committed above; the oracle's goes to its own buffer.
+        // committed above; the oracle's copy of it is discarded.
         debug_assert_eq!(self.test.state.pc, d.pc);
-        let mut test_output = std::mem::take(&mut self.test.output);
-        let test_step = self.test.run_to(self.test.retired + 1, &mut test_output);
-        self.test.output = test_output;
-        let test_halt = test_step?;
+        let test_halt = self.test.run_to(self.test.retired + 1, &mut Vec::new())?;
         let mut halt = step.halt;
         if let Err(e) = self.verify_states() {
             if !self.recovery_enabled() {
@@ -1045,13 +1042,11 @@ impl Machine {
         // (mode swap, halt, budget, snapshot, watchdog, engine error).
         let cycles0 = self.cycles;
         let instr0 = self.test.retired;
-        let vliw0 = self.vliw_cycles;
         let vstats0 = self.vcache.stats();
         let mut delta = BurstDelta::default();
         let result = self.run_vliw_burst_inner(max_instructions, snap_next, &mut delta);
         delta.cycles = self.cycles - cycles0;
         delta.instructions = self.test.retired - instr0;
-        delta.vliw_cycles = self.vliw_cycles - vliw0;
         let vstats = self.vcache.stats();
         delta.vcache_hits = vstats.hits - vstats0.hits;
         delta.vcache_evictions = vstats.evictions - vstats0.evictions;
@@ -1135,9 +1130,6 @@ impl Machine {
             };
             let row = decoded.rows[li];
             self.metrics.li_slot_occupancy.record(row.occupancy as u64);
-            delta.lis += 1;
-            delta.ops += row.occupancy as u64;
-            delta.slots += row.width as u64;
             if let Some(p) = &mut self.profiler {
                 p.note_li(row.occupancy as u32, row.width as u32, c);
             }
@@ -1628,11 +1620,8 @@ impl Machine {
     /// of the same synchronisation) and compare states.
     fn sync_test(&mut self, target_retired: u64) -> Result<(), MachineError> {
         // The committed trace is authoritative for console output
-        // ordering; the test machine keeps its own copy too.
-        let from = self.output.len();
-        let synced = self.test.run_to(target_retired, &mut self.output);
-        self.test.output.extend_from_slice(&self.output[from..]);
-        let halt = synced?;
+        // ordering: the oracle writes it straight into `output`.
+        let halt = self.test.run_to(target_retired, &mut self.output)?;
         if let Some(Halt::Exit(code)) = halt {
             self.test_halt = Some(code);
             if self.test.retired < target_retired {

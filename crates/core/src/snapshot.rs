@@ -10,7 +10,7 @@
 //! File format: a JSON object
 //!
 //! ```text
-//! { "format": "dtsvliw-snapshot", "version": 2,
+//! { "format": "dtsvliw-snapshot", "version": 3,
 //!   "config_digest": <fnv1a of the MachineConfig>,
 //!   "checksum": <fnv1a of the rendered payload>,
 //!   "payload": { ... } }
@@ -42,8 +42,9 @@ use std::sync::Arc;
 /// Snapshot file format marker.
 pub const SNAPSHOT_FORMAT: &str = "dtsvliw-snapshot";
 /// Snapshot format version this build writes and reads. Version 2
-/// added the `overhead` sub-counter object to the payload.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// added the `overhead` sub-counter object to the payload; version 3
+/// dropped the oracle's second console buffer, `test.output`.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Why a snapshot could not be written, read or restored.
 #[derive(Debug)]
@@ -343,7 +344,6 @@ impl Machine {
                     ("state", arch_state_to_json(&self.test.state)),
                     ("mem", self.test.mem.snapshot_json()),
                     ("retired", Json::U64(self.test.retired)),
-                    ("output", Json::Str(bytes_to_hex(&self.test.output))),
                 ]),
             ),
             ("mode", mode),
@@ -492,11 +492,8 @@ impl Machine {
                 .get("retired")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| miss("test retired"))?,
-            output: t
-                .get("output")
-                .and_then(Json::as_str)
-                .and_then(hex_to_bytes)
-                .ok_or_else(|| miss("test output"))?,
+            // The machine keeps one console: `output` below.
+            output: Vec::new(),
         };
 
         let mj = p.get("mode").ok_or_else(|| miss("mode"))?;

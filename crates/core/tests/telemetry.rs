@@ -211,9 +211,10 @@ fn sampled_profile_matches_exact_ranking() {
 }
 
 /// The telemetry registry's burst accounting must tie out with the
-/// machine's own counters: burst cycles/instructions can never exceed
-/// the totals, and a hook-free test-scale run spends the overwhelming
-/// majority of its VLIW cycles inside bursts.
+/// machine's own counters. Long instructions issue only inside bursts,
+/// so every VLIW cycle of an uninterrupted run is a burst cycle, and
+/// burst cycles and instructions can never exceed the run's totals. The
+/// bursts' slot occupancy is the run's, read from `RunStats` alone.
 #[test]
 fn burst_deltas_tie_out_with_run_totals() {
     let mut m = machine("xlisp");
@@ -222,21 +223,20 @@ fn burst_deltas_tie_out_with_run_totals() {
     let t = m.telemetry();
     assert!(t.bursts > 0);
     assert_eq!(t.burst_len_cycles.count(), t.bursts);
+    assert_eq!(t.burst_len_cycles.sum(), t.burst_cycles);
     assert_eq!(t.burst_chain_len.count(), t.bursts);
     assert_eq!(t.burst_chain_len.sum(), t.burst_chained);
+    assert!(
+        stats.vliw_cycles <= t.burst_cycles,
+        "VLIW cycles outside bursts: {} VLIW, {} in bursts",
+        stats.vliw_cycles,
+        t.burst_cycles
+    );
     assert!(t.burst_cycles <= stats.cycles);
     assert!(t.burst_instructions <= stats.instructions);
-    assert!(t.burst_vliw_cycles <= stats.vliw_cycles);
-    assert!(
-        t.burst_vliw_cycles * 2 > stats.vliw_cycles,
-        "expected most VLIW cycles inside bursts: {} of {}",
-        t.burst_vliw_cycles,
-        stats.vliw_cycles
-    );
-    assert!(t.burst_lis > 0);
-    assert!(t.burst_ops <= t.burst_slots);
-    let occ = t.burst_slot_occupancy();
-    assert!(occ > 0.0 && occ <= 1.0);
+    let ops = stats.metrics.li_slot_occupancy.sum();
+    let slots = stats.engine.lis * MachineConfig::feasible_paper().sched.width as u64;
+    assert!(ops > 0 && ops <= slots, "{ops} ops in {slots} slots");
     // The telemetry JSON parses and carries the headline counters.
     let j = t.to_json();
     let parsed = Json::parse(&j.to_string()).expect("telemetry JSON parses");

@@ -1,15 +1,10 @@
 //! Differential fuzzing of the compiler: random expression trees are
 //! compiled and executed on the simulated machine, and the result is
 //! compared against a Rust-side evaluator with C semantics.
-//!
-//! Gated behind the off-by-default `proptest` feature: the external
-//! `proptest` crate is unavailable in the offline build environment
-//! (restore the dev-dependency to run these).
-#![cfg(feature = "proptest")]
 
 use dtsvliw_minicc::compile_to_image;
 use dtsvliw_primary::{RefMachine, RunOutcome};
-use proptest::prelude::*;
+use dtsvliw_rng::check::{check, Gen};
 
 /// A random expression over the variables a, b, c with guarded
 /// divisions (non-zero constant divisors).
@@ -33,26 +28,33 @@ enum E {
     Not(Box<E>),
 }
 
-fn arb_expr() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![(-1000i32..1000).prop_map(E::Num), (0u8..3).prop_map(E::Var),];
-    leaf.prop_recursive(4, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Sub(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Mul(Box::new(a), Box::new(b))),
-            (inner.clone(), 1i32..100).prop_map(|(a, d)| E::DivC(Box::new(a), d)),
-            (inner.clone(), 1i32..100).prop_map(|(a, d)| E::RemC(Box::new(a), d)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Or(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Xor(Box::new(a), Box::new(b))),
-            (inner.clone(), 0u8..31).prop_map(|(a, s)| E::ShlC(Box::new(a), s)),
-            (inner.clone(), 0u8..31).prop_map(|(a, s)| E::ShrC(Box::new(a), s)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Lt(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Eq(Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|a| E::Neg(Box::new(a))),
-            inner.prop_map(|a| E::Not(Box::new(a))),
-        ]
-    })
+/// A random expression at most `depth` operators deep; a quarter of
+/// the inner nodes stop early at a leaf.
+fn arb_expr(g: &mut Gen, depth: usize) -> E {
+    if depth == 0 || g.range(0..4) == 0 {
+        return if g.bool() {
+            E::Num(g.range(-1000..1000))
+        } else {
+            E::Var(g.range(0..3))
+        };
+    }
+    let sub = |g: &mut Gen| Box::new(arb_expr(g, depth - 1));
+    match g.range(0..14) {
+        0 => E::Add(sub(g), sub(g)),
+        1 => E::Sub(sub(g), sub(g)),
+        2 => E::Mul(sub(g), sub(g)),
+        3 => E::DivC(sub(g), g.range(1..100)),
+        4 => E::RemC(sub(g), g.range(1..100)),
+        5 => E::And(sub(g), sub(g)),
+        6 => E::Or(sub(g), sub(g)),
+        7 => E::Xor(sub(g), sub(g)),
+        8 => E::ShlC(sub(g), g.range(0..31)),
+        9 => E::ShrC(sub(g), g.range(0..31)),
+        10 => E::Lt(sub(g), sub(g)),
+        11 => E::Eq(sub(g), sub(g)),
+        12 => E::Neg(sub(g)),
+        _ => E::Not(sub(g)),
+    }
 }
 
 fn to_src(e: &E) -> String {
@@ -99,35 +101,31 @@ fn eval(e: &E, vars: [i32; 3]) -> i32 {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn compiled_expressions_match_reference_semantics(
-        e in arb_expr(),
-        a in -10_000i32..10_000,
-        b in -10_000i32..10_000,
-        c in -10_000i32..10_000,
-    ) {
+#[test]
+fn compiled_expressions_match_reference_semantics() {
+    let case = |g: &mut Gen| {
+        let vars = [(); 3].map(|_| g.range(-10_000..10_000));
+        (arb_expr(g, g.size()), vars)
+    };
+    check(48, 4, case, |(e, [a, b, c])| {
         let src = format!(
             "fn work(a, b, c) {{ return {}; }}\n\
              fn main() {{ return work({a}, {b}, {c}); }}",
-            to_src(&e)
+            to_src(e)
         );
         let img = match compile_to_image(&src) {
             Ok(img) => img,
             // Deep trees can exceed the expression stack: a *rejection*
             // is fine, miscompilation is not.
-            Err(err) if err.msg.contains("too deep") => return Ok(()),
+            Err(err) if err.msg.contains("too deep") => return,
             Err(err) => panic!("compile error: {err}\n{src}"),
         };
         let mut m = RefMachine::new(&img);
         match m.run(5_000_000).unwrap() {
             RunOutcome::Halted { code, .. } => {
-                let want = eval(&e, [a, b, c]);
-                prop_assert_eq!(code as i32, want, "program:\n{}", src);
+                assert_eq!(code as i32, eval(e, [*a, *b, *c]), "program:\n{src}");
             }
-            RunOutcome::OutOfFuel => prop_assert!(false, "did not halt"),
+            RunOutcome::OutOfFuel => panic!("did not halt"),
         }
-    }
+    });
 }

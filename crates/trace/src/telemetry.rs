@@ -37,14 +37,6 @@ pub struct BurstDelta {
     pub cycles: u64,
     /// Sequential instructions retired during the burst.
     pub instructions: u64,
-    /// Cycles charged to the VLIW attribution pool during the burst.
-    pub vliw_cycles: u64,
-    /// Long instructions dispatched.
-    pub lis: u64,
-    /// Operations issued (occupied slots) across those LIs.
-    pub ops: u64,
-    /// Slot capacity offered (`width × lis`).
-    pub slots: u64,
     /// Block-chain transitions taken without leaving the burst.
     pub chained: u64,
     /// VLIW-cache hits observed during the burst (chain probes).
@@ -64,14 +56,6 @@ pub struct Telemetry {
     pub burst_cycles: u64,
     /// Sequential instructions retired inside bursts.
     pub burst_instructions: u64,
-    /// Cycles charged to the VLIW pool inside bursts.
-    pub burst_vliw_cycles: u64,
-    /// Long instructions dispatched inside bursts.
-    pub burst_lis: u64,
-    /// Operations issued inside bursts.
-    pub burst_ops: u64,
-    /// Slot capacity offered inside bursts.
-    pub burst_slots: u64,
     /// VLIW-cache hits observed inside bursts.
     pub burst_vcache_hits: u64,
     /// VLIW-cache evictions observed inside bursts.
@@ -91,10 +75,6 @@ impl Default for Telemetry {
             burst_chained: 0,
             burst_cycles: 0,
             burst_instructions: 0,
-            burst_vliw_cycles: 0,
-            burst_lis: 0,
-            burst_ops: 0,
-            burst_slots: 0,
             burst_vcache_hits: 0,
             burst_vcache_evictions: 0,
             burst_len_cycles: Histogram::log2(),
@@ -117,24 +97,10 @@ impl Telemetry {
         self.burst_chained += d.chained;
         self.burst_cycles += d.cycles;
         self.burst_instructions += d.instructions;
-        self.burst_vliw_cycles += d.vliw_cycles;
-        self.burst_lis += d.lis;
-        self.burst_ops += d.ops;
-        self.burst_slots += d.slots;
         self.burst_vcache_hits += d.vcache_hits;
         self.burst_vcache_evictions += d.vcache_evictions;
         self.burst_len_cycles.record(d.cycles);
         self.burst_chain_len.record(d.chained);
-    }
-
-    /// Issued operations over offered slot capacity inside bursts, 0.0
-    /// when no burst ever ran.
-    pub fn burst_slot_occupancy(&self) -> f64 {
-        if self.burst_slots == 0 {
-            0.0
-        } else {
-            self.burst_ops as f64 / self.burst_slots as f64
-        }
     }
 }
 
@@ -145,14 +111,6 @@ impl ToJson for Telemetry {
             ("burst_chained", Json::U64(self.burst_chained)),
             ("burst_cycles", Json::U64(self.burst_cycles)),
             ("burst_instructions", Json::U64(self.burst_instructions)),
-            ("burst_vliw_cycles", Json::U64(self.burst_vliw_cycles)),
-            ("burst_lis", Json::U64(self.burst_lis)),
-            ("burst_ops", Json::U64(self.burst_ops)),
-            ("burst_slots", Json::U64(self.burst_slots)),
-            (
-                "burst_slot_occupancy",
-                Json::F64(self.burst_slot_occupancy()),
-            ),
             ("burst_vcache_hits", Json::U64(self.burst_vcache_hits)),
             (
                 "burst_vcache_evictions",
@@ -326,10 +284,6 @@ mod tests {
         t.fold_burst(BurstDelta {
             cycles: 100,
             instructions: 240,
-            vliw_cycles: 90,
-            lis: 80,
-            ops: 240,
-            slots: 640,
             chained: 3,
             vcache_hits: 4,
             vcache_evictions: 1,
@@ -337,10 +291,6 @@ mod tests {
         t.fold_burst(BurstDelta {
             cycles: 10,
             instructions: 12,
-            vliw_cycles: 10,
-            lis: 10,
-            ops: 12,
-            slots: 80,
             chained: 0,
             vcache_hits: 1,
             vcache_evictions: 0,
@@ -349,11 +299,9 @@ mod tests {
         assert_eq!(t.burst_chained, 3);
         assert_eq!(t.burst_cycles, 110);
         assert_eq!(t.burst_instructions, 252);
-        assert_eq!(t.burst_lis, 90);
         assert_eq!(t.burst_len_cycles.count(), 2);
         assert_eq!(t.burst_len_cycles.sum(), 110);
         assert_eq!(t.burst_chain_len.max(), 3);
-        assert!((t.burst_slot_occupancy() - 252.0 / 720.0).abs() < 1e-12);
     }
 
     #[test]
