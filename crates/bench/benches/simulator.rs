@@ -7,11 +7,13 @@
 
 use dtsvliw_core::{Machine, MachineConfig};
 use dtsvliw_isa::DynInstr;
+use dtsvliw_json::Fnv1a;
 use dtsvliw_mem::{Cache, CacheConfig};
 use dtsvliw_primary::{PipelineModel, PrimaryTiming, RefMachine};
 use dtsvliw_sched::scheduler::{SchedConfig, Scheduler};
 use dtsvliw_sched::{Block, InsertOutcome};
 use dtsvliw_workloads::{all, by_name, Scale};
+use std::hash::Hasher;
 use std::time::Instant;
 
 const SAMPLES: usize = 5;
@@ -94,13 +96,6 @@ fn feasible_trace(img: &dtsvliw_asm::Image) -> Vec<Fed> {
     }
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `v` into an FNV-style running digest.
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
 /// `scheduler/feasible_suite_replay`: the Scheduler Unit alone on the
 /// whole `Scale::Test` trace of every Table 2 program, as the feasible
 /// machine feeds it (heterogeneous slots, several ticks per insert,
@@ -116,18 +111,18 @@ fn feasible_suite_replay() {
     if !selected(NAME) {
         return;
     }
-    let (mut best_total, mut fed_total, mut suite) = (0.0, 0u64, FNV_BASIS);
+    let (mut best_total, mut fed_total, mut suite) = (0.0, 0u64, Fnv1a::default());
     for w in all(Scale::Test) {
         let fed = feasible_trace(&w.image());
         let replay = || {
             let mut s = Scheduler::new(SchedConfig::feasible_paper());
-            let (mut digest, mut elapsed) = (FNV_BASIS, 0.0);
+            let (mut digest, mut elapsed) = (Fnv1a::default(), 0.0);
             let mut t = Instant::now();
             // The block is dropped on the clock, as a VLIW Cache eviction
             // would; only the hashing is off it.
             let mut seal = |b: Block| {
                 elapsed += t.elapsed().as_secs_f64();
-                digest = fnv(digest, b.content_hash());
+                digest.write_u64(b.content_hash());
                 t = Instant::now();
             };
             for f in &fed {
@@ -148,7 +143,7 @@ fn feasible_suite_replay() {
                 }
             }
             let elapsed = elapsed + t.elapsed().as_secs_f64();
-            ((digest, s.stats()), elapsed)
+            ((digest.finish(), s.stats()), elapsed)
         };
         let (check, _) = replay();
         let mut best = f64::INFINITY;
@@ -160,7 +155,7 @@ fn feasible_suite_replay() {
         best_total += best;
         fed_total += fed.len() as u64;
         let (digest, st) = check;
-        suite = [
+        for v in [
             digest,
             st.blocks,
             st.lis,
@@ -169,15 +164,16 @@ fn feasible_suite_replay() {
             st.installs,
             st.moves,
             st.splits,
-        ]
-        .into_iter()
-        .fold(suite, fnv);
+        ] {
+            suite.write_u64(v);
+        }
     }
     println!(
-        "{NAME:<34}{:>10.3} ms{:>10.2} M elem/s{:>9.1} ns/instr  digest {suite:016x}",
+        "{NAME:<34}{:>10.3} ms{:>10.2} M elem/s{:>9.1} ns/instr  digest {:016x}",
         best_total * 1e3,
         fed_total as f64 / best_total / 1e6,
-        best_total * 1e9 / fed_total as f64
+        best_total * 1e9 / fed_total as f64,
+        suite.finish()
     );
 }
 

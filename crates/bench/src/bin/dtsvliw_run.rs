@@ -536,9 +536,11 @@ fn main() {
         s.engine.mispredicts,
         s.engine.alias_exceptions,
     );
+    // The Fetch Unit probes with `VliwCache::peek`, which counts
+    // nothing, so a machine run never counts a miss.
     println!(
-        "vliw cache     : {} hits / {} misses / {} evictions",
-        s.vliw_cache.hits, s.vliw_cache.misses, s.vliw_cache.evictions
+        "vliw cache     : {} hits / {} installs / {} evictions",
+        s.vliw_cache.hits, s.vliw_cache.inserts, s.vliw_cache.evictions
     );
     let t = machine.telemetry();
     if t.bursts > 0 {

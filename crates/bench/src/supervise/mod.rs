@@ -45,6 +45,9 @@ pub mod queue;
 pub mod spec;
 pub mod status;
 
+/// FNV-1a over a byte string, re-exported for the tools that digest
+/// result files.
+pub use dtsvliw_json::fnv1a;
 pub use engine::{run_campaign, CampaignResult, EngineOptions, JobResult};
 pub use metrics::{campaign_page, spawn_metrics_server, OUTCOME_CLASSES};
 pub use outcome::Outcome;
@@ -71,17 +74,6 @@ pub fn resolve_program(name: &str) -> PathBuf {
         }
     }
     p.to_path_buf()
-}
-
-/// FNV-1a over a byte string — the same digest the snapshot layer and
-/// the bench hot-block digests use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Canonical digest of a job's declared result file. The text must be

@@ -135,6 +135,17 @@ enum Overhead {
     Recovery,
 }
 
+/// Why the burst loop stopped issuing one block's long instructions.
+enum BlockStop {
+    /// A run-loop guard (halt, budget, due snapshot; `Ok`) or the
+    /// watchdog (`Err`).
+    Guard(Result<(), MachineError>),
+    /// The VLIW Engine hit a structurally corrupt block.
+    Corrupt(EngineError),
+    /// A long instruction ended the block (any result but `Next`).
+    Exit(LiResult),
+}
+
 pub(crate) enum Mode {
     Primary,
     Vliw {
@@ -382,15 +393,7 @@ impl Machine {
     ) -> Result<RunOutcome, MachineError> {
         let mut snap_next = snapshots.map_or(u64::MAX, |(every, _)| self.cycles + every);
         while self.halted.is_none() && self.test.retired < max_instructions {
-            if let Some(limit) = self.cfg.max_cycles {
-                if self.cycles > limit {
-                    return Err(MachineError::Watchdog {
-                        cycles: self.cycles,
-                        limit,
-                        instructions: self.test.retired,
-                    });
-                }
-            }
+            self.check_watchdog()?;
             if let Some((every, dir)) = snapshots {
                 if self.cycles >= snap_next {
                     self.write_snapshot(dir)
@@ -411,6 +414,21 @@ impl Machine {
             exit_code: self.halted,
             instructions: self.test.retired,
         })
+    }
+
+    /// The forward-progress watchdog, checked before every step and
+    /// every long instruction: past [`MachineConfig::max_cycles`] the
+    /// run stops with the progress made.
+    #[inline]
+    fn check_watchdog(&self) -> Result<(), MachineError> {
+        match self.cfg.max_cycles {
+            Some(limit) if self.cycles > limit => Err(MachineError::Watchdog {
+                cycles: self.cycles,
+                limit,
+                instructions: self.test.retired,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Exact cycle attribution is an invariant, not a convention: every
@@ -894,46 +912,18 @@ impl Machine {
             return Ok(());
         }
 
-        // Fetch Unit: probe the VLIW Cache with the next address; on a
-        // hit the block under construction is flushed, made to point at
-        // the hit block, and the VLIW Engine takes over (§3.6). A tripped
-        // circuit breaker pins the machine to the Primary Processor until
-        // its cooldown expires.
-        if !self.exception_mode
-            && !self.breaker_open()
-            && self
-                .vcache
-                .peek(self.state.pc, self.state.cwp, self.state.resident)
-            && self.prepare_block_entry(self.state.pc)
-        {
-            // Grab the hit block before flushing the one under
-            // construction: the flush's insert may evict the hit line.
-            let Some((block, decoded)) =
-                self.vcache
-                    .lookup_decoded(self.state.pc, self.state.cwp, self.state.resident)
-            else {
-                // peek/lookup disagreement: treat as a miss and stay on
-                // the Primary Processor rather than crash the machine.
-                return Ok(());
-            };
+        // Fetch Unit: on a VLIW Cache hit at the next address the block
+        // under construction is flushed, made to point at the hit block,
+        // and the VLIW Engine takes over (§3.6). The probe hands over the
+        // hit block first: the flush's insert may evict the hit line.
+        if let Some((block, decoded)) = self.probe_block(self.state.pc) {
             if let Some(b) = self.sched.seal(self.state.pc, self.test.retired) {
                 self.install_block(b)?;
             }
             self.drain_sched_events();
-            self.charge_overhead(self.cfg.swap_to_vliw, Overhead::Swap);
+            self.charge_overhead(self.cfg.swap_to_vliw.into(), Overhead::Swap);
             self.note_swap(EngineKind::Vliw);
-            if let Some(p) = &mut self.profiler {
-                p.note_entry(block.tag_addr, block.entry_cwp, false, self.cycles, || {
-                    Machine::head_disasm(&block)
-                });
-            }
-            self.engine.begin_block(&block, &self.state);
-            self.mode = Mode::Vliw {
-                block,
-                decoded,
-                li: 0,
-                base: self.test.retired,
-            };
+            self.begin_block(block, decoded, false);
         }
         Ok(())
     }
@@ -966,11 +956,11 @@ impl Machine {
                     return self.recover_in_vliw(e, &block, base);
                 }
                 self.engine.commit_block(&mut self.mem);
-                self.enter_block_or_primary(next, Some(block.tag_addr))?;
+                self.enter_block_or_primary(next, block.tag_addr);
             }
             LiResult::Redirect { target, branch_seq } => {
                 self.profiler_exit(ExitKind::Redirect);
-                self.charge_overhead(self.cfg.mispredict_bubble, Overhead::Mispredict);
+                self.charge_overhead(self.cfg.mispredict_bubble.into(), Overhead::Mispredict);
                 self.emit(TraceEvent::Mispredict {
                     pc: self.state.pc,
                     target,
@@ -985,13 +975,13 @@ impl Machine {
                     return self.recover_in_vliw(e, &block, base);
                 }
                 self.engine.commit_block(&mut self.mem);
-                self.enter_block_or_primary(target, Some(block.tag_addr))?;
+                self.enter_block_or_primary(target, block.tag_addr);
             }
             LiResult::Exception { aliasing } => {
                 // The engine rolled registers and memory back to the
                 // block entry; the shadow PC points at the block tag.
                 self.profiler_exit(ExitKind::Exception);
-                self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
+                self.charge_overhead(self.cfg.exception_penalty.into(), Overhead::Recovery);
                 self.emit(TraceEvent::CheckpointRecovery {
                     tag: block.tag_addr,
                     unwound: self.engine.last_rollback_unwound(),
@@ -1006,9 +996,7 @@ impl Machine {
                 } else {
                     self.exception_mode = true;
                 }
-                self.charge_overhead(self.cfg.swap_to_primary, Overhead::Swap);
-                self.note_swap(EngineKind::Primary);
-                self.mode = Mode::Primary;
+                self.swap_to_primary_mode();
                 // A damaged rollback (e.g. a truncated recovery list)
                 // leaves block-entry state wrong; the oracle sits at the
                 // same trace position, so the compare catches it here.
@@ -1060,114 +1048,91 @@ impl Machine {
         snap_next: u64,
         delta: &mut BurstDelta,
     ) -> Result<(), MachineError> {
-        let (mut block, mut decoded, mut li, mut base) = match &self.mode {
-            Mode::Vliw {
-                block,
-                decoded,
-                li,
-                base,
-            } => (Arc::clone(block), Arc::clone(decoded), *li, *base),
-            Mode::Primary => unreachable!(),
-        };
         // Neither hook can be attached mid-burst, so one loop-invariant
         // branch per long instruction routes around both.
         let hooked = self.tracer.is_some() || self.injector.is_some();
+        // One pass per block of the chain: run its long instructions in
+        // locals, then park a coherent mode before whatever stopped them
+        // (the shared exit code may propagate an error to the caller).
         loop {
-            // The run loop's guards, checked before every long
-            // instruction; a due snapshot hands control back to it.
-            if self.halted.is_some()
-                || self.test.retired >= max_instructions
-                || self.cycles >= snap_next
-            {
-                self.mode = Mode::Vliw {
+            let (block, decoded, mut li, base) = match &self.mode {
+                Mode::Vliw {
                     block,
                     decoded,
                     li,
                     base,
-                };
-                return Ok(());
-            }
-            if let Some(limit) = self.cfg.max_cycles {
-                if self.cycles > limit {
-                    self.mode = Mode::Vliw {
-                        block,
-                        decoded,
-                        li,
-                        base,
-                    };
-                    return Err(MachineError::Watchdog {
-                        cycles: self.cycles,
-                        limit,
-                        instructions: self.test.retired,
-                    });
+                } => (Arc::clone(block), Arc::clone(decoded), *li, *base),
+                Mode::Primary => unreachable!("a burst runs in VLIW mode"),
+            };
+            let stop = loop {
+                // The run loop's guards, checked before every long
+                // instruction; a due snapshot hands control back to it.
+                if self.halted.is_some()
+                    || self.test.retired >= max_instructions
+                    || self.cycles >= snap_next
+                {
+                    break BlockStop::Guard(Ok(()));
                 }
-            }
-            // `engine`, `state`, `mem` and `dcache_scratch` are disjoint
-            // fields, so the scratch buffer needs no take/put dance.
-            let out = match self.engine.exec_li_decoded(
-                &decoded,
+                if let Err(e) = self.check_watchdog() {
+                    break BlockStop::Guard(Err(e));
+                }
+                // `engine`, `state`, `mem` and `dcache_scratch` are
+                // disjoint fields, so the scratch buffer needs no
+                // take/put dance.
+                let out = match self.engine.exec_li_decoded(
+                    &decoded,
+                    li,
+                    &mut self.state,
+                    &mut self.mem,
+                    &mut self.dcache_scratch,
+                ) {
+                    Ok(out) => out,
+                    Err(e) => break BlockStop::Corrupt(e),
+                };
+                let c = if hooked {
+                    self.charge_li_hooked(block.tag_addr, li, &out)
+                } else {
+                    self.charge_li()
+                };
+                let row = decoded.rows[li];
+                self.metrics.li_slot_occupancy.record(row.occupancy as u64);
+                if let Some(p) = &mut self.profiler {
+                    p.note_li(row.occupancy as u32, row.width as u32, c);
+                }
+                match out.result {
+                    LiResult::Next => li += 1,
+                    exit => break BlockStop::Exit(exit),
+                }
+                if self.cycles >= self.hb_next {
+                    self.heartbeat_tick();
+                }
+                self.debug_check_cycle_attribution();
+            };
+            self.mode = Mode::Vliw {
+                block: Arc::clone(&block),
+                decoded,
                 li,
-                &mut self.state,
-                &mut self.mem,
-                &mut self.dcache_scratch,
-            ) {
-                Ok(out) => out,
-                Err(e) => {
-                    self.mode = Mode::Vliw {
-                        block: Arc::clone(&block),
-                        decoded,
-                        li,
-                        base,
-                    };
+                base,
+            };
+            match stop {
+                BlockStop::Guard(r) => return r,
+                BlockStop::Corrupt(e) => {
                     self.note_engine_fires(block.tag_addr);
                     return self.recover_from_engine_error(e, &block);
                 }
-            };
-            let c = if hooked {
-                self.charge_li_hooked(block.tag_addr, li, &out)
-            } else {
-                self.charge_li()
-            };
-            let row = decoded.rows[li];
-            self.metrics.li_slot_occupancy.record(row.occupancy as u64);
-            if let Some(p) = &mut self.profiler {
-                p.note_li(row.occupancy as u32, row.width as u32, c);
-            }
-
-            match out.result {
-                LiResult::Next => li += 1,
-                exit => {
-                    // Park a coherent mode before the shared exit code
-                    // (it may propagate an error to the caller).
-                    self.mode = Mode::Vliw {
-                        block: Arc::clone(&block),
-                        decoded,
-                        li,
-                        base,
-                    };
+                BlockStop::Exit(exit) => {
                     self.finish_block_exit(exit, block, base)?;
-                    match &self.mode {
-                        // The chain continues: stay in the burst.
-                        Mode::Vliw {
-                            block: b,
-                            decoded: d,
-                            li: l,
-                            base: bs,
-                        } => {
-                            delta.chained += 1;
-                            block = Arc::clone(b);
-                            decoded = Arc::clone(d);
-                            li = *l;
-                            base = *bs;
-                        }
-                        Mode::Primary => return Ok(()),
+                    if let Mode::Primary = self.mode {
+                        return Ok(());
                     }
+                    // The chain continues: stay in the burst.
+                    delta.chained += 1;
+                    if self.cycles >= self.hb_next {
+                        self.heartbeat_tick();
+                    }
+                    self.debug_check_cycle_attribution();
                 }
             }
-            if self.cycles >= self.hb_next {
-                self.heartbeat_tick();
-            }
-            self.debug_check_cycle_attribution();
         }
     }
 
@@ -1228,80 +1193,88 @@ impl Machine {
         c
     }
 
-    /// Follow the trace to `addr`: enter the cached block there or fall
-    /// back to the Primary Processor ("On a VLIW Cache miss, the Primary
-    /// Processor takes over execution, fetching from the last PC value
-    /// computed by the VLIW Engine", §3.6).
-    fn enter_block_or_primary(&mut self, addr: u32, from: Option<u32>) -> Result<(), MachineError> {
+    /// The Fetch Unit's VLIW Cache probe at a block entry (§3.6), the one
+    /// way into a block from either engine: the hit block and its
+    /// decoded form, or `None` for a miss. Nothing is entered after a
+    /// halt, in exception mode (§3.11) or while the circuit breaker is
+    /// open. A hit runs the block-entry fault and integrity hooks first,
+    /// and a line that fails its checksum is a miss.
+    fn probe_block(&mut self, addr: u32) -> Option<(Arc<Block>, Arc<DecodedLine>)> {
         if self.halted.is_some() || self.exception_mode || self.breaker_open() {
-            self.swap_to_primary_mode();
-            return Ok(());
+            return None;
         }
-        if self.vcache.peek(addr, self.state.cwp, self.state.resident)
-            && self.prepare_block_entry(addr)
-        {
-            let Some((block, decoded)) =
-                self.vcache
-                    .lookup_decoded(addr, self.state.cwp, self.state.resident)
-            else {
-                // peek/lookup disagreement: degrade to the Primary
-                // Processor instead of crashing.
-                self.swap_to_primary_mode();
-                return Ok(());
-            };
-            // Next-block prediction (§5 future work): a correct
-            // prediction overlaps the next block's cache access with the
-            // tail of the current one, hiding the transition penalty.
-            let mut penalty = self.cfg.next_li_penalty;
-            if let Some(from) = from {
-                if !self.nbp.is_empty() {
-                    let slot = ((from >> 2) as usize) & (self.nbp.len() - 1);
-                    if self.nbp[slot] == (from, addr) {
-                        penalty = 0;
-                        self.nbp_hits += 1;
-                    } else {
-                        self.nbp[slot] = (from, addr);
-                    }
-                }
-            }
-            self.charge_overhead(penalty, Overhead::NextLi);
-            if let Some(p) = &mut self.profiler {
-                p.note_entry(
-                    block.tag_addr,
-                    block.entry_cwp,
-                    from.is_some(),
-                    self.cycles,
-                    || Machine::head_disasm(&block),
-                );
-            }
-            self.engine.begin_block(&block, &self.state);
-            self.mode = Mode::Vliw {
-                block,
-                decoded,
-                li: 0,
-                base: self.test.retired,
-            };
-        } else {
-            self.swap_to_primary_mode();
+        let (cwp, resident) = (self.state.cwp, self.state.resident);
+        if !self.vcache.peek(addr, cwp, resident) || !self.prepare_block_entry(addr) {
+            return None;
         }
-        Ok(())
+        self.vcache.lookup_decoded(addr, cwp, resident)
+    }
+
+    /// Hand a probed block to the VLIW Engine: checkpoint at entry and
+    /// start at its first long instruction. `chained` says the entry
+    /// follows a block exit rather than a swap from the Primary
+    /// Processor (the profiler counts the two apart).
+    fn begin_block(&mut self, block: Arc<Block>, decoded: Arc<DecodedLine>, chained: bool) {
+        if let Some(p) = &mut self.profiler {
+            p.note_entry(
+                block.tag_addr,
+                block.entry_cwp,
+                chained,
+                self.cycles,
+                || Machine::head_disasm(&block),
+            );
+        }
+        self.engine.begin_block(&block, &self.state);
+        self.mode = Mode::Vliw {
+            block,
+            decoded,
+            li: 0,
+            base: self.test.retired,
+        };
+    }
+
+    /// Follow the trace from the block tagged `from` to `addr`: enter
+    /// the cached block there or fall back to the Primary Processor ("On
+    /// a VLIW Cache miss, the Primary Processor takes over execution,
+    /// fetching from the last PC value computed by the VLIW Engine",
+    /// §3.6).
+    fn enter_block_or_primary(&mut self, addr: u32, from: u32) {
+        let Some((block, decoded)) = self.probe_block(addr) else {
+            self.swap_to_primary_mode();
+            return;
+        };
+        // Next-block prediction (§5 future work): a correct prediction
+        // overlaps the next block's cache access with the tail of the
+        // current one, hiding the transition penalty.
+        let mut penalty = self.cfg.next_li_penalty;
+        if !self.nbp.is_empty() {
+            let slot = ((from >> 2) as usize) & (self.nbp.len() - 1);
+            if self.nbp[slot] == (from, addr) {
+                penalty = 0;
+                self.nbp_hits += 1;
+            } else {
+                self.nbp[slot] = (from, addr);
+            }
+        }
+        self.charge_overhead(penalty.into(), Overhead::NextLi);
+        self.begin_block(block, decoded, true);
     }
 
     fn swap_to_primary_mode(&mut self) {
-        self.charge_overhead(self.cfg.swap_to_primary, Overhead::Swap);
+        self.charge_overhead(self.cfg.swap_to_primary.into(), Overhead::Swap);
         self.note_swap(EngineKind::Primary);
         self.mode = Mode::Primary;
     }
 
-    fn charge_overhead(&mut self, c: u32, kind: Overhead) {
-        self.cycles += c as u64;
-        self.overhead_cycles += c as u64;
+    fn charge_overhead(&mut self, c: u64, kind: Overhead) {
+        self.cycles += c;
+        self.overhead_cycles += c;
         *match kind {
             Overhead::Swap => &mut self.overhead_swap,
             Overhead::Mispredict => &mut self.overhead_mispredict,
             Overhead::NextLi => &mut self.overhead_next_li,
             Overhead::Recovery => &mut self.overhead_recovery,
-        } += c as u64;
+        } += c;
     }
 
     // -------------------------------------------------------------
@@ -1371,10 +1344,24 @@ impl Machine {
         if !self.recovery_enabled() || !self.engine.in_block() {
             return Err(MachineError::Engine(e));
         }
+        self.profiler_exit(ExitKind::Exception);
+        self.roll_back_and_quarantine(block)?;
+        self.faults.recovered += 1;
+        self.emit(TraceEvent::Recovery {
+            tag: block.tag_addr,
+            replayed: 0,
+        });
+        self.swap_to_primary_mode();
+        Ok(())
+    }
+
+    /// A fault detected inside a block: count it for the circuit
+    /// breaker, roll the VLIW Engine back to the block-entry checkpoint
+    /// and quarantine the block's line.
+    fn roll_back_and_quarantine(&mut self, block: &Block) -> Result<(), MachineError> {
         self.faults.detected += 1;
         self.breaker_note_event();
-        self.profiler_exit(ExitKind::Exception);
-        self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
+        self.charge_overhead(self.cfg.exception_penalty.into(), Overhead::Recovery);
         self.engine
             .rollback(&mut self.state, &mut self.mem)
             .map_err(MachineError::Engine)?;
@@ -1383,12 +1370,6 @@ impl Machine {
             unwound: self.engine.last_rollback_unwound(),
         });
         self.quarantine_line(block.tag_addr, block.entry_cwp);
-        self.faults.recovered += 1;
-        self.emit(TraceEvent::Recovery {
-            tag: block.tag_addr,
-            replayed: 0,
-        });
-        self.swap_to_primary_mode();
         Ok(())
     }
 
@@ -1533,17 +1514,7 @@ impl Machine {
         if !self.recovery_enabled() || !recoverable {
             return Err(err);
         }
-        self.faults.detected += 1;
-        self.breaker_note_event();
-        self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
-        self.engine
-            .rollback(&mut self.state, &mut self.mem)
-            .map_err(MachineError::Engine)?;
-        self.emit(TraceEvent::CheckpointRecovery {
-            tag: block.tag_addr,
-            unwound: self.engine.last_rollback_unwound(),
-        });
-        self.quarantine_line(block.tag_addr, block.entry_cwp);
+        self.roll_back_and_quarantine(block)?;
         // Replay the span the oracle has executed since block entry.
         // Output is discarded: the oracle's copy is authoritative and
         // was already appended during the sync.
@@ -1569,9 +1540,7 @@ impl Machine {
         self.faults.replays += 1;
         self.faults.replayed_instrs += n;
         self.faults.replay_cycles += n;
-        self.cycles += n;
-        self.overhead_cycles += n;
-        self.overhead_recovery += n;
+        self.charge_overhead(n, Overhead::Recovery);
         if !clean || !self.states_match() {
             self.scrub_from_test();
         }
@@ -1595,7 +1564,7 @@ impl Machine {
     fn recover_in_primary(&mut self) {
         self.faults.detected += 1;
         self.breaker_note_event();
-        self.charge_overhead(self.cfg.exception_penalty, Overhead::Recovery);
+        self.charge_overhead(self.cfg.exception_penalty.into(), Overhead::Recovery);
         self.scrub_from_test();
         let _ = self.sched.seal(self.state.pc, self.test.retired);
         self.faults.recovered += 1;

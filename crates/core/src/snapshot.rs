@@ -26,7 +26,7 @@
 use crate::config::MachineConfig;
 use crate::machine::{Machine, Mode};
 use dtsvliw_faults::{FaultInjector, FaultStats};
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{fnv1a, Json, ToJson};
 use dtsvliw_mem::{Cache, Memory};
 use dtsvliw_primary::{PipelineModel, RefMachine};
 use dtsvliw_sched::snapshot::{
@@ -118,18 +118,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
     }
-}
-
-/// FNV-1a over a byte string (the same function the Scheduler Unit's
-/// block checksums use; duplicated here because that one is private to
-/// its crate, and six lines do not justify a public export).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Digest of a machine configuration, stamped into every snapshot so a

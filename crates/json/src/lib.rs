@@ -8,6 +8,9 @@
 //! [`Json`] and the [`ToJson`] trait, and the parser exists for
 //! round-trip tests and for tools that read the dumps back.
 //!
+//! The crate also holds the workspace's one FNV-1a ([`fnv1a`],
+//! [`Fnv1a`]): every crate that writes a digest already depends on it.
+//!
 //! ```
 //! use dtsvliw_json::{Json, ToJson};
 //!
@@ -18,6 +21,9 @@
 //! ```
 
 use std::fmt::{self, Write as _};
+
+mod fnv;
+pub use fnv::{fnv1a, Fnv1a};
 
 /// A JSON value. Object keys keep insertion order so dumps are stable
 /// and diffable.

@@ -4,7 +4,7 @@
 use dtsvliw_isa::insn::FuClass;
 use dtsvliw_isa::resource::RenameKind;
 use dtsvliw_isa::{DynInstr, ResList, Resource};
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{Fnv1a, Json, ToJson};
 
 /// A trace instruction placed in a long-instruction slot.
 ///
@@ -449,33 +449,16 @@ pub struct Block {
     pub trace_len: u32,
 }
 
-/// FNV-1a, used for [`Block::content_hash`]. `DefaultHasher` makes no
-/// cross-build stability promise; fault-campaign reports must be
-/// bit-reproducible, so the hash function is pinned here.
-struct Fnv1a(u64);
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 impl Block {
     /// Content checksum over everything the VLIW Engine executes:
     /// geometry, every slot operation (instruction encoding, tags,
     /// order/cross fields, renames) and the nba store. The VLIW Cache
     /// records it at install time so a later integrity sweep can tell a
-    /// rotted line from a clean one. Stable across runs and builds.
+    /// rotted line from a clean one. FNV-1a, so stable across runs and
+    /// builds.
     pub fn content_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::default();
         let feed_d = |h: &mut Fnv1a, d: &DynInstr| {
             h.write_u64(d.seq);
             h.write_u32(d.pc);

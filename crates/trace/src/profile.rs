@@ -323,21 +323,20 @@ impl BlockProfiler {
     /// counts — a compact fingerprint benchmark reports can compare to
     /// spot hot-path shifts without storing full tables.
     pub fn hot_digest(&self, top_n: usize) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut feed = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        use std::hash::Hasher;
+        let mut h = dtsvliw_json::Fnv1a::default();
         for p in self.hottest(top_n) {
-            feed(p.tag_addr as u64);
-            feed(p.entry_cwp as u64);
-            feed(p.executions);
-            feed(p.cycles);
-            feed(p.ops);
+            for v in [
+                p.tag_addr as u64,
+                p.entry_cwp as u64,
+                p.executions,
+                p.cycles,
+                p.ops,
+            ] {
+                h.write(&v.to_le_bytes());
+            }
         }
-        h
+        h.finish()
     }
 
     /// The report as JSON: the sampling parameters needed to interpret

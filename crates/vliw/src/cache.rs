@@ -181,39 +181,33 @@ impl VliwCache {
         set * ways..(set + 1) * ways
     }
 
-    /// Probe for a block starting at `addr`. A hit additionally requires
-    /// the current window pointer to match the block's entry window, and
-    /// — for blocks containing `save`/`restore` — the resident-window
-    /// count (see `Block::entry_cwp`).
-    pub fn lookup(&mut self, addr: u32, cwp: u8, resident: u8) -> Option<Arc<Block>> {
-        self.tick += 1;
-        let tick = self.tick;
+    /// The line holding the block tagged `addr` for entry window `cwp`,
+    /// and that block. At most one valid line matches:
+    /// [`VliwCache::insert_at`] replaces a same-key block in place and a
+    /// restore refuses two.
+    fn find(&self, addr: u32, cwp: u8) -> Option<(usize, &Arc<Block>)> {
         let range = self.set_range(addr);
-        let mut found = None;
-        for line in &mut self.lines[range] {
-            if let Some(b) = &line.block {
-                if b.tag_addr == addr
-                    && b.entry_cwp == cwp
-                    && (!b.window_sensitive || b.entry_resident == resident)
-                {
-                    line.lru = tick;
-                    found = Some(Arc::clone(b));
-                    break;
-                }
-            }
-        }
-        if found.is_some() {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        found
+        let first = range.start;
+        self.lines[range].iter().enumerate().find_map(|(i, l)| {
+            let b = l.block.as_ref()?;
+            (b.tag_addr == addr && b.entry_cwp == cwp).then_some((first + i, b))
+        })
     }
 
-    /// Like [`VliwCache::lookup`], additionally returning the line's
-    /// pre-decoded execution form. This is the only place a line is
-    /// lowered: on its first decoded hit after install, after an
-    /// in-place mutation, or after a snapshot restore.
+    /// [`VliwCache::find`], when the block can be entered with `resident`
+    /// windows resident: blocks containing `save`/`restore` also require
+    /// the count they were scheduled with (see `Block::entry_cwp`).
+    fn find_enterable(&self, addr: u32, cwp: u8, resident: u8) -> Option<(usize, &Arc<Block>)> {
+        self.find(addr, cwp)
+            .filter(|(_, b)| !b.window_sensitive || b.entry_resident == resident)
+    }
+
+    /// Probe for a block to enter at `addr` and return it with its
+    /// pre-decoded execution form. A hit requires the current window
+    /// pointer to match the block's entry window and, for
+    /// window-sensitive blocks, the resident-window count too. This is
+    /// the only place a line is lowered: on its first decoded hit after
+    /// install, after an in-place mutation, or after a snapshot restore.
     pub fn lookup_decoded(
         &mut self,
         addr: u32,
@@ -221,48 +215,26 @@ impl VliwCache {
         resident: u8,
     ) -> Option<(Arc<Block>, Arc<DecodedLine>)> {
         self.tick += 1;
-        let tick = self.tick;
-        let mut found = None;
-        for i in self.set_range(addr) {
-            let hit = self.lines[i].block.as_ref().is_some_and(|b| {
-                b.tag_addr == addr
-                    && b.entry_cwp == cwp
-                    && (!b.window_sensitive || b.entry_resident == resident)
-            });
-            if !hit {
-                continue;
-            }
-            self.lines[i].lru = tick;
-            let block = Arc::clone(self.lines[i].block.as_ref().expect("hit checked above"));
-            if self.lines[i].decoded.is_none() {
-                let shell = self.arena.take_shell();
-                self.lines[i].decoded = Some(Arc::new(decode_block_into(&block, shell)));
-            }
-            let decoded = Arc::clone(self.lines[i].decoded.as_ref().expect("just ensured"));
-            found = Some((block, decoded));
-            break;
-        }
-        if found.is_some() {
-            self.stats.hits += 1;
-        } else {
+        let Some((i, block)) = self.find_enterable(addr, cwp, resident) else {
             self.stats.misses += 1;
-        }
-        found
+            return None;
+        };
+        let block = Arc::clone(block);
+        self.stats.hits += 1;
+        let line = &mut self.lines[i];
+        line.lru = self.tick;
+        let arena = &mut self.arena;
+        let decoded = line
+            .decoded
+            .get_or_insert_with(|| Arc::new(decode_block_into(&block, arena.take_shell())));
+        Some((block, Arc::clone(decoded)))
     }
 
-    /// Probe without updating statistics or LRU (the Fetch Unit's
-    /// speculative probe of the execute-stage address would pollute the
-    /// counters otherwise).
+    /// [`VliwCache::lookup_decoded`]'s hit test without updating
+    /// statistics or LRU (the Fetch Unit's speculative probe of the
+    /// execute-stage address would pollute the counters otherwise).
     pub fn peek(&self, addr: u32, cwp: u8, resident: u8) -> bool {
-        let ways = self.config.ways as usize;
-        let set = self.set_of(addr);
-        self.lines[set * ways..(set + 1) * ways].iter().any(|line| {
-            line.block.as_ref().is_some_and(|b| {
-                b.tag_addr == addr
-                    && b.entry_cwp == cwp
-                    && (!b.window_sensitive || b.entry_resident == resident)
-            })
-        })
+        self.find_enterable(addr, cwp, resident).is_some()
     }
 
     /// Insert a block sealed by the Scheduler Unit, evicting LRU.
@@ -281,39 +253,26 @@ impl VliwCache {
         now: u64,
     ) -> Result<Option<EvictedBlock>, EngineError> {
         self.tick += 1;
-        let tick = self.tick;
-        let addr = block.tag_addr;
-        let cwp = block.entry_cwp;
         // Replace an existing block with the same tag/window first so a
-        // rescheduled trace supersedes the stale one.
-        let range = self.set_range(addr);
-        let lines = &mut self.lines[range];
-        let victim_idx = lines.iter().position(|l| {
-            l.block
-                .as_ref()
-                .is_some_and(|b| b.tag_addr == addr && b.entry_cwp == cwp)
-        });
-        let mut evicted = None;
-        let victim = match victim_idx {
-            Some(i) => &mut lines[i],
+        // rescheduled trace supersedes the stale one; otherwise take the
+        // set's first empty line, else its least recently used one.
+        let (i, evicted) = match self.find(block.tag_addr, block.entry_cwp) {
+            Some((i, _)) => (i, None),
             None => {
-                let i = (0..lines.len())
-                    .min_by_key(|&i| {
-                        if lines[i].block.is_some() {
-                            lines[i].lru
-                        } else {
-                            0
-                        }
-                    })
+                let lines = &self.lines;
+                let i = self
+                    .set_range(block.tag_addr)
+                    .min_by_key(|&i| lines[i].block.as_ref().map_or(0, |_| lines[i].lru))
                     .ok_or(EngineError::NoCacheLines)?;
-                evicted = lines[i].block.as_ref().map(|b| EvictedBlock {
+                let evicted = lines[i].block.as_ref().map(|b| EvictedBlock {
                     tag_addr: b.tag_addr,
                     entry_cwp: b.entry_cwp,
                     installed_cycle: lines[i].installed_cycle,
                 });
-                &mut lines[i]
+                (i, evicted)
             }
         };
+        let victim = &mut self.lines[i];
         victim.checksum = if self.integrity {
             block.content_hash()
         } else {
@@ -325,7 +284,7 @@ impl VliwCache {
             self.arena.recycle(d);
         }
         victim.block = Some(Arc::new(block));
-        victim.lru = tick;
+        victim.lru = self.tick;
         victim.installed_cycle = now;
         self.stats.evictions += evicted.is_some() as u64;
         self.stats.inserts += 1;
@@ -333,37 +292,20 @@ impl VliwCache {
     }
 
     /// Invalidate the block tagged `addr` at window `cwp` (aliasing
-    /// exception recovery, §3.11).
-    pub fn invalidate(&mut self, addr: u32, cwp: u8) {
-        self.invalidate_at(addr, cwp);
-    }
-
-    /// Like [`VliwCache::invalidate`], returning the displaced block
-    /// (tagged caches hold at most one block per tag/window pair).
+    /// exception recovery, §3.11, and quarantine) and return it.
     pub fn invalidate_at(&mut self, addr: u32, cwp: u8) -> Option<EvictedBlock> {
-        let range = self.set_range(addr);
-        let mut gone = None;
-        let mut n = 0;
-        for line in &mut self.lines[range] {
-            if line
-                .block
-                .as_ref()
-                .is_some_and(|b| b.tag_addr == addr && b.entry_cwp == cwp)
-            {
-                gone.get_or_insert(EvictedBlock {
-                    tag_addr: addr,
-                    entry_cwp: cwp,
-                    installed_cycle: line.installed_cycle,
-                });
-                line.block = None;
-                if let Some(d) = line.decoded.take() {
-                    self.arena.recycle(d);
-                }
-                n += 1;
-            }
+        let (i, _) = self.find(addr, cwp)?;
+        let line = &mut self.lines[i];
+        line.block = None;
+        if let Some(d) = line.decoded.take() {
+            self.arena.recycle(d);
         }
-        self.stats.invalidations += n;
-        gone
+        self.stats.invalidations += 1;
+        Some(EvictedBlock {
+            tag_addr: addr,
+            entry_cwp: cwp,
+            installed_cycle: line.installed_cycle,
+        })
     }
 
     /// Mutate the resident block tagged `addr`/`cwp` in place — the
@@ -379,23 +321,16 @@ impl VliwCache {
         cwp: u8,
         f: impl FnOnce(&mut Block) -> R,
     ) -> Option<R> {
-        let range = self.set_range(addr);
-        for line in &mut self.lines[range] {
-            if let Some(b) = &mut line.block {
-                if b.tag_addr == addr && b.entry_cwp == cwp {
-                    // The stored block is about to change: the decoded
-                    // form no longer describes it, so drop it here and
-                    // re-lower on the next decoded lookup. An engine
-                    // mid-block keeps its own clone of the old pair, so
-                    // its view stays self-consistent.
-                    if let Some(d) = line.decoded.take() {
-                        self.arena.recycle(d);
-                    }
-                    return Some(f(Arc::make_mut(b)));
-                }
-            }
+        let (i, _) = self.find(addr, cwp)?;
+        let Line { block, decoded, .. } = &mut self.lines[i];
+        // The stored block is about to change: the decoded form no
+        // longer describes it, so drop it here and re-lower on the next
+        // decoded lookup. An engine mid-block keeps its own clone of the
+        // old pair, so its view stays self-consistent.
+        if let Some(d) = decoded.take() {
+            self.arena.recycle(d);
         }
-        None
+        block.as_mut().map(|b| f(Arc::make_mut(b)))
     }
 
     /// Does the resident block tagged `addr`/`cwp` still match its
@@ -405,16 +340,8 @@ impl VliwCache {
         if !self.integrity {
             return true;
         }
-        let ways = self.config.ways as usize;
-        let set = self.set_of(addr);
-        for line in &self.lines[set * ways..(set + 1) * ways] {
-            if let Some(b) = &line.block {
-                if b.tag_addr == addr && b.entry_cwp == cwp {
-                    return b.content_hash() == line.checksum;
-                }
-            }
-        }
-        true
+        self.find(addr, cwp)
+            .is_none_or(|(i, b)| b.content_hash() == self.lines[i].checksum)
     }
 
     /// Number of valid blocks resident.
@@ -457,7 +384,8 @@ impl VliwCache {
     /// Rebuild from [`VliwCache::snapshot_json`] output and the geometry
     /// the cache ran with; `None` on structural mismatch (including a
     /// line count that does not match the geometry, a malformed block,
-    /// a block stored outside the set its tag maps to and a block no
+    /// a block stored outside the set its tag maps to, a second block
+    /// with an earlier one's tag and entry window, and a block no
     /// Scheduler Unit of this geometry could seal: rows other than
     /// `width` slots wide, or more than `height` of them).
     pub fn from_snapshot_json(config: VliwCacheConfig, j: &Json) -> Option<VliwCache> {
@@ -476,6 +404,7 @@ impl VliwCache {
                 c.set_of(b.tag_addr) != i / ways
                     || b.lis[0].width() != config.width as usize
                     || b.lis.len() > config.height as usize
+                    || c.find(b.tag_addr, b.entry_cwp).is_some()
             }) {
                 return None;
             }
@@ -530,9 +459,9 @@ mod tests {
     fn hit_requires_tag_and_window() {
         let mut c = cache(3072, 4);
         c.insert(block(0x1000, 2)).unwrap();
-        assert!(c.lookup(0x1000, 2, 1).is_some());
-        assert!(c.lookup(0x1000, 3, 1).is_none(), "wrong window");
-        assert!(c.lookup(0x1004, 2, 1).is_none(), "wrong tag");
+        assert!(c.lookup_decoded(0x1000, 2, 1).is_some());
+        assert!(c.lookup_decoded(0x1000, 3, 1).is_none(), "wrong window");
+        assert!(c.lookup_decoded(0x1004, 2, 1).is_none(), "wrong tag");
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 2);
     }
@@ -544,8 +473,39 @@ mod tests {
         b.window_sensitive = true;
         b.entry_resident = 3;
         c.insert(b).unwrap();
-        assert!(c.lookup(0x2000, 0, 3).is_some());
-        assert!(c.lookup(0x2000, 0, 4).is_none());
+        assert!(c.lookup_decoded(0x2000, 0, 3).is_some());
+        assert!(c.lookup_decoded(0x2000, 0, 4).is_none());
+    }
+
+    #[test]
+    fn probes_agree_on_a_window_sensitive_block() {
+        let mut c = cache(3072, 4);
+        c.set_integrity(true);
+        let mut b = block(0x2000, 1);
+        b.window_sensitive = true;
+        b.entry_resident = 3;
+        c.insert(b).unwrap();
+        // The entry probes check the resident count: both hit with the
+        // count the block was scheduled with...
+        assert!(c.peek(0x2000, 1, 3));
+        assert!(c.lookup_decoded(0x2000, 1, 3).is_some());
+        // ...and both miss with another count, or another window.
+        assert!(!c.peek(0x2000, 1, 4));
+        assert!(c.lookup_decoded(0x2000, 1, 4).is_none());
+        assert!(!c.peek(0x2000, 0, 3));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+        // The line probes match on tag and window only: they find the
+        // line whatever the resident count.
+        assert!(c.verify_block(0x2000, 1));
+        assert_eq!(c.with_block_mut(0x2000, 1, |b| b.entry_resident), Some(3));
+        c.with_block_mut(0x2000, 1, |b| b.nba_addr ^= 4);
+        assert!(!c.verify_block(0x2000, 1), "the mutated line was found");
+        assert!(c.with_block_mut(0x2000, 0, |_| ()).is_none());
+        assert!(c.invalidate_at(0x2000, 0).is_none());
+        let gone = c.invalidate_at(0x2000, 1).unwrap();
+        assert_eq!((gone.tag_addr, gone.entry_cwp), (0x2000, 1));
+        assert!(!c.peek(0x2000, 1, 3));
+        assert_eq!(c.stats().invalidations, 1);
     }
 
     #[test]
@@ -556,7 +516,7 @@ mod tests {
         b2.nba_addr = 0x9999;
         c.insert(b2).unwrap();
         assert_eq!(c.resident_blocks(), 1, "same tag replaced, not duplicated");
-        assert_eq!(c.lookup(0x1000, 0, 1).unwrap().nba_addr, 0x9999);
+        assert_eq!(c.lookup_decoded(0x1000, 0, 1).unwrap().0.nba_addr, 0x9999);
     }
 
     #[test]
@@ -571,10 +531,10 @@ mod tests {
         assert_eq!(c.config().sets(), 1);
         c.insert(block(0x1000, 0)).unwrap();
         c.insert(block(0x2000, 0)).unwrap();
-        c.lookup(0x1000, 0, 1).unwrap(); // touch 0x1000
+        c.lookup_decoded(0x1000, 0, 1).unwrap(); // touch 0x1000
         c.insert(block(0x3000, 0)).unwrap(); // evicts 0x2000
-        assert!(c.lookup(0x2000, 0, 1).is_none());
-        assert!(c.lookup(0x1000, 0, 1).is_some());
+        assert!(c.lookup_decoded(0x2000, 0, 1).is_none());
+        assert!(c.lookup_decoded(0x1000, 0, 1).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -582,8 +542,9 @@ mod tests {
     fn invalidate_removes_block() {
         let mut c = cache(3072, 4);
         c.insert(block(0x1000, 0)).unwrap();
-        c.invalidate(0x1000, 0);
-        assert!(c.lookup(0x1000, 0, 1).is_none());
+        assert!(c.invalidate_at(0x1000, 0).is_some());
+        assert!(!c.peek(0x1000, 0, 1));
+        assert!(c.lookup_decoded(0x1000, 0, 1).is_none());
         assert_eq!(c.stats().invalidations, 1);
     }
 
@@ -597,7 +558,7 @@ mod tests {
         });
         assert!(c.insert_at(block(0x1000, 0), 10).unwrap().is_none());
         assert!(c.insert_at(block(0x2000, 0), 20).unwrap().is_none());
-        c.lookup(0x1000, 0, 1).unwrap(); // touch 0x1000 so 0x2000 is LRU
+        c.lookup_decoded(0x1000, 0, 1).unwrap(); // touch 0x1000 so 0x2000 is LRU
         let ev = c.insert_at(block(0x3000, 0), 50).unwrap().unwrap();
         assert_eq!(ev.tag_addr, 0x2000);
         assert_eq!(ev.installed_cycle, 20);
@@ -616,7 +577,7 @@ mod tests {
         c.insert(block(0x1000, 0)).unwrap();
         assert!(c.verify_block(0x1000, 0), "clean line verifies");
         // The executing engine's clone keeps the original content...
-        let held = c.lookup(0x1000, 0, 1).unwrap();
+        let (held, _) = c.lookup_decoded(0x1000, 0, 1).unwrap();
         let touched = c.with_block_mut(0x1000, 0, |b| {
             b.nba_addr ^= 4;
             b.nba_addr
@@ -648,14 +609,14 @@ mod tests {
         a.set_integrity(true);
         a.insert_at(block(0x1000, 0), 10).unwrap();
         a.insert_at(block(0x2000, 0), 20).unwrap();
-        a.lookup(0x1000, 0, 1).unwrap(); // make 0x2000 the LRU victim
+        a.lookup_decoded(0x1000, 0, 1).unwrap(); // make 0x2000 the LRU victim
         let j = a.snapshot_json().to_string();
         let mut b = VliwCache::from_snapshot_json(a.config(), &Json::parse(&j).unwrap()).unwrap();
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.resident_blocks(), b.resident_blocks());
         assert_eq!(
-            a.lookup(0x2000, 0, 1).unwrap().content_hash(),
-            b.lookup(0x2000, 0, 1).unwrap().content_hash()
+            a.lookup_decoded(0x2000, 0, 1).unwrap().0.content_hash(),
+            b.lookup_decoded(0x2000, 0, 1).unwrap().0.content_hash()
         );
         assert!(b.verify_block(0x1000, 0), "checksums survive the trip");
         // Same future replacement decision.
@@ -676,8 +637,7 @@ mod tests {
         use crate::decoded::decode_block;
         let mut c = cache(3072, 4);
         c.insert(block(0x1000, 0)).unwrap();
-        // The first decoded probe lowers the line and counts exactly
-        // like a plain lookup.
+        // The first decoded probe lowers the line and counts a hit.
         let (b, d) = c.lookup_decoded(0x1000, 0, 1).unwrap();
         assert_eq!(*d, decode_block(&b));
         assert!(c.lookup_decoded(0x1000, 3, 1).is_none(), "wrong window");
@@ -735,8 +695,9 @@ mod tests {
         let mut c = one_line();
         c.insert_at(block(0x1000, 0), 5).unwrap();
         assert!(c.lines[0].decoded.is_none(), "install does not lower");
-        // A plain probe does not lower either; only the engine's does.
-        c.lookup(0x1000, 0, 1).unwrap();
+        // The Fetch Unit's probe does not lower either; only the
+        // engine's lookup does.
+        assert!(c.peek(0x1000, 0, 1));
         assert!(c.lines[0].decoded.is_none());
         let (b, d) = c.lookup_decoded(0x1000, 0, 1).unwrap();
         assert_eq!(*d, crate::decoded::decode_block(&b));
@@ -822,6 +783,25 @@ mod tests {
     fn restore_rejects_a_block_without_long_instructions() {
         let (config, text) = two_set_snapshot();
         assert!(restore(config, &edit(&text, ROW, "\"lis\":[]")).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_two_blocks_with_one_key() {
+        // One set of two ways holding the same tag at two windows.
+        let config = VliwCacheConfig {
+            size_bytes: 2 * 96,
+            ways: 2,
+            width: 4,
+            height: 4,
+        };
+        let mut c = VliwCache::new(config);
+        c.insert(block(0x1000, 0)).unwrap();
+        c.insert(block(0x1000, 1)).unwrap();
+        let text = c.snapshot_json().to_string();
+        assert!(restore(config, &text).is_some());
+        // Both at window 0: every probe would see only the first.
+        let dup = edit(&text, "\"entry_cwp\":1", "\"entry_cwp\":0");
+        assert!(restore(config, &dup).is_none());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! engine checks at execution time (missing `ls_order`, bad COPY
 //! routing, absent write-back results, missing branch targets) is
 //! preserved as data and still detected — or still panics — at
-//! execution time, so a corrupted block fails identically through
-//! either form. That property is what lets the engine run *all*
-//! execution (hooked or not) through the decoded form.
+//! execution time, on the cycle the stored block would raise it. That
+//! property is what lets the engine run *all* execution (hooked or
+//! not) through the decoded form, which is the only form it executes.
 
 use dtsvliw_isa::cond::{Cond, FCond};
 use dtsvliw_isa::insn::{AluOp, FpOp, MemOp, Src2};

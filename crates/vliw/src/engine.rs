@@ -15,8 +15,7 @@
 //! overwritten data.
 
 use crate::decoded::{
-    decode_block, CcSrc, DecodedKind, DecodedLine, DecodedOp, DecodedRow, FpSrc, IntSrc, Src2D,
-    StoreData,
+    CcSrc, DecodedKind, DecodedLine, DecodedOp, DecodedRow, FpSrc, IntSrc, Src2D, StoreData,
 };
 use dtsvliw_isa::alu::{exec_alu, exec_fp};
 use dtsvliw_isa::cond::{Fcc, Icc};
@@ -72,21 +71,9 @@ pub enum LiResult {
     },
 }
 
-/// Everything the machine needs to account one long-instruction cycle.
-#[derive(Debug, Clone)]
-pub struct LiOutcome {
-    /// Control outcome.
-    pub result: LiResult,
-    /// Data-memory addresses touched this cycle (data-cache timing).
-    pub dcache_accesses: Vec<u32>,
-    /// Operations that committed.
-    pub committed: u32,
-    /// Operations annulled by branch tags.
-    pub annulled: u32,
-}
-
-/// The allocation-free form of [`LiOutcome`]: the data-cache addresses
-/// land in the caller-provided buffer instead of a fresh `Vec`.
+/// Everything the machine needs to account one long-instruction cycle
+/// besides the data-cache addresses, which land in the caller's buffer
+/// (see [`VliwEngine::exec_li_decoded`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LiExec {
     /// Control outcome.
@@ -819,33 +806,6 @@ impl VliwEngine {
     // One long instruction
     // -------------------------------------------------------------
 
-    /// Execute long instruction `li` of `block` against the shared
-    /// machine state, lowering the block on the fly.
-    ///
-    /// This is the storage-form convenience entry, called only by the
-    /// component tests (`tests/engine.rs`, `tests/semantics.rs`): the
-    /// machine's hot loop uses the form the VLIW Cache lowers on a
-    /// block's first entry and calls
-    /// [`VliwEngine::exec_li_decoded`] instead. Both paths run
-    /// the same execution core, so semantics cannot diverge.
-    pub fn exec_li(
-        &mut self,
-        block: &Block,
-        li: usize,
-        state: &mut ArchState,
-        mem: &mut Memory,
-    ) -> Result<LiOutcome, EngineError> {
-        let dec = decode_block(block);
-        let mut dcache_accesses = Vec::new();
-        let out = self.exec_li_decoded(&dec, li, state, mem, &mut dcache_accesses)?;
-        Ok(LiOutcome {
-            result: out.result,
-            dcache_accesses,
-            committed: out.committed,
-            annulled: out.annulled,
-        })
-    }
-
     /// Execute long instruction `li` of the pre-decoded line `dec`
     /// against the shared machine state. Data-cache access addresses are
     /// appended (loads in op order, then stores in commit order) to the
@@ -1362,6 +1322,7 @@ fn j_u8(j: &Json) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoded::decode_block;
 
     #[test]
     fn snapshot_round_trip_is_exact() {

@@ -24,4 +24,4 @@ pub use decoded::{
     decode_block, decode_block_into, CcSrc, DecodeArena, DecodedKind, DecodedLine, DecodedOp,
     DecodedRow, FpSrc, IntSrc, Src2D, StoreData,
 };
-pub use engine::{EngineError, EngineFaults, EngineStats, LiExec, LiOutcome, LiResult, VliwEngine};
+pub use engine::{EngineError, EngineFaults, EngineStats, LiExec, LiResult, VliwEngine};

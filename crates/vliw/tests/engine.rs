@@ -9,7 +9,7 @@ use dtsvliw_mem::Memory;
 use dtsvliw_primary::RefMachine;
 use dtsvliw_sched::scheduler::{SchedConfig, Scheduler};
 use dtsvliw_sched::{Block, InsertOutcome};
-use dtsvliw_vliw::{LiResult, VliwEngine};
+use dtsvliw_vliw::{decode_block, LiResult, VliwEngine};
 
 /// Run `src` on the reference machine, scheduling the whole retired
 /// trace into blocks (sealing the remainder at halt). Returns the blocks
@@ -49,8 +49,11 @@ fn run_chain(
     let mut results = Vec::new();
     for b in blocks {
         engine.begin_block(b, state);
+        let dec = decode_block(b);
         'block: for li in 0..b.lis.len() {
-            let out = engine.exec_li(b, li, state, mem).unwrap();
+            let out = engine
+                .exec_li_decoded(&dec, li, state, mem, &mut Vec::new())
+                .unwrap();
             results.push(out.result);
             match out.result {
                 LiResult::Next => {}
@@ -146,9 +149,12 @@ skip:
     let mut engine = VliwEngine::new();
     let b = &blocks[0];
     engine.begin_block(b, &state);
+    let dec = decode_block(b);
     let mut redirect = None;
     for li in 0..b.lis.len() {
-        let out = engine.exec_li(b, li, &mut state, &mut mem).unwrap();
+        let out = engine
+            .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+            .unwrap();
         match out.result {
             LiResult::Redirect { target: t, .. } => {
                 redirect = Some(t);
@@ -262,9 +268,14 @@ work:
     let poisoned = state.clone();
     let mut engine = VliwEngine::new();
     engine.begin_block(b, &state);
+    let dec = decode_block(b);
     let mut excepted = false;
     for li in 0..b.lis.len() {
-        match engine.exec_li(b, li, &mut state, &mut mem).unwrap().result {
+        match engine
+            .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+            .unwrap()
+            .result
+        {
             LiResult::Exception { aliasing } => {
                 assert!(aliasing, "must be an aliasing exception");
                 excepted = true;
@@ -363,9 +374,12 @@ _start:
     let mut mem = entry_mem.clone();
     let mut engine = VliwEngine::new();
     engine.begin_block(b, &state);
+    let dec = decode_block(b);
     for li in 0..b.lis.len() {
-        if let LiResult::BlockEnd | LiResult::Redirect { .. } =
-            engine.exec_li(b, li, &mut state, &mut mem).unwrap().result
+        if let LiResult::BlockEnd | LiResult::Redirect { .. } = engine
+            .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+            .unwrap()
+            .result
         {
             break;
         }
@@ -422,9 +436,14 @@ _start:
         ..Default::default()
     });
     engine.begin_block(b, &state);
+    let dec = decode_block(b);
     let mut excepted = false;
     for li in 0..b.lis.len() {
-        match engine.exec_li(b, li, &mut state, &mut mem).unwrap().result {
+        match engine
+            .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+            .unwrap()
+            .result
+        {
             LiResult::Exception { aliasing } => {
                 assert!(aliasing, "truncation aborts through the alias path");
                 excepted = true;
@@ -500,8 +519,13 @@ work:
         ..Default::default()
     });
     engine.begin_block(b, &state);
+    let dec = decode_block(b);
     for li in 0..b.lis.len() {
-        match engine.exec_li(b, li, &mut state, &mut mem).unwrap().result {
+        match engine
+            .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+            .unwrap()
+            .result
+        {
             LiResult::Exception { .. } => panic!("the aliasing exception must be swallowed"),
             LiResult::BlockEnd | LiResult::Redirect { .. } => {
                 engine.commit_block(&mut mem);

@@ -8,7 +8,7 @@ use dtsvliw_isa::ArchState;
 use dtsvliw_primary::RefMachine;
 use dtsvliw_sched::scheduler::{SchedConfig, Scheduler};
 use dtsvliw_sched::{Block, InsertOutcome};
-use dtsvliw_vliw::{LiResult, VliwEngine};
+use dtsvliw_vliw::{decode_block, LiResult, VliwEngine};
 
 /// Schedule the whole trace of `src` and replay it block by block,
 /// asserting the final state matches the reference machine's.
@@ -43,8 +43,13 @@ fn round_trip(src: &str, w: usize, h: usize) -> (ArchState, RefMachine, VliwEngi
     let mut engine = VliwEngine::new();
     for b in &blocks {
         engine.begin_block(b, &state);
+        let dec = decode_block(b);
         for li in 0..b.lis.len() {
-            match engine.exec_li(b, li, &mut state, &mut mem).unwrap().result {
+            match engine
+                .exec_li_decoded(&dec, li, &mut state, &mut mem, &mut Vec::new())
+                .unwrap()
+                .result
+            {
                 LiResult::Next => {}
                 LiResult::BlockEnd | LiResult::Redirect { .. } => {
                     engine.commit_block(&mut mem);
