@@ -25,8 +25,8 @@
 
 use crate::config::MachineConfig;
 use crate::machine::{Machine, Mode};
-use dtsvliw_faults::{FaultInjector, FaultStats};
-use dtsvliw_json::{fnv1a, Json, ToJson};
+use dtsvliw_faults::FaultInjector;
+use dtsvliw_json::{fnv1a, FromJson, Json, ToJson};
 use dtsvliw_mem::{Cache, Memory};
 use dtsvliw_primary::{PipelineModel, RefMachine};
 use dtsvliw_sched::snapshot::{
@@ -34,7 +34,7 @@ use dtsvliw_sched::snapshot::{
     reslist_to_json,
 };
 use dtsvliw_sched::Scheduler;
-use dtsvliw_trace::{Metrics, Telemetry};
+use dtsvliw_trace::Telemetry;
 use dtsvliw_vliw::{VliwCache, VliwEngine};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -206,13 +206,6 @@ fn hex_to_bytes(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-fn opt_u32_json(v: Option<u32>) -> Json {
-    match v {
-        Some(n) => Json::U64(n as u64),
-        None => Json::Null,
-    }
-}
-
 /// Parse and verify a snapshot document: format marker, version,
 /// payload checksum and (when `expect_digest` is given) configuration
 /// digest. Returns the verified payload.
@@ -227,15 +220,13 @@ pub fn verify_document(text: &str, expect_digest: Option<u64>) -> Result<Json, S
         }
     }
     let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
+        .field("version")
         .ok_or_else(|| SnapshotError::Format("missing version".into()))?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::Version { found: version });
     }
     let expected = doc
-        .get("checksum")
-        .and_then(Json::as_u64)
+        .field("checksum")
         .ok_or_else(|| SnapshotError::Format("missing checksum".into()))?;
     let payload = doc
         .get("payload")
@@ -246,8 +237,7 @@ pub fn verify_document(text: &str, expect_digest: Option<u64>) -> Result<Json, S
     }
     if let Some(want) = expect_digest {
         let got = doc
-            .get("config_digest")
-            .and_then(Json::as_u64)
+            .field("config_digest")
             .ok_or_else(|| SnapshotError::Format("missing config_digest".into()))?;
         if got != want {
             return Err(SnapshotError::ConfigMismatch {
@@ -321,10 +311,9 @@ impl Machine {
             ("dcache", self.dcache.snapshot_json()),
             (
                 "pipeline_last_load",
-                match self.pipeline.last_load_writes() {
-                    Some(l) => reslist_to_json(&l),
-                    None => Json::Null,
-                },
+                self.pipeline
+                    .last_load_writes()
+                    .map_or(Json::Null, |l| reslist_to_json(&l)),
             ),
             (
                 "test",
@@ -350,57 +339,29 @@ impl Machine {
             ),
             ("mode_swaps", Json::U64(self.mode_swaps)),
             ("output", Json::Str(bytes_to_hex(&self.output))),
-            ("halted", opt_u32_json(self.halted)),
+            ("halted", self.halted.to_json()),
             ("exception_mode", Json::Bool(self.exception_mode)),
             ("reject_delay_slot", Json::Bool(self.reject_delay_slot)),
-            (
-                "nbp",
-                Json::Arr(
-                    self.nbp
-                        .iter()
-                        .map(|&(from, to)| {
-                            Json::arr([Json::U64(from as u64), Json::U64(to as u64)])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("nbp", self.nbp.to_json()),
             ("nbp_hits", Json::U64(self.nbp_hits)),
             ("metrics", self.metrics.to_json()),
             ("last_swap_cycle", Json::U64(self.last_swap_cycle)),
             ("inject_divergence", Json::Bool(self.inject_divergence)),
             (
                 "injector",
-                match &self.injector {
-                    Some(i) => i.snapshot_json(),
-                    None => Json::Null,
-                },
+                self.injector
+                    .as_ref()
+                    .map_or(Json::Null, FaultInjector::snapshot_json),
             ),
             ("faults", self.faults.to_json()),
-            (
-                "quarantine",
-                Json::Arr(
-                    self.quarantine
-                        .iter()
-                        .map(|&(tag, cwp, until)| {
-                            Json::arr([
-                                Json::U64(tag as u64),
-                                Json::U64(cwp as u64),
-                                Json::U64(until),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("test_halt", opt_u32_json(self.test_halt)),
+            ("quarantine", self.quarantine.to_json()),
+            ("test_halt", self.test_halt.to_json()),
             ("seen_alias_fires", Json::U64(self.seen_alias_fires)),
             ("seen_truncate_fires", Json::U64(self.seen_truncate_fires)),
             (
                 "breaker",
                 Json::obj([
-                    (
-                        "events",
-                        Json::Arr(self.breaker_events.iter().map(|&t| Json::U64(t)).collect()),
-                    ),
+                    ("events", self.breaker_events.to_json()),
                     ("degraded_until", Json::U64(self.degraded_until)),
                     ("degraded_entered", Json::U64(self.degraded_entered)),
                     ("entries", Json::U64(self.degraded_entries)),
@@ -411,129 +372,67 @@ impl Machine {
     }
 
     fn from_payload(cfg: MachineConfig, p: &Json) -> Result<Machine, SnapshotError> {
-        fn miss(what: &str) -> SnapshotError {
-            SnapshotError::Corrupt(format!("bad or missing {what}"))
-        }
-        let u = |key: &str| p.get(key).and_then(Json::as_u64).ok_or_else(|| miss(key));
-        let flag = |key: &str| p.get(key).and_then(Json::as_bool).ok_or_else(|| miss(key));
-        let opt_u32 = |key: &str| -> Result<Option<u32>, SnapshotError> {
-            match p.get(key).ok_or_else(|| miss(key))? {
-                Json::Null => Ok(None),
-                j => j
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .map(Some)
-                    .ok_or_else(|| miss(key)),
-            }
-        };
-
-        let state = p
-            .get("state")
-            .and_then(arch_state_from_json)
-            .ok_or_else(|| miss("state"))?;
-        let mem = p
-            .get("mem")
-            .and_then(Memory::from_snapshot_json)
-            .ok_or_else(|| miss("mem"))?;
-        let sched = p
-            .get("sched")
-            .and_then(|j| Scheduler::from_snapshot_json(cfg.sched.clone(), j))
-            .ok_or_else(|| miss("sched"))?;
-        let vcache = p
-            .get("vcache")
-            .and_then(|j| VliwCache::from_snapshot_json(cfg.vliw_cache, j))
-            .ok_or_else(|| miss("vcache"))?;
-        let engine = p
-            .get("engine")
-            .and_then(|j| VliwEngine::from_snapshot_json(cfg.store_scheme, j))
-            .ok_or_else(|| miss("engine"))?;
-        let icache = p
-            .get("icache")
-            .and_then(|j| Cache::from_snapshot_json(cfg.icache, j))
-            .ok_or_else(|| miss("icache"))?;
-        let dcache = p
-            .get("dcache")
-            .and_then(|j| Cache::from_snapshot_json(cfg.dcache, j))
-            .ok_or_else(|| miss("dcache"))?;
+        let state = read(p, "state", arch_state_from_json)?;
+        let mem = read(p, "mem", Memory::from_snapshot_json)?;
+        let sched = read(p, "sched", |j| {
+            Scheduler::from_snapshot_json(cfg.sched.clone(), j)
+        })?;
+        let vcache = read(p, "vcache", |j| {
+            VliwCache::from_snapshot_json(cfg.vliw_cache, j)
+        })?;
+        let engine = read(p, "engine", |j| {
+            VliwEngine::from_snapshot_json(cfg.store_scheme, j)
+        })?;
+        let icache = read(p, "icache", |j| Cache::from_snapshot_json(cfg.icache, j))?;
+        let dcache = read(p, "dcache", |j| Cache::from_snapshot_json(cfg.dcache, j))?;
         let mut pipeline = PipelineModel::new(cfg.primary);
-        pipeline.set_last_load_writes(
-            match p
-                .get("pipeline_last_load")
-                .ok_or_else(|| miss("pipeline_last_load"))?
-            {
-                Json::Null => None,
-                j => Some(reslist_from_json(j).ok_or_else(|| miss("pipeline_last_load"))?),
-            },
-        );
+        pipeline.set_last_load_writes(read(p, "pipeline_last_load", |j| match j {
+            Json::Null => Some(None),
+            j => reslist_from_json(j).map(Some),
+        })?);
 
-        let t = p.get("test").ok_or_else(|| miss("test"))?;
         let test = RefMachine {
-            state: t
-                .get("state")
-                .and_then(arch_state_from_json)
-                .ok_or_else(|| miss("test state"))?,
-            mem: t
-                .get("mem")
-                .and_then(Memory::from_snapshot_json)
-                .ok_or_else(|| miss("test mem"))?,
-            retired: t
-                .get("retired")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| miss("test retired"))?,
+            state: read(p, "test.state", arch_state_from_json)?,
+            mem: read(p, "test.mem", Memory::from_snapshot_json)?,
+            retired: field(p, "test.retired")?,
             // The machine keeps one console: `output` below.
             output: Vec::new(),
         };
 
-        let mj = p.get("mode").ok_or_else(|| miss("mode"))?;
-        let mode = match mj.get("engine").and_then(Json::as_str) {
-            Some("primary") => Mode::Primary,
-            Some("vliw") => {
-                let block = Arc::new(
-                    mj.get("block")
-                        .and_then(block_from_json)
-                        .ok_or_else(|| miss("mode block"))?,
-                );
+        let mode = match field::<String>(p, "mode.engine")?.as_str() {
+            "primary" => Mode::Primary,
+            // Only a block this geometry could have sealed, entered
+            // (the engine holds its checkpoint) and not yet past its
+            // last long instruction, can resume.
+            "vliw" => {
+                let block = read(p, "mode.block", |j| {
+                    block_from_json(j).filter(|b| cfg.vliw_cache.fits(b))
+                })?;
+                let li: usize = field(p, "mode.li")?;
+                if li >= block.lis.len() {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "mode.li {li} is past the block's {} long instructions",
+                        block.lis.len()
+                    )));
+                }
+                if !engine.in_block() {
+                    return Err(SnapshotError::Corrupt(
+                        "VLIW mode, but the engine holds no checkpoint".into(),
+                    ));
+                }
+                let block = Arc::new(block);
                 // Re-lower the in-flight block: decoded state never
                 // rides in snapshots.
                 let decoded = Arc::new(dtsvliw_vliw::decode_block(&block));
                 Mode::Vliw {
                     block,
                     decoded,
-                    li: mj
-                        .get("li")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| miss("mode li"))? as usize,
-                    base: mj
-                        .get("base")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| miss("mode base"))?,
+                    li,
+                    base: field(p, "mode.base")?,
                 }
             }
-            _ => return Err(miss("mode engine")),
+            _ => return Err(miss("mode.engine")),
         };
-
-        let nbp = p
-            .get("nbp")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| miss("nbp"))?
-            .iter()
-            .map(|e| {
-                let pair = e.as_arr()?;
-                if pair.len() != 2 {
-                    return None;
-                }
-                Some((
-                    u32::try_from(pair[0].as_u64()?).ok()?,
-                    u32::try_from(pair[1].as_u64()?).ok()?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| miss("nbp"))?;
-
-        let metrics = p
-            .get("metrics")
-            .and_then(Metrics::from_json)
-            .ok_or_else(|| miss("metrics"))?;
 
         let injector = match p.get("injector").ok_or_else(|| miss("injector"))? {
             Json::Null => None,
@@ -548,48 +447,6 @@ impl Machine {
             }
         };
 
-        let faults = p
-            .get("faults")
-            .and_then(FaultStats::from_json)
-            .ok_or_else(|| miss("faults"))?;
-
-        let quarantine = p
-            .get("quarantine")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| miss("quarantine"))?
-            .iter()
-            .map(|e| {
-                let triple = e.as_arr()?;
-                if triple.len() != 3 {
-                    return None;
-                }
-                Some((
-                    u32::try_from(triple[0].as_u64()?).ok()?,
-                    u8::try_from(triple[1].as_u64()?).ok()?,
-                    triple[2].as_u64()?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| miss("quarantine"))?;
-
-        let oj = p.get("overhead").ok_or_else(|| miss("overhead"))?;
-        let o_u = |key: &str| {
-            oj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| miss("overhead sub-counter"))
-        };
-
-        let bj = p.get("breaker").ok_or_else(|| miss("breaker"))?;
-        let breaker_events = bj
-            .get("events")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| miss("breaker events"))?
-            .iter()
-            .map(Json::as_u64)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| miss("breaker events"))?;
-        let b_u = |key: &str| bj.get(key).and_then(Json::as_u64).ok_or_else(|| miss(key));
-
         Ok(Machine {
             state,
             mem,
@@ -601,40 +458,36 @@ impl Machine {
             pipeline,
             test,
             mode,
-            cycles: u("cycles")?,
-            vliw_cycles: u("vliw_cycles")?,
-            primary_cycles: u("primary_cycles")?,
-            overhead_cycles: u("overhead_cycles")?,
-            overhead_swap: o_u("swap")?,
-            overhead_mispredict: o_u("mispredict")?,
-            overhead_next_li: o_u("next_li")?,
-            overhead_recovery: o_u("recovery")?,
-            mode_swaps: u("mode_swaps")?,
-            output: p
-                .get("output")
-                .and_then(Json::as_str)
-                .and_then(hex_to_bytes)
-                .ok_or_else(|| miss("output"))?,
-            halted: opt_u32("halted")?,
-            exception_mode: flag("exception_mode")?,
-            reject_delay_slot: flag("reject_delay_slot")?,
-            nbp,
-            nbp_hits: u("nbp_hits")?,
-            metrics,
-            last_swap_cycle: u("last_swap_cycle")?,
+            cycles: field(p, "cycles")?,
+            vliw_cycles: field(p, "vliw_cycles")?,
+            primary_cycles: field(p, "primary_cycles")?,
+            overhead_cycles: field(p, "overhead_cycles")?,
+            overhead_swap: field(p, "overhead.swap")?,
+            overhead_mispredict: field(p, "overhead.mispredict")?,
+            overhead_next_li: field(p, "overhead.next_li")?,
+            overhead_recovery: field(p, "overhead.recovery")?,
+            mode_swaps: field(p, "mode_swaps")?,
+            output: read(p, "output", |j| hex_to_bytes(j.as_str()?))?,
+            halted: field(p, "halted")?,
+            exception_mode: field(p, "exception_mode")?,
+            reject_delay_slot: field(p, "reject_delay_slot")?,
+            nbp: field(p, "nbp")?,
+            nbp_hits: field(p, "nbp_hits")?,
+            metrics: field(p, "metrics")?,
+            last_swap_cycle: field(p, "last_swap_cycle")?,
             tracer: None,
-            inject_divergence: flag("inject_divergence")?,
+            inject_divergence: field(p, "inject_divergence")?,
             injector,
-            faults,
-            quarantine,
-            test_halt: opt_u32("test_halt")?,
-            seen_alias_fires: u("seen_alias_fires")?,
-            seen_truncate_fires: u("seen_truncate_fires")?,
-            breaker_events,
-            degraded_until: b_u("degraded_until")?,
-            degraded_entered: b_u("degraded_entered")?,
-            degraded_entries: b_u("entries")?,
-            degraded_cycles: b_u("cycles")?,
+            faults: field(p, "faults")?,
+            quarantine: field(p, "quarantine")?,
+            test_halt: field(p, "test_halt")?,
+            seen_alias_fires: field(p, "seen_alias_fires")?,
+            seen_truncate_fires: field(p, "seen_truncate_fires")?,
+            breaker_events: field(p, "breaker.events")?,
+            degraded_until: field(p, "breaker.degraded_until")?,
+            degraded_entered: field(p, "breaker.degraded_entered")?,
+            degraded_entries: field(p, "breaker.entries")?,
+            degraded_cycles: field(p, "breaker.cycles")?,
             // Host-side telemetry and the profiler are reset-on-resume:
             // a resumed run can never double-count a burst or a block
             // execution.
@@ -647,4 +500,27 @@ impl Machine {
             cfg,
         })
     }
+}
+
+fn miss(what: &str) -> SnapshotError {
+    SnapshotError::Corrupt(format!("bad or missing {what}"))
+}
+
+/// The payload member at the dot-separated `path`, read by `read`: a
+/// member that is missing or that `read` refuses is `Corrupt`, naming
+/// the path.
+fn read<T>(
+    p: &Json,
+    path: &str,
+    read: impl FnOnce(&Json) -> Option<T>,
+) -> Result<T, SnapshotError> {
+    path.split('.')
+        .try_fold(p, Json::get)
+        .and_then(read)
+        .ok_or_else(|| miss(path))
+}
+
+/// The payload member at the dot-separated `path`, read as `T`.
+fn field<T: FromJson>(p: &Json, path: &str) -> Result<T, SnapshotError> {
+    read(p, path, T::from_json)
 }

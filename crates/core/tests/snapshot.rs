@@ -290,7 +290,65 @@ fn corrupt_and_mismatched_snapshots_are_refused() {
         Err(SnapshotError::ConfigMismatch { .. })
     ));
     // And the untouched file still restores.
-    assert!(Machine::resume_from(cfg, &path).is_ok());
+    assert!(Machine::resume_from(cfg.clone(), &path).is_ok());
+
+    // Checksum-valid payloads whose VLIW mode cannot run: a long
+    // instruction at the block's end, an engine without the block's
+    // checkpoint, and blocks this geometry could not have sealed.
+    let mut at = 500;
+    let vliw = loop {
+        at += 37;
+        assert!(at < 100_000, "the run never stopped inside a block");
+        m.run(at).expect("prefix runs");
+        let doc = m.snapshot_json();
+        let mode = doc.get("payload").and_then(|p| p.get("mode"));
+        if mode.and_then(|m| m.get("engine")) == Some(&Json::Str("vliw".into())) {
+            break doc;
+        }
+    };
+    let resume_tampered = |tamper: &dyn Fn(&mut Json)| {
+        let mut doc = vliw.clone();
+        let payload = field_mut(&mut doc, "payload");
+        tamper(payload);
+        let checksum = dtsvliw_json::fnv1a(payload.to_string().as_bytes());
+        set_field(&mut doc, "checksum", Json::U64(checksum));
+        resume(&doc.to_string())
+    };
+    assert!(resume_tampered(&|_| {}).is_ok());
+    fn rows(p: &mut Json) -> &mut Vec<Json> {
+        let Json::Arr(rows) = field_mut(field_mut(field_mut(p, "mode"), "block"), "lis") else {
+            panic!("the block's rows are an array");
+        };
+        rows
+    }
+    let past_end = |p: &mut Json| {
+        let n = rows(p).len();
+        set_field(field_mut(p, "mode"), "li", Json::U64(n as u64));
+    };
+    let no_checkpoint = |p: &mut Json| set_field(field_mut(p, "engine"), "shadow", Json::Null);
+    let too_wide = |p: &mut Json| {
+        for row in rows(p) {
+            let Json::Arr(slots) = row else {
+                panic!("a row is an array");
+            };
+            slots.push(Json::Null);
+        }
+    };
+    let too_tall = |p: &mut Json| {
+        let rows = rows(p);
+        rows.resize(cfg.sched.height + 1, rows[0].clone());
+    };
+    for (what, tamper) in [
+        ("li past the block", &past_end as &dyn Fn(&mut Json)),
+        ("no checkpoint", &no_checkpoint),
+        ("rows too wide", &too_wide),
+        ("too many rows", &too_tall),
+    ] {
+        assert!(
+            matches!(resume_tampered(tamper), Err(SnapshotError::Corrupt(_))),
+            "{what}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -520,4 +578,52 @@ fn thrash_geometry_resumes_byte_identical_at_every_interrupt_point() {
         resumed_runs, 4,
         "too few interrupt points caught a pending candidate"
     );
+
+    // `pinned.rs`'s fault storm, and its storm that trips the circuit
+    // breaker, on the same geometry, interrupted every 101 instructions.
+    // Each walk ends once it has restored a machine in VLIW mode, one
+    // with a non-empty quarantine and (for the breaker) one in degraded
+    // mode; every restored machine must re-serialise to the bytes
+    // written.
+    let storm = cfg
+        .clone()
+        .with_faults(FaultPlan::all_sites(0.02, 8, 0xDEC0DE));
+    let breaker = cfg.clone().with_faults(FaultPlan::all_sites(0.05, 16, 77));
+    let breaker = breaker.with_breaker(2, 20_000, 50_000);
+    for (name, cfg, want_degraded) in [("storm", storm, false), ("breaker", breaker, true)] {
+        let dir = scratch(&format!("thrash-{name}"));
+        let mut walker = Machine::new(cfg.clone(), &image);
+        let (mut vliw, mut quarantine, mut degraded) = (false, false, !want_degraded);
+        let mut interrupt_at = 0;
+        while !(vliw && quarantine && degraded) {
+            interrupt_at += 101;
+            assert!(
+                interrupt_at < want.instructions,
+                "{name}: vliw {vliw}, quarantine {quarantine}, degraded {degraded}"
+            );
+            walker.run(interrupt_at).expect("prefix completes");
+            let path = walker.write_snapshot(&dir).expect("snapshot writes");
+            let bytes = std::fs::read_to_string(&path).expect("snapshot reads");
+            let resumed = Machine::resume_from(cfg.clone(), &path).expect("snapshot restores");
+            assert_eq!(
+                resumed.snapshot_json().to_string(),
+                bytes,
+                "{name}: restore must be byte-exact (interrupt at {interrupt_at})"
+            );
+            let doc = Json::parse(&bytes).expect("snapshot parses");
+            let payload = doc.get("payload").expect("payload");
+            let member = |path: &[&str]| {
+                path.iter()
+                    .try_fold(payload, |j, k| j.get(k))
+                    .expect("payload member")
+            };
+            assert_ne!(member(&["injector"]), &Json::Null, "{name}: no injector");
+            vliw |= member(&["mode", "engine"]).as_str() == Some("vliw");
+            quarantine |= member(&["quarantine"])
+                .as_arr()
+                .is_some_and(|q| !q.is_empty());
+            degraded |= member(&["breaker", "degraded_until"]).as_u64() != Some(0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

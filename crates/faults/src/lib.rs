@@ -21,7 +21,7 @@
 
 pub mod corrupt;
 
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{FromJson, Json, ToJson};
 
 /// The workspace's seeded PRNG; every fault stream draws from it.
 pub use dtsvliw_rng::Rng64;
@@ -238,26 +238,16 @@ impl FaultInjector {
     pub fn snapshot_json(&self) -> Json {
         Json::obj([
             ("rng_state", Json::U64(self.rng.state())),
-            (
-                "injected",
-                Json::Arr(self.injected.iter().map(|&n| Json::U64(n)).collect()),
-            ),
+            ("injected", self.injected.to_json()),
         ])
     }
 
     /// Resume the mutable state from [`FaultInjector::snapshot_json`]
     /// output; `None` on structural mismatch.
     pub fn restore_snapshot(&mut self, j: &Json) -> Option<()> {
-        let injected = j.get("injected")?.as_arr()?;
-        if injected.len() != NUM_SITES {
-            return None;
-        }
-        let mut counts = [0u64; NUM_SITES];
-        for (slot, v) in counts.iter_mut().zip(injected) {
-            *slot = v.as_u64()?;
-        }
-        self.rng = Rng64::from_state(j.get("rng_state")?.as_u64()?);
-        self.injected = counts;
+        let injected = j.field("injected")?;
+        self.rng = Rng64::from_state(j.field("rng_state")?);
+        self.injected = injected;
         Some(())
     }
 }
@@ -301,25 +291,27 @@ impl FaultStats {
     pub fn total_injected(&self) -> u64 {
         self.injected.iter().sum()
     }
+}
 
-    /// Parse back from the [`ToJson`] form (the derived `injected_total`
-    /// member is ignored).
-    pub fn from_json(j: &Json) -> Option<Self> {
+/// Machine snapshots read the [`ToJson`] form back (the derived
+/// `injected_total` member is not read).
+impl FromJson for FaultStats {
+    fn from_json(j: &Json) -> Option<Self> {
         let per_site = j.get("injected")?;
         let mut injected = [0u64; NUM_SITES];
         for s in FaultSite::ALL {
-            injected[s.index()] = per_site.get(s.label())?.as_u64()?;
+            injected[s.index()] = per_site.field(s.label())?;
         }
         Some(FaultStats {
             injected,
-            detected: j.get("detected")?.as_u64()?,
-            recovered: j.get("recovered")?.as_u64()?,
-            replays: j.get("replays")?.as_u64()?,
-            replayed_instrs: j.get("replayed_instrs")?.as_u64()?,
-            replay_cycles: j.get("replay_cycles")?.as_u64()?,
-            scrubs: j.get("scrubs")?.as_u64()?,
-            quarantined: j.get("quarantined")?.as_u64()?,
-            quarantine_rejects: j.get("quarantine_rejects")?.as_u64()?,
+            detected: j.field("detected")?,
+            recovered: j.field("recovered")?,
+            replays: j.field("replays")?,
+            replayed_instrs: j.field("replayed_instrs")?,
+            replay_cycles: j.field("replay_cycles")?,
+            scrubs: j.field("scrubs")?,
+            quarantined: j.field("quarantined")?,
+            quarantine_rejects: j.field("quarantine_rejects")?,
         })
     }
 }

@@ -5,8 +5,9 @@
 //! events to JSON, and the build must work with no network access, so
 //! this crate replaces `serde`/`serde_json` for the workspace. The
 //! surface is deliberately small: values are built explicitly through
-//! [`Json`] and the [`ToJson`] trait, and the parser exists for
-//! round-trip tests and for tools that read the dumps back.
+//! [`Json`] and the [`ToJson`] trait, and read back through its inverse,
+//! [`FromJson`] (with [`Json::field`] for object members), which every
+//! snapshot and statistics reader in the workspace uses.
 //!
 //! The crate also holds the workspace's one FNV-1a ([`fnv1a`],
 //! [`Fnv1a`]): every crate that writes a digest already depends on it.
@@ -18,6 +19,8 @@
 //! let text = v.to_string();
 //! let back = Json::parse(&text).unwrap();
 //! assert_eq!(back.get("cycles").unwrap().as_u64(), Some(42));
+//! assert_eq!(back.field::<u32>("cycles"), Some(42));
+//! assert_eq!(back.field::<u8>("ipc"), None, "floats are not integers");
 //! ```
 
 use std::fmt::{self, Write as _};
@@ -66,6 +69,13 @@ impl Json {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Member `key` of an object, read as `T` (`None` when `self` is
+    /// not an object, has no such member, or the member does not read
+    /// as `T`).
+    pub fn field<T: FromJson>(&self, key: &str) -> Option<T> {
+        T::from_json(self.get(key)?)
     }
 
     /// The value as a u64 (integers only; floats are not coerced).
@@ -461,8 +471,8 @@ impl<'a> Parser<'a> {
 }
 
 /// Conversion into a [`Json`] value. Implement this for every type that
-/// appears in a dump; there is no derive — impls are explicit and live
-/// next to the type.
+/// appears in a dump; there is no derive — impls, here and for
+/// [`FromJson`], are explicit and live next to the type.
 pub trait ToJson {
     /// The JSON representation.
     fn to_json(&self) -> Json;
@@ -571,6 +581,91 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
     }
 }
 
+macro_rules! tuple_json {
+    ($(($($t:ident $v:ident),+))+) => {$(
+        impl<$($t: ToJson),+> ToJson for ($($t,)+) {
+            fn to_json(&self) -> Json {
+                let ($($v,)+) = self;
+                Json::arr([$($v.to_json()),+])
+            }
+        }
+
+        impl<$($t: FromJson),+> FromJson for ($($t,)+) {
+            fn from_json(j: &Json) -> Option<Self> {
+                match j.as_arr()? {
+                    [$($v),+] => Some(($($t::from_json($v)?,)+)),
+                    _ => None,
+                }
+            }
+        }
+    )+};
+}
+
+tuple_json! {
+    (A a, B b)
+    (A a, B b, C c)
+    (A a, B b, C c, D d)
+}
+
+/// Conversion back from a [`Json`] value: the inverse of [`ToJson`].
+/// `None` on any mismatch — a value of the wrong kind, an integer out of
+/// the target's range (negative, or above its maximum; floats are never
+/// integers), an array of the wrong length — so a reader chains members
+/// with `?` and its caller turns the `None` into a typed error.
+pub trait FromJson: Sized {
+    /// The value read as `Self`.
+    fn from_json(j: &Json) -> Option<Self>;
+}
+
+macro_rules! uint_from_json {
+    ($($t:ty)*) => {$(
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Option<Self> {
+                <$t>::try_from(j.as_u64()?).ok()
+            }
+        }
+    )*};
+}
+
+uint_from_json!(u64 u32 u16 u8 usize);
+
+impl FromJson for bool {
+    fn from_json(j: &Json) -> Option<Self> {
+        j.as_bool()
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: &Json) -> Option<Self> {
+        j.as_str().map(str::to_string)
+    }
+}
+
+/// `null` reads as `None`; anything else must read as `T`.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Option<Self> {
+        match j {
+            Json::Null => Some(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Option<Self> {
+        j.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// An array of exactly `N` elements.
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(j: &Json) -> Option<Self> {
+        let items = j.as_arr().filter(|items| items.len() == N)?;
+        let items: Vec<T> = items.iter().map(T::from_json).collect::<Option<_>>()?;
+        items.try_into().ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +739,89 @@ mod tests {
         let text = Json::F64(2.0).to_string();
         assert_eq!(text, "2.0");
         assert!(matches!(Json::parse(&text).unwrap(), Json::F64(_)));
+    }
+
+    #[test]
+    fn integers_read_only_within_their_width() {
+        fn edge<T: FromJson + PartialEq + std::fmt::Debug + TryFrom<u64>>(max: u64) {
+            let t = |n: u64| T::try_from(n).ok().unwrap();
+            assert_eq!(T::from_json(&Json::U64(max)), Some(t(max)));
+            assert_eq!(T::from_json(&Json::I64(0)), Some(t(0)));
+            if max < u64::MAX {
+                assert_eq!(T::from_json(&Json::U64(max + 1)), None, "max + 1");
+            }
+            assert_eq!(T::from_json(&Json::I64(-1)), None, "negative");
+            assert_eq!(T::from_json(&Json::I64(i64::MIN)), None, "negative");
+            assert_eq!(T::from_json(&Json::F64(1.0)), None, "float");
+            assert_eq!(T::from_json(&Json::F64(0.5)), None, "float");
+            assert_eq!(T::from_json(&Json::Null), None, "null");
+            assert_eq!(T::from_json(&Json::Str("1".into())), None, "string");
+        }
+        edge::<u8>(u8::MAX as u64);
+        edge::<u16>(u16::MAX as u64);
+        edge::<u32>(u32::MAX as u64);
+        edge::<u64>(u64::MAX);
+        edge::<usize>(usize::MAX as u64);
+    }
+
+    #[test]
+    fn only_option_reads_null() {
+        assert_eq!(Option::<u8>::from_json(&Json::Null), Some(None));
+        assert_eq!(Option::<u8>::from_json(&Json::U64(3)), Some(Some(3)));
+        assert_eq!(Option::<u8>::from_json(&Json::U64(256)), None);
+        assert_eq!(Option::<bool>::from_json(&Json::U64(1)), None);
+        assert_eq!(bool::from_json(&Json::Null), None);
+        assert_eq!(String::from_json(&Json::Null), None);
+        assert_eq!(Vec::<u8>::from_json(&Json::Null), None);
+        assert_eq!(<[u8; 0]>::from_json(&Json::Null), None);
+        assert_eq!(<(u8, u8)>::from_json(&Json::Null), None);
+        assert_eq!(bool::from_json(&Json::Bool(false)), Some(false));
+        assert_eq!(String::from_json(&Json::Str("x".into())), Some("x".into()));
+    }
+
+    #[test]
+    fn arrays_and_tuples_read_exactly_their_length() {
+        let arr = |n: u64| Json::Arr((0..n).map(Json::U64).collect());
+        assert_eq!(<[u8; 3]>::from_json(&arr(3)), Some([0, 1, 2]));
+        assert_eq!(<[u8; 3]>::from_json(&arr(2)), None);
+        assert_eq!(<[u8; 3]>::from_json(&arr(4)), None);
+        assert_eq!(Vec::<u8>::from_json(&arr(4)), Some(vec![0, 1, 2, 3]));
+        assert_eq!(Vec::<u8>::from_json(&Json::arr([Json::Null])), None);
+
+        assert_eq!(<(u8, u8)>::from_json(&arr(2)), Some((0, 1)));
+        assert_eq!(<(u8, u16, u32)>::from_json(&arr(3)), Some((0, 1, 2)));
+        assert_eq!(<(u8, u8, u8, u64)>::from_json(&arr(4)), Some((0, 1, 2, 3)));
+        for n in [0, 1, 3] {
+            assert_eq!(<(u8, u8)>::from_json(&arr(n)), None, "length {n}");
+        }
+        for n in [2, 4] {
+            assert_eq!(<(u8, u8, u8)>::from_json(&arr(n)), None, "length {n}");
+        }
+        for n in [3, 5] {
+            assert_eq!(<(u8, u8, u8, u8)>::from_json(&arr(n)), None, "length {n}");
+        }
+        assert_eq!(
+            <(u8, u8)>::from_json(&Json::arr([Json::U64(1), Json::U64(256)])),
+            None
+        );
+
+        // Tuples render as the arrays they read back from.
+        let t = (7u32, 2u8, u64::MAX, Some(true));
+        assert_eq!(t.to_json().to_string(), "[7,2,18446744073709551615,true]");
+        assert_eq!(FromJson::from_json(&t.to_json()), Some(t));
+    }
+
+    #[test]
+    fn field_reads_an_object_member() {
+        let v = Json::obj([("a", Json::U64(300)), ("n", Json::Null)]);
+        assert_eq!(v.field::<u16>("a"), Some(300));
+        assert_eq!(v.field::<u8>("a"), None, "out of range");
+        assert_eq!(v.field::<Option<u8>>("n"), Some(None));
+        assert_eq!(v.field::<Option<u8>>("missing"), None, "missing key");
+        assert_eq!(v.field::<u64>("missing"), None, "missing key");
+        for not_obj in [Json::Null, Json::U64(1), Json::arr([Json::U64(1)])] {
+            assert_eq!(not_obj.field::<Option<u64>>("a"), None, "{not_obj}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! penalties, exactly like the paper's simulator does for the 32-Kbyte
 //! instruction and data caches of the feasible configuration (§4.4).
 
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{FromJson, Json, ToJson};
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,15 +102,17 @@ impl ToJson for CacheStats {
     }
 }
 
-impl CacheStats {
-    /// Parse back from the [`ToJson`] form.
-    pub fn from_json(j: &Json) -> Option<Self> {
+/// Machine snapshots read the [`ToJson`] form back.
+impl FromJson for CacheStats {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(CacheStats {
-            hits: j.get("hits")?.as_u64()?,
-            misses: j.get("misses")?.as_u64()?,
+            hits: j.field("hits")?,
+            misses: j.field("misses")?,
         })
     }
+}
 
+impl CacheStats {
     /// Total accesses.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
@@ -229,19 +231,9 @@ impl Cache {
     /// stamp, the LRU tick and the counters — so a restored run replays
     /// the same hit/miss sequence cycle for cycle.
     pub fn snapshot_json(&self) -> Json {
-        let lines = self
-            .lines
-            .iter()
-            .map(|l| {
-                Json::arr([
-                    Json::U64(l.tag as u64),
-                    Json::Bool(l.valid),
-                    Json::U64(l.lru),
-                ])
-            })
-            .collect();
+        let lines = self.lines.iter().map(|l| (l.tag, l.valid, l.lru).to_json());
         Json::obj([
-            ("lines", Json::Arr(lines)),
+            ("lines", Json::arr(lines)),
             ("tick", Json::U64(self.tick)),
             ("stats", self.stats.to_json()),
         ])
@@ -252,21 +244,15 @@ impl Cache {
     /// count that does not match the geometry).
     pub fn from_snapshot_json(config: CacheConfig, j: &Json) -> Option<Cache> {
         let mut c = Cache::new(config);
-        let lines = j.get("lines")?.as_arr()?;
+        let lines: Vec<(u32, bool, u64)> = j.field("lines")?;
         if lines.len() != c.lines.len() {
             return None;
         }
-        for (slot, l) in c.lines.iter_mut().zip(lines) {
-            let l = l.as_arr()?;
-            if l.len() != 3 {
-                return None;
-            }
-            slot.tag = u32::try_from(l[0].as_u64()?).ok()?;
-            slot.valid = l[1].as_bool()?;
-            slot.lru = l[2].as_u64()?;
+        for (slot, (tag, valid, lru)) in c.lines.iter_mut().zip(lines) {
+            *slot = Line { tag, valid, lru };
         }
-        c.tick = j.get("tick")?.as_u64()?;
-        c.stats = CacheStats::from_json(j.get("stats")?)?;
+        c.tick = j.field("tick")?;
+        c.stats = j.field("stats")?;
         Some(c)
     }
 }

@@ -2,7 +2,7 @@
 
 use dtsvliw_isa::encode::decode;
 use dtsvliw_isa::Instr;
-use dtsvliw_json::Json;
+use dtsvliw_json::{FromJson, Json};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -312,12 +312,7 @@ impl Memory {
     pub fn from_snapshot_json(j: &Json) -> Option<Memory> {
         let mut m = Memory::new();
         for entry in j.as_arr()? {
-            let pair = entry.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let n = u32::try_from(pair[0].as_u64()?).ok()?;
-            let hex = pair[1].as_str()?;
+            let (n, hex) = <(u32, String)>::from_json(entry)?;
             if n > u32::MAX >> PAGE_SHIFT || hex.len() != 2 * PAGE_SIZE || !hex.is_ascii() {
                 return None;
             }

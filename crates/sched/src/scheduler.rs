@@ -691,6 +691,14 @@ impl Scheduler {
     /// Put arena entry `x` into `slot` of row `r`, as the row's
     /// candidate when `candidate` is set.
     fn occupy(&mut self, r: usize, slot: usize, x: usize, candidate: bool) {
+        if let (true, Some(s)) = (candidate, self.rows[r].candidate) {
+            // A row holds one candidate: one that no cycle resolved since
+            // it was inserted installs where it is when the next
+            // candidate joins (only a driver that inserts twice without
+            // a `tick` gets here).
+            let seq = self.arena[self.rows[r].slots[s] as usize].instr().d.seq;
+            self.install(r, seq);
+        }
         let (row, e) = (&mut self.rows[r], &self.arena[x].sets);
         let b = bit(slot);
         row.slots[slot] = x as u16;
@@ -705,8 +713,6 @@ impl Scheduler {
             row.ordered |= b;
         }
         if candidate {
-            // A row holds one candidate: one that no cycle resolved since
-            // it was inserted stays put when the next instruction joins.
             row.rest_reads = row.reads;
             row.rest_writes = row.writes;
             row.candidate = Some(slot);
@@ -1316,5 +1322,28 @@ mod tests {
         }
         assert_eq!(shape(&s), before);
         assert_eq!(s.stats(), stats);
+    }
+
+    #[test]
+    fn a_candidate_displaced_before_its_first_cycle_installs() {
+        let mut s = Scheduler::new(SchedConfig::homogeneous(2, 4));
+        s.trace_events = Some(Vec::new());
+        // Two independent ops share the head element; the second becomes
+        // its candidate before any cycle resolved the first.
+        s.insert(&add(0, 8, 8), 1);
+        assert_eq!(s.stats().installs, 0);
+        s.insert(&add(1, 9, 9), 1);
+        assert_eq!(s.stats().installs, 1);
+        let install = |seq| ResolveEvent {
+            elem: 0,
+            seq,
+            resolution: Resolution::Install,
+        };
+        assert_eq!(s.trace_events, Some(vec![install(0)]));
+        assert_eq!(shape(&s).len(), 1);
+        assert_eq!(shape(&s)[0].2, Some(1), "the second op is the candidate");
+        s.tick();
+        assert_eq!(s.stats().installs, 2);
+        assert_eq!(s.trace_events, Some(vec![install(0), install(1)]));
     }
 }

@@ -6,59 +6,20 @@
 //! Scheduler Unit's half-built block. The `dtsvliw-isa` crate stays
 //! JSON-free, so the serialisers for its types (resources, dynamic
 //! instructions, the architectural state) live here, next to the first
-//! consumer; the `vliw` and `core` crates reuse them.
+//! consumer, as free functions (the orphan rule keeps `ToJson` and
+//! `FromJson` off them); the `vliw` and `core` crates reuse them.
 //!
-//! Decoders follow the workspace convention set by
-//! `dtsvliw_trace::Histogram::from_json`: they return `Option`, with
-//! `None` for any structural mismatch, and the caller turns that into a
-//! typed corrupt-snapshot error.
+//! Decoders read through the workspace's one codec,
+//! [`dtsvliw_json::FromJson`] and [`Json::field`]: they return `Option`,
+//! with `None` for any structural mismatch (a missing member, a value of
+//! the wrong kind, an integer out of its field's range), and the caller
+//! turns that into a typed corrupt-snapshot error.
 
 use crate::block::{Block, CopyInstr, LongInstr, RenameCounts, ScheduledInstr, SlotOp};
 use crate::scheduler::{ElemView, SchedConfig, SchedStats, Scheduler, MAX_WIDTH};
 use dtsvliw_isa::encode::{decode, encode};
 use dtsvliw_isa::{ArchState, DynInstr, Fcc, Icc, ResList, Resource};
-use dtsvliw_json::Json;
-
-fn u64_of(j: &Json, key: &str) -> Option<u64> {
-    j.get(key)?.as_u64()
-}
-
-fn u32_of(j: &Json, key: &str) -> Option<u32> {
-    u32::try_from(j.get(key)?.as_u64()?).ok()
-}
-
-fn u16_of(j: &Json, key: &str) -> Option<u16> {
-    u16::try_from(j.get(key)?.as_u64()?).ok()
-}
-
-fn u8_of(j: &Json, key: &str) -> Option<u8> {
-    u8::try_from(j.get(key)?.as_u64()?).ok()
-}
-
-fn bool_of(j: &Json, key: &str) -> Option<bool> {
-    j.get(key)?.as_bool()
-}
-
-fn opt_u32_json(v: Option<u32>) -> Json {
-    match v {
-        Some(x) => Json::U64(x as u64),
-        None => Json::Null,
-    }
-}
-
-fn opt_u32_of(j: &Json, key: &str) -> Option<Option<u32>> {
-    match j.get(key)? {
-        Json::Null => Some(None),
-        v => Some(Some(u32::try_from(v.as_u64()?).ok()?)),
-    }
-}
-
-fn opt_u16_of(j: &Json, key: &str) -> Option<Option<u16>> {
-    match j.get(key)? {
-        Json::Null => Some(None),
-        v => Some(Some(u16::try_from(v.as_u64()?).ok()?)),
-    }
-}
+use dtsvliw_json::{FromJson, Json, ToJson};
 
 // -----------------------------------------------------------------
 // isa types
@@ -142,15 +103,9 @@ pub fn dyninstr_to_json(d: &DynInstr) -> Json {
         ("word", Json::U64(encode(&d.instr) as u64)),
         ("cwp_before", Json::U64(d.cwp_before as u64)),
         ("cwp_after", Json::U64(d.cwp_after as u64)),
-        ("eff_addr", opt_u32_json(d.eff_addr)),
-        (
-            "taken",
-            match d.taken {
-                Some(b) => Json::Bool(b),
-                None => Json::Null,
-            },
-        ),
-        ("target", opt_u32_json(d.target)),
+        ("eff_addr", d.eff_addr.to_json()),
+        ("taken", d.taken.to_json()),
+        ("target", d.target.to_json()),
         ("delay_is_nop", Json::Bool(d.delay_is_nop)),
     ])
 }
@@ -158,32 +113,23 @@ pub fn dyninstr_to_json(d: &DynInstr) -> Json {
 /// Inverse of [`dyninstr_to_json`].
 pub fn dyninstr_from_json(j: &Json) -> Option<DynInstr> {
     Some(DynInstr {
-        seq: u64_of(j, "seq")?,
-        pc: u32_of(j, "pc")?,
-        instr: decode(u32_of(j, "word")?),
-        cwp_before: u8_of(j, "cwp_before")?,
-        cwp_after: u8_of(j, "cwp_after")?,
-        eff_addr: opt_u32_of(j, "eff_addr")?,
-        taken: match j.get("taken")? {
-            Json::Null => None,
-            v => Some(v.as_bool()?),
-        },
-        target: opt_u32_of(j, "target")?,
-        delay_is_nop: bool_of(j, "delay_is_nop")?,
+        seq: j.field("seq")?,
+        pc: j.field("pc")?,
+        instr: decode(j.field("word")?),
+        cwp_before: j.field("cwp_before")?,
+        cwp_after: j.field("cwp_after")?,
+        eff_addr: j.field("eff_addr")?,
+        taken: j.field("taken")?,
+        target: j.field("target")?,
+        delay_is_nop: j.field("delay_is_nop")?,
     })
 }
 
 /// The full architectural state.
 pub fn arch_state_to_json(s: &ArchState) -> Json {
     Json::obj([
-        (
-            "int",
-            Json::Arr(s.int.iter().map(|&v| Json::U64(v as u64)).collect()),
-        ),
-        (
-            "fp",
-            Json::Arr(s.fp.iter().map(|&v| Json::U64(v as u64)).collect()),
-        ),
+        ("int", s.int.to_json()),
+        ("fp", s.fp.to_json()),
         ("icc", Json::U64(s.icc.to_bits() as u64)),
         ("fcc", Json::U64(s.fcc as u64)),
         ("y", Json::U64(s.y as u64)),
@@ -196,28 +142,17 @@ pub fn arch_state_to_json(s: &ArchState) -> Json {
 
 /// Inverse of [`arch_state_to_json`].
 pub fn arch_state_from_json(j: &Json) -> Option<ArchState> {
-    let mut s = ArchState::new(u32_of(j, "pc")?);
-    let int = j.get("int")?.as_arr()?;
-    if int.len() != s.int.len() {
-        return None;
-    }
-    for (slot, v) in s.int.iter_mut().zip(int) {
-        *slot = u32::try_from(v.as_u64()?).ok()?;
-    }
-    let fp = j.get("fp")?.as_arr()?;
-    if fp.len() != s.fp.len() {
-        return None;
-    }
-    for (slot, v) in s.fp.iter_mut().zip(fp) {
-        *slot = u32::try_from(v.as_u64()?).ok()?;
-    }
-    s.icc = Icc::from_bits(u8_of(j, "icc")?);
-    s.fcc = Fcc::from_bits(u8_of(j, "fcc")?);
-    s.y = u32_of(j, "y")?;
-    s.cwp = u8_of(j, "cwp")?;
-    s.resident = u8_of(j, "resident")?;
-    s.npc = u32_of(j, "npc")?;
-    Some(s)
+    Some(ArchState {
+        int: j.field("int")?,
+        fp: j.field("fp")?,
+        icc: Icc::from_bits(j.field("icc")?),
+        fcc: Fcc::from_bits(j.field("fcc")?),
+        y: j.field("y")?,
+        cwp: j.field("cwp")?,
+        resident: j.field("resident")?,
+        pc: j.field("pc")?,
+        npc: j.field("npc")?,
+    })
 }
 
 // -----------------------------------------------------------------
@@ -234,137 +169,129 @@ fn rename_pairs_to_json(pairs: &[(Resource, Resource)]) -> Json {
 }
 
 fn rename_pairs_from_json(j: &Json) -> Option<Vec<(Resource, Resource)>> {
-    let mut out = Vec::new();
-    for p in j.as_arr()? {
-        let p = p.as_arr()?;
-        if p.len() != 2 {
-            return None;
-        }
-        out.push((resource_from_json(&p[0])?, resource_from_json(&p[1])?));
-    }
-    Some(out)
+    j.as_arr()?
+        .iter()
+        .map(|p| match p.as_arr()? {
+            [a, b] => Some((resource_from_json(a)?, resource_from_json(b)?)),
+            _ => None,
+        })
+        .collect()
 }
 
-fn scheduled_to_json(s: &ScheduledInstr) -> Json {
-    Json::obj([
-        ("d", dyninstr_to_json(&s.d)),
-        ("reads", reslist_to_json(&s.reads)),
-        ("writes", reslist_to_json(&s.writes)),
-        ("tag", Json::U64(s.tag as u64)),
-        (
-            "ls_order",
-            match s.ls_order {
-                Some(o) => Json::U64(o as u64),
-                None => Json::Null,
-            },
-        ),
-        ("cross", Json::Bool(s.cross)),
-        ("src_renames", rename_pairs_to_json(&s.src_renames)),
-    ])
-}
-
-fn scheduled_from_json(j: &Json) -> Option<ScheduledInstr> {
-    Some(ScheduledInstr {
-        d: dyninstr_from_json(j.get("d")?)?,
-        reads: reslist_from_json(j.get("reads")?)?,
-        writes: reslist_from_json(j.get("writes")?)?,
-        tag: u8_of(j, "tag")?,
-        ls_order: opt_u16_of(j, "ls_order")?,
-        cross: bool_of(j, "cross")?,
-        src_renames: rename_pairs_from_json(j.get("src_renames")?)?,
-    })
-}
-
-fn copy_to_json(c: &CopyInstr) -> Json {
-    Json::obj([
-        ("pairs", rename_pairs_to_json(&c.pairs)),
-        ("tag", Json::U64(c.tag as u64)),
-        (
-            "ls_order",
-            match c.ls_order {
-                Some(o) => Json::U64(o as u64),
-                None => Json::Null,
-            },
-        ),
-        ("cross", Json::Bool(c.cross)),
-        ("orig_seq", Json::U64(c.orig_seq)),
-    ])
-}
-
-fn copy_from_json(j: &Json) -> Option<CopyInstr> {
-    Some(CopyInstr {
-        // A COPY holds at most four pairs (`RenamePairs`).
-        pairs: Some(rename_pairs_from_json(j.get("pairs")?)?)
-            .filter(|p| p.len() <= 4)?
-            .into_iter()
-            .collect(),
-        tag: u8_of(j, "tag")?,
-        ls_order: opt_u16_of(j, "ls_order")?,
-        cross: bool_of(j, "cross")?,
-        orig_seq: u64_of(j, "orig_seq")?,
-    })
-}
-
-fn slotop_to_json(op: &SlotOp) -> Json {
-    match op {
-        SlotOp::Instr(s) => {
-            let mut j = scheduled_to_json(s);
-            if let Json::Obj(pairs) = &mut j {
-                pairs.insert(0, ("op".to_string(), Json::Str("instr".to_string())));
-            }
-            j
-        }
-        SlotOp::Copy(c) => {
-            let mut j = copy_to_json(c);
-            if let Json::Obj(pairs) = &mut j {
-                pairs.insert(0, ("op".to_string(), Json::Str("copy".to_string())));
-            }
-            j
-        }
+impl ToJson for ScheduledInstr {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("d", dyninstr_to_json(&self.d)),
+            ("reads", reslist_to_json(&self.reads)),
+            ("writes", reslist_to_json(&self.writes)),
+            ("tag", Json::U64(self.tag as u64)),
+            ("ls_order", self.ls_order.to_json()),
+            ("cross", Json::Bool(self.cross)),
+            ("src_renames", rename_pairs_to_json(&self.src_renames)),
+        ])
     }
 }
 
-fn slotop_from_json(j: &Json) -> Option<SlotOp> {
-    match j.get("op")?.as_str()? {
-        "instr" => Some(SlotOp::Instr(scheduled_from_json(j)?)),
-        "copy" => Some(SlotOp::Copy(copy_from_json(j)?)),
-        _ => None,
+impl FromJson for ScheduledInstr {
+    fn from_json(j: &Json) -> Option<Self> {
+        Some(ScheduledInstr {
+            d: dyninstr_from_json(j.get("d")?)?,
+            reads: reslist_from_json(j.get("reads")?)?,
+            writes: reslist_from_json(j.get("writes")?)?,
+            tag: j.field("tag")?,
+            ls_order: j.field("ls_order")?,
+            cross: j.field("cross")?,
+            src_renames: rename_pairs_from_json(j.get("src_renames")?)?,
+        })
     }
 }
 
-fn longinstr_to_json(li: &LongInstr) -> Json {
-    Json::Arr(
-        li.slots()
-            .map(|s| s.map_or(Json::Null, slotop_to_json))
-            .collect(),
-    )
+impl ToJson for CopyInstr {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("pairs", rename_pairs_to_json(&self.pairs)),
+            ("tag", Json::U64(self.tag as u64)),
+            ("ls_order", self.ls_order.to_json()),
+            ("cross", Json::Bool(self.cross)),
+            ("orig_seq", Json::U64(self.orig_seq)),
+        ])
+    }
+}
+
+impl FromJson for CopyInstr {
+    fn from_json(j: &Json) -> Option<Self> {
+        Some(CopyInstr {
+            // A COPY holds at most four pairs (`RenamePairs`).
+            pairs: Some(rename_pairs_from_json(j.get("pairs")?)?)
+                .filter(|p| p.len() <= 4)?
+                .into_iter()
+                .collect(),
+            tag: j.field("tag")?,
+            ls_order: j.field("ls_order")?,
+            cross: j.field("cross")?,
+            orig_seq: j.field("orig_seq")?,
+        })
+    }
+}
+
+/// The op's own object, led by an `"op"` member naming its kind.
+impl ToJson for SlotOp {
+    fn to_json(&self) -> Json {
+        let (kind, mut j) = match self {
+            SlotOp::Instr(s) => ("instr", s.to_json()),
+            SlotOp::Copy(c) => ("copy", c.to_json()),
+        };
+        if let Json::Obj(pairs) = &mut j {
+            pairs.insert(0, ("op".to_string(), kind.to_json()));
+        }
+        j
+    }
+}
+
+impl FromJson for SlotOp {
+    fn from_json(j: &Json) -> Option<Self> {
+        match j.get("op")?.as_str()? {
+            "instr" => FromJson::from_json(j).map(SlotOp::Instr),
+            "copy" => FromJson::from_json(j).map(SlotOp::Copy),
+            _ => None,
+        }
+    }
+}
+
+/// A row as its `width` slots, `null` for an empty one.
+impl ToJson for LongInstr {
+    fn to_json(&self) -> Json {
+        Json::arr(self.slots().map(|s| s.map_or(Json::Null, SlotOp::to_json)))
+    }
 }
 
 /// `None` for a row wider than [`MAX_WIDTH`] (the occupancy mask's
 /// limit) or holding a malformed op.
-fn longinstr_from_json(j: &Json) -> Option<LongInstr> {
-    let slots = j.as_arr()?;
-    if slots.len() > MAX_WIDTH {
-        return None;
-    }
-    let (mut occupied, mut ops) = (0u64, Vec::new());
-    for (s, v) in slots.iter().enumerate() {
-        if !matches!(v, Json::Null) {
-            occupied |= 1 << s;
-            ops.push(slotop_from_json(v)?);
+impl FromJson for LongInstr {
+    fn from_json(j: &Json) -> Option<Self> {
+        let slots = Vec::<Option<SlotOp>>::from_json(j)?;
+        if slots.len() > MAX_WIDTH {
+            return None;
         }
+        let occupied = (0..slots.len())
+            .filter(|&s| slots[s].is_some())
+            .fold(0u64, |m, s| m | 1 << s);
+        let width = slots.len();
+        Some(LongInstr::new(
+            width,
+            occupied,
+            slots.into_iter().flatten().collect(),
+        ))
     }
-    Some(LongInstr::new(slots.len(), occupied, ops))
 }
 
-impl RenameCounts {
-    /// Parse back from the [`dtsvliw_json::ToJson`] form.
-    pub fn from_json(j: &Json) -> Option<Self> {
+impl FromJson for RenameCounts {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(RenameCounts {
-            int: u32_of(j, "int")?,
-            fp: u32_of(j, "fp")?,
-            flag: u32_of(j, "flag")?,
-            mem: u32_of(j, "mem")?,
+            int: j.field("int")?,
+            fp: j.field("fp")?,
+            flag: j.field("flag")?,
+            mem: j.field("mem")?,
         })
     }
 }
@@ -379,36 +306,30 @@ pub fn block_to_json(b: &Block) -> Json {
         ("entry_resident", Json::U64(b.entry_resident as u64)),
         ("window_sensitive", Json::Bool(b.window_sensitive)),
         ("nba_addr", Json::U64(b.nba_addr as u64)),
-        ("renames", dtsvliw_json::ToJson::to_json(&b.renames)),
+        ("renames", b.renames.to_json()),
         ("first_seq", Json::U64(b.first_seq)),
         ("trace_len", Json::U64(b.trace_len as u64)),
-        (
-            "lis",
-            Json::Arr(b.lis.iter().map(longinstr_to_json).collect()),
-        ),
+        ("lis", b.lis.to_json()),
     ])
 }
 
 /// Inverse of [`block_to_json`]. `None` for a block no scheduler can
 /// seal: one without long instructions, or with rows of unequal width.
 pub fn block_from_json(j: &Json) -> Option<Block> {
-    let mut lis = Vec::new();
-    for li in j.get("lis")?.as_arr()? {
-        lis.push(longinstr_from_json(li)?);
-    }
+    let lis: Vec<LongInstr> = j.field("lis")?;
     let width = lis.first()?.width();
     if lis.iter().any(|li| li.width() != width) {
         return None;
     }
     Some(Block {
-        tag_addr: u32_of(j, "tag_addr")?,
-        entry_cwp: u8_of(j, "entry_cwp")?,
-        entry_resident: u8_of(j, "entry_resident")?,
-        window_sensitive: bool_of(j, "window_sensitive")?,
-        nba_addr: u32_of(j, "nba_addr")?,
-        renames: RenameCounts::from_json(j.get("renames")?)?,
-        first_seq: u64_of(j, "first_seq")?,
-        trace_len: u32_of(j, "trace_len")?,
+        tag_addr: j.field("tag_addr")?,
+        entry_cwp: j.field("entry_cwp")?,
+        entry_resident: j.field("entry_resident")?,
+        window_sensitive: j.field("window_sensitive")?,
+        nba_addr: j.field("nba_addr")?,
+        renames: j.field("renames")?,
+        first_seq: j.field("first_seq")?,
+        trace_len: j.field("trace_len")?,
         lis,
     })
 }
@@ -417,21 +338,20 @@ pub fn block_from_json(j: &Json) -> Option<Block> {
 // The in-flight scheduling list
 // -----------------------------------------------------------------
 
-impl SchedStats {
-    /// Parse back from the [`dtsvliw_json::ToJson`] form (the derived
-    /// `slot_utilisation` member is ignored).
-    pub fn from_json(j: &Json) -> Option<Self> {
+/// The derived `slot_utilisation` member is not read back.
+impl FromJson for SchedStats {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(SchedStats {
-            blocks: u64_of(j, "blocks")?,
-            lis: u64_of(j, "lis")?,
-            slots_filled: u64_of(j, "slots_filled")?,
-            slots_total: u64_of(j, "slots_total")?,
-            instrs: u64_of(j, "instrs")?,
-            ignored: u64_of(j, "ignored")?,
-            installs: u64_of(j, "installs")?,
-            moves: u64_of(j, "moves")?,
-            splits: u64_of(j, "splits")?,
-            rename_hw: RenameCounts::from_json(j.get("rename_hw")?)?,
+            blocks: j.field("blocks")?,
+            lis: j.field("lis")?,
+            slots_filled: j.field("slots_filled")?,
+            slots_total: j.field("slots_total")?,
+            instrs: j.field("instrs")?,
+            ignored: j.field("ignored")?,
+            installs: j.field("installs")?,
+            moves: j.field("moves")?,
+            splits: j.field("splits")?,
+            rename_hw: j.field("rename_hw")?,
         })
     }
 }
@@ -448,16 +368,15 @@ impl Scheduler {
             .iter()
             .map(|e| {
                 Json::obj([
-                    ("li", longinstr_to_json(&e.li)),
+                    ("li", e.li.to_json()),
                     ("cur_tag", Json::U64(e.cur_tag as u64)),
                     (
                         "candidate",
                         match e.candidate_op() {
                             None => Json::Null,
-                            Some((op, slot)) => Json::obj([
-                                ("op", scheduled_to_json(op)),
-                                ("slot", Json::U64(slot as u64)),
-                            ]),
+                            Some((op, slot)) => {
+                                Json::obj([("op", op.to_json()), ("slot", Json::U64(slot as u64))])
+                            }
                         },
                     ),
                 ])
@@ -470,9 +389,9 @@ impl Scheduler {
             ("entry_resident", Json::U64(self.entry_resident as u64)),
             ("window_sensitive", Json::Bool(self.window_sensitive)),
             ("ls_counter", Json::U64(self.ls_counter as u64)),
-            ("renames", dtsvliw_json::ToJson::to_json(&self.renames)),
+            ("renames", self.renames.to_json()),
             ("first_seq", Json::U64(self.first_seq)),
-            ("stats", dtsvliw_json::ToJson::to_json(&self.stats())),
+            ("stats", self.stats().to_json()),
         ])
     }
 
@@ -484,32 +403,33 @@ impl Scheduler {
     pub fn from_snapshot_json(cfg: SchedConfig, j: &Json) -> Option<Scheduler> {
         let mut s = Scheduler::new(cfg);
         for e in j.get("elems")?.as_arr()? {
-            let li = longinstr_from_json(e.get("li")?)?;
+            let li: LongInstr = e.field("li")?;
             let candidate = match e.get("candidate")? {
                 Json::Null => None,
                 c => {
-                    let slot = usize::try_from(u64_of(c, "slot")?).ok()?;
-                    let op = scheduled_from_json(c.get("op")?)?;
+                    let slot = c.field("slot")?;
                     match li.get(slot) {
-                        Some(SlotOp::Instr(companion)) if *companion == op => Some(slot),
+                        Some(SlotOp::Instr(companion)) if *companion == c.field("op")? => {
+                            Some(slot)
+                        }
                         _ => return None,
                     }
                 }
             };
             s.push_view(ElemView {
                 li,
-                cur_tag: u8_of(e, "cur_tag")?,
+                cur_tag: e.field("cur_tag")?,
                 candidate,
             })?;
         }
-        s.block_tag = u32_of(j, "block_tag")?;
-        s.entry_cwp = u8_of(j, "entry_cwp")?;
-        s.entry_resident = u8_of(j, "entry_resident")?;
-        s.window_sensitive = bool_of(j, "window_sensitive")?;
-        s.ls_counter = u16_of(j, "ls_counter")?;
-        s.renames = RenameCounts::from_json(j.get("renames")?)?;
-        s.first_seq = u64_of(j, "first_seq")?;
-        s.stats = SchedStats::from_json(j.get("stats")?)?;
+        s.block_tag = j.field("block_tag")?;
+        s.entry_cwp = j.field("entry_cwp")?;
+        s.entry_resident = j.field("entry_resident")?;
+        s.window_sensitive = j.field("window_sensitive")?;
+        s.ls_counter = j.field("ls_counter")?;
+        s.renames = j.field("renames")?;
+        s.first_seq = j.field("first_seq")?;
+        s.stats = j.field("stats")?;
         Some(s)
     }
 }
@@ -796,6 +716,11 @@ mod tests {
         };
         *member(member(&mut elems[0], "candidate"), "slot") = Json::U64(3);
         assert!(Scheduler::from_snapshot_json(cfg.clone(), &empty).is_none());
+
+        // One past `u16::MAX` in the u16 load/store counter.
+        let mut wide = good.clone();
+        *member(&mut wide, "ls_counter") = Json::U64(u16::MAX as u64 + 1);
+        assert!(Scheduler::from_snapshot_json(cfg.clone(), &wide).is_none());
 
         // More elements than the list holds.
         let mut long = good;

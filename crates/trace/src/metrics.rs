@@ -2,7 +2,7 @@
 //! along inside `RunStats` (everything here is `Copy` so `RunStats`
 //! stays `Copy`).
 
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{FromJson, Json, ToJson};
 
 /// Number of buckets in every [`Histogram`]. The last bucket is an
 /// overflow catch-all.
@@ -176,26 +176,19 @@ impl Histogram {
     pub fn scale(&self) -> BucketScale {
         self.scale
     }
+}
 
-    /// Parse a histogram back from its [`ToJson`] form (used by
-    /// round-trip tests and external tooling).
-    pub fn from_json(j: &Json) -> Option<Self> {
-        let scale = BucketScale::from_label(j.get("scale")?.as_str()?)?;
-        let mut h = Histogram {
-            scale,
-            buckets: [0; HIST_BUCKETS],
-            count: j.get("count")?.as_u64()?,
-            sum: j.get("sum")?.as_u64()?,
-            max: j.get("max")?.as_u64()?,
-        };
-        let arr = j.get("buckets")?.as_arr()?;
-        if arr.len() != HIST_BUCKETS {
-            return None;
-        }
-        for (slot, v) in h.buckets.iter_mut().zip(arr) {
-            *slot = v.as_u64()?;
-        }
-        Some(h)
+/// Machine snapshots and external tooling read the [`ToJson`] form
+/// back; the derived members (`mean` and the percentiles) are not read.
+impl FromJson for Histogram {
+    fn from_json(j: &Json) -> Option<Self> {
+        Some(Histogram {
+            scale: BucketScale::from_label(&j.field::<String>("scale")?)?,
+            count: j.field("count")?,
+            sum: j.field("sum")?,
+            max: j.field("max")?,
+            buckets: j.field("buckets")?,
+        })
     }
 }
 
@@ -261,17 +254,19 @@ impl Metrics {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Parse back from the [`ToJson`] form (machine snapshots).
-    pub fn from_json(j: &Json) -> Option<Self> {
+/// Machine snapshots read the [`ToJson`] form back.
+impl FromJson for Metrics {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(Metrics {
-            li_slot_occupancy: Histogram::from_json(j.get("li_slot_occupancy")?)?,
-            block_height: Histogram::from_json(j.get("block_height")?)?,
-            block_filled: Histogram::from_json(j.get("block_filled")?)?,
-            swap_gap_cycles: Histogram::from_json(j.get("swap_gap_cycles")?)?,
-            evicted_block_lifetime: Histogram::from_json(j.get("evicted_block_lifetime")?)?,
-            trace_events: j.get("trace_events")?.as_u64()?,
-            trace_dropped: j.get("trace_dropped")?.as_u64()?,
+            li_slot_occupancy: j.field("li_slot_occupancy")?,
+            block_height: j.field("block_height")?,
+            block_filled: j.field("block_filled")?,
+            swap_gap_cycles: j.field("swap_gap_cycles")?,
+            evicted_block_lifetime: j.field("evicted_block_lifetime")?,
+            trace_events: j.field("trace_events")?,
+            trace_dropped: j.field("trace_dropped")?,
         })
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::decoded::{decode_block_into, DecodeArena, DecodedLine};
 use crate::engine::EngineError;
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{FromJson, Json, ToJson};
 use dtsvliw_sched::snapshot::{block_from_json, block_to_json};
 use dtsvliw_sched::Block;
 use std::sync::Arc;
@@ -51,6 +51,13 @@ impl VliwCacheConfig {
     pub fn sets(&self) -> u32 {
         (self.lines() / self.ways).max(1)
     }
+
+    /// Could the Scheduler Unit of this geometry have sealed `block`:
+    /// are its rows `width` slots wide, and at most `height` of them?
+    pub fn fits(&self, block: &Block) -> bool {
+        block.lis.len() <= self.height as usize
+            && block.lis.iter().all(|li| li.width() == self.width as usize)
+    }
 }
 
 /// Hit/miss/insert counters.
@@ -69,15 +76,15 @@ pub struct VliwCacheStats {
     pub invalidations: u64,
 }
 
-impl VliwCacheStats {
-    /// Parse back from the [`ToJson`] form (machine snapshots).
-    pub fn from_json(j: &Json) -> Option<Self> {
+/// Machine snapshots read the [`ToJson`] form back.
+impl FromJson for VliwCacheStats {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(VliwCacheStats {
-            hits: j.get("hits")?.as_u64()?,
-            misses: j.get("misses")?.as_u64()?,
-            inserts: j.get("inserts")?.as_u64()?,
-            evictions: j.get("evictions")?.as_u64()?,
-            invalidations: j.get("invalidations")?.as_u64()?,
+            hits: j.field("hits")?,
+            misses: j.field("misses")?,
+            inserts: j.field("inserts")?,
+            evictions: j.field("evictions")?,
+            invalidations: j.field("invalidations")?,
         })
     }
 }
@@ -362,10 +369,7 @@ impl VliwCache {
                 Json::obj([
                     (
                         "block",
-                        match &l.block {
-                            Some(b) => block_to_json(b),
-                            None => Json::Null,
-                        },
+                        l.block.as_deref().map_or(Json::Null, block_to_json),
                     ),
                     ("lru", Json::U64(l.lru)),
                     ("installed", Json::U64(l.installed_cycle)),
@@ -402,21 +406,20 @@ impl VliwCache {
             };
             if block.as_ref().is_some_and(|b| {
                 c.set_of(b.tag_addr) != i / ways
-                    || b.lis[0].width() != config.width as usize
-                    || b.lis.len() > config.height as usize
+                    || !config.fits(b)
                     || c.find(b.tag_addr, b.entry_cwp).is_some()
             }) {
                 return None;
             }
             let slot = &mut c.lines[i];
             slot.block = block;
-            slot.lru = lj.get("lru")?.as_u64()?;
-            slot.installed_cycle = lj.get("installed")?.as_u64()?;
-            slot.checksum = lj.get("checksum")?.as_u64()?;
+            slot.lru = lj.field("lru")?;
+            slot.installed_cycle = lj.field("installed")?;
+            slot.checksum = lj.field("checksum")?;
         }
-        c.tick = j.get("tick")?.as_u64()?;
-        c.integrity = j.get("integrity")?.as_bool()?;
-        c.stats = VliwCacheStats::from_json(j.get("stats")?)?;
+        c.tick = j.field("tick")?;
+        c.integrity = j.field("integrity")?;
+        c.stats = j.field("stats")?;
         Some(c)
     }
 }

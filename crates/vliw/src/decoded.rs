@@ -1,7 +1,7 @@
 //! Pre-decoded VLIW lines: the flat execution form of a cached block.
 //!
-//! A [`Block`](dtsvliw_sched::Block) is the *storage* form of a VLIW
-//! Cache line: rows of densely stored [`SlotOp`]s whose operands still name
+//! A [`Block`] is the *storage* form of a VLIW Cache line: rows of
+//! densely stored [`SlotOp`]s whose operands still name
 //! visible registers that must be window-resolved and redirected through
 //! the block's `src_renames` on every read. Executing from that form
 //! pays an enum match, a `phys_reg` computation and a linear rename

@@ -21,8 +21,9 @@ use dtsvliw_isa::alu::{exec_alu, exec_fp};
 use dtsvliw_isa::cond::{Fcc, Icc};
 use dtsvliw_isa::insn::{AluOp, FpOp, MemOp};
 use dtsvliw_isa::{ArchState, Resource};
-use dtsvliw_json::{Json, ToJson};
+use dtsvliw_json::{FromJson, Json, ToJson};
 use dtsvliw_mem::Memory;
+use dtsvliw_sched::snapshot::{arch_state_from_json, arch_state_to_json};
 use dtsvliw_sched::Block;
 
 /// How VLIW-mode stores reach memory (§3.11 presents both schemes).
@@ -167,24 +168,23 @@ pub struct EngineStats {
     pub ls_list_dropped: u64,
 }
 
-impl EngineStats {
-    /// Parse back from the [`ToJson`] form (machine snapshots).
-    pub fn from_json(j: &Json) -> Option<Self> {
-        let u32_of = |key: &str| u32::try_from(j.get(key)?.as_u64()?).ok();
+/// Machine snapshots read the [`ToJson`] form back.
+impl FromJson for EngineStats {
+    fn from_json(j: &Json) -> Option<Self> {
         Some(EngineStats {
-            lis: j.get("lis")?.as_u64()?,
-            committed: j.get("committed")?.as_u64()?,
-            annulled: j.get("annulled")?.as_u64()?,
-            mispredicts: j.get("mispredicts")?.as_u64()?,
-            alias_exceptions: j.get("alias_exceptions")?.as_u64()?,
-            other_exceptions: j.get("other_exceptions")?.as_u64()?,
-            max_load_list: u32_of("max_load_list")?,
-            max_store_list: u32_of("max_store_list")?,
-            max_recovery_list: u32_of("max_recovery_list")?,
-            max_data_store_list: u32_of("max_data_store_list")?,
-            alias_suppressed: j.get("alias_suppressed")?.as_u64()?,
-            recovery_truncated: j.get("recovery_truncated")?.as_u64()?,
-            ls_list_dropped: j.get("ls_list_dropped")?.as_u64()?,
+            lis: j.field("lis")?,
+            committed: j.field("committed")?,
+            annulled: j.field("annulled")?,
+            mispredicts: j.field("mispredicts")?,
+            alias_exceptions: j.field("alias_exceptions")?,
+            other_exceptions: j.field("other_exceptions")?,
+            max_load_list: j.field("max_load_list")?,
+            max_store_list: j.field("max_store_list")?,
+            max_recovery_list: j.field("max_recovery_list")?,
+            max_data_store_list: j.field("max_data_store_list")?,
+            alias_suppressed: j.field("alias_suppressed")?,
+            recovery_truncated: j.field("recovery_truncated")?,
+            ls_list_dropped: j.field("ls_list_dropped")?,
         })
     }
 }
@@ -247,6 +247,20 @@ struct LsEntry {
     order: u16,
 }
 
+/// Snapshots carry an entry as `[addr, size, order]`.
+impl ToJson for LsEntry {
+    fn to_json(&self) -> Json {
+        (self.addr, self.size, self.order).to_json()
+    }
+}
+
+impl FromJson for LsEntry {
+    fn from_json(j: &Json) -> Option<Self> {
+        let (addr, size, order) = FromJson::from_json(j)?;
+        Some(LsEntry { addr, size, order })
+    }
+}
+
 fn overlaps(a: &LsEntry, b: &LsEntry) -> bool {
     (a.addr as u64) < b.addr as u64 + b.size as u64
         && (b.addr as u64) < a.addr as u64 + a.size as u64
@@ -257,6 +271,20 @@ struct MemBufEntry {
     addr: u32,
     size: u8,
     value: u32,
+}
+
+/// Snapshots carry an entry as `[addr, size, value]`.
+impl ToJson for MemBufEntry {
+    fn to_json(&self) -> Json {
+        (self.addr, self.size, self.value).to_json()
+    }
+}
+
+impl FromJson for MemBufEntry {
+    fn from_json(j: &Json) -> Option<Self> {
+        let (addr, size, value) = FromJson::from_json(j)?;
+        Some(MemBufEntry { addr, size, value })
+    }
 }
 
 /// The renaming files and the memory renaming buffer: the engine state
@@ -1088,114 +1116,36 @@ impl VliwEngine {
     /// fault knobs. The store scheme is configuration, not state: the
     /// restorer passes it to [`VliwEngine::from_snapshot_json`].
     pub fn snapshot_json(&self) -> Json {
-        let ls = |l: &[LsEntry]| {
-            Json::Arr(
-                l.iter()
-                    .map(|e| {
-                        Json::arr([
-                            Json::U64(e.addr as u64),
-                            Json::U64(e.size as u64),
-                            Json::U64(e.order as u64),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
         Json::obj([
-            (
-                "ren_int",
-                Json::Arr(self.ren.int.iter().map(|v| Json::U64(*v as u64)).collect()),
-            ),
-            (
-                "ren_fp",
-                Json::Arr(self.ren.fp.iter().map(|v| Json::U64(*v as u64)).collect()),
-            ),
+            ("ren_int", self.ren.int.to_json()),
+            ("ren_fp", self.ren.fp.to_json()),
             (
                 "ren_icc",
-                Json::Arr(
-                    self.ren
-                        .icc
-                        .iter()
-                        .map(|c| Json::U64(c.to_bits() as u64))
-                        .collect(),
-                ),
+                Json::arr(self.ren.icc.iter().map(|c| c.to_bits().to_json())),
             ),
             (
                 "ren_fcc",
-                Json::Arr(self.ren.fcc.iter().map(|c| Json::U64(*c as u64)).collect()),
+                Json::arr(self.ren.fcc.iter().map(|&c| (c as u8).to_json())),
             ),
-            (
-                "membuf",
-                Json::Arr(
-                    self.ren
-                        .membuf
-                        .iter()
-                        .map(|b| {
-                            Json::arr([
-                                Json::U64(b.addr as u64),
-                                Json::U64(b.size as u64),
-                                Json::U64(b.value as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("membuf", self.ren.membuf.to_json()),
             (
                 "shadow",
-                match &self.shadow {
-                    Some(s) => dtsvliw_sched::snapshot::arch_state_to_json(s),
-                    None => Json::Null,
-                },
+                self.shadow.as_ref().map_or(Json::Null, arch_state_to_json),
             ),
-            (
-                "recovery",
-                Json::Arr(
-                    self.recovery
-                        .iter()
-                        .map(|&(a, s, v)| {
-                            Json::arr([
-                                Json::U64(a as u64),
-                                Json::U64(s as u64),
-                                Json::U64(v as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "data_stores",
-                Json::Arr(
-                    self.data_stores
-                        .iter()
-                        .map(|&(o, a, s, v)| {
-                            Json::arr([
-                                Json::U64(o as u64),
-                                Json::U64(a as u64),
-                                Json::U64(s as u64),
-                                Json::U64(v as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("load_list", ls(&self.load_list)),
-            ("store_list", ls(&self.store_list)),
+            ("recovery", self.recovery.to_json()),
+            ("data_stores", self.data_stores.to_json()),
+            ("load_list", self.load_list.to_json()),
+            ("store_list", self.store_list.to_json()),
             ("stats", self.stats.to_json()),
             (
                 "last_rollback_unwound",
-                Json::U64(self.last_rollback_unwound as u64),
+                self.last_rollback_unwound.to_json(),
             ),
             (
                 "faults",
                 Json::obj([
                     ("suppress_alias", Json::Bool(self.faults.suppress_alias)),
-                    (
-                        "alias_list_cap",
-                        match self.faults.alias_list_cap {
-                            Some(c) => Json::U64(c as u64),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("alias_list_cap", self.faults.alias_list_cap.to_json()),
                     (
                         "truncate_recovery",
                         Json::Bool(self.faults.truncate_recovery),
@@ -1208,115 +1158,42 @@ impl VliwEngine {
     /// Rebuild from [`VliwEngine::snapshot_json`] output and the store
     /// scheme the engine ran with; `None` on any structural mismatch.
     pub fn from_snapshot_json(scheme: StoreScheme, j: &Json) -> Option<VliwEngine> {
-        let vec_u32 =
-            |key: &str| -> Option<Vec<u32>> { j.get(key)?.as_arr()?.iter().map(j_u32).collect() };
-        let ls_list = |key: &str| -> Option<Vec<LsEntry>> {
-            j.get(key)?
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    let e = e.as_arr()?;
-                    if e.len() != 3 {
-                        return None;
-                    }
-                    Some(LsEntry {
-                        addr: j_u32(&e[0])?,
-                        size: j_u8(&e[1])?,
-                        order: j_u16(&e[2])?,
-                    })
-                })
-                .collect()
-        };
         let fj = j.get("faults")?;
         Some(VliwEngine {
             scheme,
             ren: RenameFiles {
-                int: vec_u32("ren_int")?,
-                fp: vec_u32("ren_fp")?,
+                int: j.field("ren_int")?,
+                fp: j.field("ren_fp")?,
                 icc: j
-                    .get("ren_icc")?
-                    .as_arr()?
-                    .iter()
-                    .map(|b| Some(Icc::from_bits(j_u8(b)?)))
-                    .collect::<Option<_>>()?,
+                    .field::<Vec<u8>>("ren_icc")?
+                    .into_iter()
+                    .map(Icc::from_bits)
+                    .collect(),
                 fcc: j
-                    .get("ren_fcc")?
-                    .as_arr()?
-                    .iter()
-                    .map(|b| Some(Fcc::from_bits(j_u8(b)?)))
-                    .collect::<Option<_>>()?,
-                membuf: j
-                    .get("membuf")?
-                    .as_arr()?
-                    .iter()
-                    .map(|e| {
-                        let e = e.as_arr()?;
-                        if e.len() != 3 {
-                            return None;
-                        }
-                        Some(MemBufEntry {
-                            addr: j_u32(&e[0])?,
-                            size: j_u8(&e[1])?,
-                            value: j_u32(&e[2])?,
-                        })
-                    })
-                    .collect::<Option<_>>()?,
+                    .field::<Vec<u8>>("ren_fcc")?
+                    .into_iter()
+                    .map(Fcc::from_bits)
+                    .collect(),
+                membuf: j.field("membuf")?,
             },
             shadow: match j.get("shadow")? {
                 Json::Null => None,
-                sj => Some(dtsvliw_sched::snapshot::arch_state_from_json(sj)?),
+                sj => Some(arch_state_from_json(sj)?),
             },
-            recovery: j
-                .get("recovery")?
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    let e = e.as_arr()?;
-                    if e.len() != 3 {
-                        return None;
-                    }
-                    Some((j_u32(&e[0])?, j_u8(&e[1])?, j_u32(&e[2])?))
-                })
-                .collect::<Option<_>>()?,
-            data_stores: j
-                .get("data_stores")?
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    let e = e.as_arr()?;
-                    if e.len() != 4 {
-                        return None;
-                    }
-                    Some((j_u16(&e[0])?, j_u32(&e[1])?, j_u8(&e[2])?, j_u32(&e[3])?))
-                })
-                .collect::<Option<_>>()?,
-            load_list: ls_list("load_list")?,
-            store_list: ls_list("store_list")?,
-            stats: EngineStats::from_json(j.get("stats")?)?,
-            last_rollback_unwound: j_u32(j.get("last_rollback_unwound")?)?,
+            recovery: j.field("recovery")?,
+            data_stores: j.field("data_stores")?,
+            load_list: j.field("load_list")?,
+            store_list: j.field("store_list")?,
+            stats: j.field("stats")?,
+            last_rollback_unwound: j.field("last_rollback_unwound")?,
             faults: EngineFaults {
-                suppress_alias: fj.get("suppress_alias")?.as_bool()?,
-                alias_list_cap: match fj.get("alias_list_cap")? {
-                    Json::Null => None,
-                    c => Some(j_u32(c)?),
-                },
-                truncate_recovery: fj.get("truncate_recovery")?.as_bool()?,
+                suppress_alias: fj.field("suppress_alias")?,
+                alias_list_cap: fj.field("alias_list_cap")?,
+                truncate_recovery: fj.field("truncate_recovery")?,
             },
             scratch: ExecScratch::default(),
         })
     }
-}
-
-fn j_u32(j: &Json) -> Option<u32> {
-    u32::try_from(j.as_u64()?).ok()
-}
-
-fn j_u16(j: &Json) -> Option<u16> {
-    u16::try_from(j.as_u64()?).ok()
-}
-
-fn j_u8(j: &Json) -> Option<u8> {
-    u8::try_from(j.as_u64()?).ok()
 }
 
 #[cfg(test)]
@@ -1382,7 +1259,13 @@ mod tests {
             &Json::parse(&good).unwrap()
         )
         .is_some());
-        for broken in [r#"{}"#, r#"{"ren_int":"nope"}"#] {
+        // One past `u32::MAX` in a u32 counter.
+        let wide = good.replace(
+            r#""last_rollback_unwound":0"#,
+            r#""last_rollback_unwound":4294967296"#,
+        );
+        assert_ne!(wide, good);
+        for broken in [r#"{}"#, r#"{"ren_int":"nope"}"#, &wide] {
             assert!(VliwEngine::from_snapshot_json(
                 StoreScheme::Checkpoint,
                 &Json::parse(broken).unwrap()
